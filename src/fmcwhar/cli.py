@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -67,15 +66,6 @@ class RunManifest:
 def _config_hash(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _worker_cap() -> int:
-    """FMCW_THREADS caps worker counts; commands here are synchronous."""
-    raw = os.environ.get("FMCW_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise CliInputError(f"FMCW_THREADS must be an integer, got {raw!r}")
 
 
 def _manifest(command, args_payload, seeds, inputs, outputs, started) -> RunManifest:
@@ -167,14 +157,9 @@ def _cmd_maps(args) -> int:
         raise CliInputError(f"unknown domains {sorted(unknown)}; use rt, dt, rd")
 
     _, echo, _ = radar_io.load_recording(args.input)
-    builders = {
-        "rt": lambda: dm.range_time_map(echo, mti=not args.no_mti),
-        "dt": lambda: dm.doppler_time_map(echo),
-        "rd": lambda: dm.range_doppler_map(echo),
-    }
     outputs = []
-    for key in domains:
-        spectro = builders[key]()
+    for key, spectro in zip(domains, dm.domain_maps(echo, mti=not args.no_mti,
+                                                     domains=domains)):
         path = out_dir / f"{key}.smap"
         dm.save_spectro_map(spectro, path)
         outputs += [path, out_dir / f"{key}.json"]
@@ -393,7 +378,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()
         return args.func(args)
     except _INPUT_ERRORS as exc:
         _report_error(args, exc)

@@ -17,6 +17,12 @@ The MTI filter for the DTM/RDM paths runs on the complex range profiles
 (real and imaginary parts independently); Doppler extraction needs the
 phase, which magnitude-only filtering would destroy.
 
+The three domains share one front end: ``domain_maps`` runs one range
+FFT and one MTI pass per recording, over a lane buffer holding both the
+complex profiles and the RT magnitudes packed two to a complex lane.
+The per-domain functions are thin wrappers over the same builders, so
+their maps equal the shared path's bit for bit.
+
 All map values are stored in dB so every domain shares one value scale.
 """
 
@@ -155,9 +161,12 @@ class AstftConfig:
             )
 
 
-def range_profiles(echo: EchoMatrix) -> np.ndarray:
-    """Complex range profiles: rectangular-window fast-time DFT per chirp."""
-    return np.fft.fft(echo.data, axis=1)
+def range_profiles(echo: EchoMatrix, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex range profiles: rectangular-window fast-time DFT per chirp.
+
+    ``out``, as in numpy, receives the (n_chirps, N) result.
+    """
+    return np.fft.fft(echo.data, axis=1, out=out)
 
 
 def _mti_coeffs() -> dsp.IirCoeffs:
@@ -169,20 +178,55 @@ def mti_filter_complex(profiles: np.ndarray) -> np.ndarray:
     return dsp.iir_filter(_mti_coeffs(), profiles, axis=0)
 
 
-def range_time_map(echo: EchoMatrix, mti: bool = True) -> SpectroMap:
-    """Range-Time map; MTI filters the magnitude sequence at each range bin."""
-    mags = np.abs(range_profiles(echo))
-    if mti:
-        mags = dsp.iir_filter(_mti_coeffs(), mags, axis=0)
-    values = dsp.log_magnitude(mags, LOG_FLOOR_EPS)
-    params = echo.params
+def _front_end(echo: EchoMatrix, rt: bool, doppler: bool, rt_mti: bool = True):
+    """One range FFT and at most one MTI pass for every requested domain.
+
+    Returns ``(profiles, packed)``: the MTI-filtered complex range
+    profiles (n_chirps, N) behind the DT and RD maps, and the RT
+    magnitudes packed two range bins to a complex lane (bins
+    ``0..ceil(N/2)-1`` in the real parts, the rest in the imaginary
+    parts). Either is None when its domains are not requested. Both live
+    in one lane buffer filtered in place by a single ``iir_filter`` call;
+    the MTI coefficients are real, so the two halves of a packed lane
+    filter independently. Without ``rt_mti`` the packed lanes skip it.
+    """
+    n_chirps, n = echo.data.shape
+    half = (n + 1) // 2
+    lanes = np.empty((n_chirps, (n if doppler else 0) + (half if rt else 0)),
+                     dtype=np.complex128)
+    # The range FFT writes straight into the profile lanes when DT or RD
+    # need them, so no second full-size complex copy exists.
+    profiles = range_profiles(echo, out=lanes[:, :n] if doppler else None)
+    if rt:
+        mags = np.abs(profiles)
+        packed = lanes[:, lanes.shape[1] - half:]
+        packed.real = mags[:, :half]
+        packed.imag[:, : n - half] = mags[:, half:]
+        packed.imag[:, n - half:] = 0.0
+        del mags
+    del profiles
+    filtered = lanes if rt_mti or not rt else lanes[:, : lanes.shape[1] - half]
+    if filtered.shape[1]:
+        dsp.iir_filter(_mti_coeffs(), filtered, axis=0, out=filtered)
+    return (lanes[:, :n] if doppler else None), (packed if rt else None)
+
+
+def _range_time(params: RadarParams, packed: np.ndarray) -> SpectroMap:
+    n_imag = params.samples_per_chirp - packed.shape[1]
+    mags = np.concatenate((packed.real, packed.imag[:, :n_imag]), axis=1)
     return SpectroMap(
         domain=Domain.RANGE_TIME,
-        values=values,
+        values=dsp.log_magnitude(mags, LOG_FLOOR_EPS),
         row_axis=Axis("slow time", "s", 0.0, params.chirp_duration_s),
         col_axis=Axis("range", "m", 0.0, params.range_bin_m),
         params=params,
     )
+
+
+def range_time_map(echo: EchoMatrix, mti: bool = True) -> SpectroMap:
+    """Range-Time map; MTI filters the magnitude sequence at each range bin."""
+    _, packed = _front_end(echo, rt=True, doppler=False, rt_mti=mti)
+    return _range_time(echo.params, packed)
 
 
 def _frame_segments(signal: np.ndarray, length: int, hop: int) -> np.ndarray:
@@ -195,25 +239,8 @@ def _frame_segments(signal: np.ndarray, length: int, hop: int) -> np.ndarray:
     return np.where(valid, signal[np.clip(offsets, 0, n - 1)], 0.0)
 
 
-def doppler_time_map(
-    echo: EchoMatrix,
-    cfg: AstftConfig | None = None,
-    return_selection: bool = False,
-):
-    """Doppler-Time map via the adaptive short-time transform.
-
-    At every frame and range bin the Gaussian window minimizing the
-    spectral concentration factor is selected (ties break to the lowest
-    bank index); the chosen magnitude spectra are summed over the range
-    interval. With ``return_selection`` the (n_bins, n_frames) matrix of
-    selected bank indices is returned alongside the map.
-    """
-    params = echo.params
-    if cfg is None:
-        cfg = AstftConfig.default_for(params, echo.n_chirps)
-    cfg.validate_against(echo)
-
-    profiles = mti_filter_complex(range_profiles(echo))
+def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
+    """The DT map and its (n_bins, n_frames) window selections."""
     length = cfg.window_length
     windows = np.stack([w.values() for w in cfg.window_bank])  # (n_alpha, L)
 
@@ -229,6 +256,7 @@ def doppler_time_map(
         conc = s1 * s1 / (s2 + 1e-12)
         chosen = np.argmin(conc, axis=0)  # first minimum wins ties
         selected = mags[chosen, np.arange(mags.shape[1]), :]  # (n_frames, L)
+        del spectra, mags  # free before the next bin's FFT
         accum = selected if accum is None else accum + selected
         selections.append(chosen)
 
@@ -237,35 +265,86 @@ def doppler_time_map(
 
     prf = params.chirp_rate_hz
     doppler_step = prf / length
-    result = SpectroMap(
+    spectro = SpectroMap(
         domain=Domain.DOPPLER_TIME,
         values=values,
         row_axis=Axis("Doppler", "Hz", -doppler_step * (length // 2), doppler_step),
         col_axis=Axis("time", "s", 0.0, cfg.hop * params.chirp_duration_s),
         params=params,
     )
-    if return_selection:
-        return result, np.stack(selections)
-    return result
+    return spectro, np.stack(selections)
 
 
-def range_doppler_map(echo: EchoMatrix) -> SpectroMap:
-    """Range-Doppler map: slow-time DFT of the MTI-filtered range profiles."""
-    params = echo.params
-    filtered = mti_filter_complex(range_profiles(echo))
-    doppler = np.fft.fftshift(np.fft.fft(filtered, axis=0), axes=0)  # (n_doppler, n_range)
-    values = dsp.log_magnitude(doppler.T, LOG_FLOOR_EPS)  # rows range, cols Doppler
+def _astft_config(echo: EchoMatrix, cfg: AstftConfig | None) -> AstftConfig:
+    if cfg is None:
+        cfg = AstftConfig.default_for(echo.params, echo.n_chirps)
+    cfg.validate_against(echo)
+    return cfg
 
-    n_c = echo.n_chirps
-    prf = params.chirp_rate_hz
-    doppler_step = prf / n_c
+
+def doppler_time_map(
+    echo: EchoMatrix,
+    cfg: AstftConfig | None = None,
+    return_selection: bool = False,
+):
+    """Doppler-Time map via the adaptive short-time transform.
+
+    At every frame and range bin the Gaussian window minimizing the
+    spectral concentration factor is selected (ties break to the lowest
+    bank index); the chosen magnitude spectra are summed over the range
+    interval. With ``return_selection`` the (n_bins, n_frames) matrix of
+    selected bank indices is returned alongside the map.
+    """
+    cfg = _astft_config(echo, cfg)
+    profiles, _ = _front_end(echo, rt=False, doppler=True)
+    result, selections = _doppler_time(echo.params, profiles, cfg)
+    return (result, selections) if return_selection else result
+
+
+def _range_doppler(params: RadarParams, profiles: np.ndarray) -> SpectroMap:
+    n_c = profiles.shape[0]
+    # dB before the shift: the shift only permutes, and it then copies
+    # real values instead of complex ones.
+    doppler_db = dsp.log_magnitude(np.fft.fft(profiles, axis=0), LOG_FLOOR_EPS)
+    values = np.fft.fftshift(doppler_db, axes=0)  # (n_doppler, n_range)
+    doppler_step = params.chirp_rate_hz / n_c
     return SpectroMap(
         domain=Domain.RANGE_DOPPLER,
-        values=values,
+        values=values.T,  # rows range, cols Doppler
         row_axis=Axis("range", "m", 0.0, params.range_bin_m),
         col_axis=Axis("Doppler", "Hz", -doppler_step * (n_c // 2), doppler_step),
         params=params,
     )
+
+
+def range_doppler_map(echo: EchoMatrix) -> SpectroMap:
+    """Range-Doppler map: slow-time DFT of the MTI-filtered range profiles."""
+    profiles, _ = _front_end(echo, rt=False, doppler=True)
+    return _range_doppler(echo.params, profiles)
+
+
+def domain_maps(echo: EchoMatrix, mti: bool = True, domains=tuple(Domain)):
+    """Yield the requested maps of one recording, in the order requested.
+
+    All of them come from one shared front end: one range FFT and one
+    MTI pass (see ``_front_end``). The maps equal those of
+    ``range_time_map(echo, mti)``, ``doppler_time_map(echo)`` and
+    ``range_doppler_map(echo)``; ``mti`` applies to the RT map only, as
+    there. Maps are built one at a time, so a caller can shrink or store
+    each before the next exists.
+    """
+    domains = [Domain(d) for d in domains]
+    doppler = any(d is not Domain.RANGE_TIME for d in domains)
+    cfg = _astft_config(echo, None) if Domain.DOPPLER_TIME in domains else None
+    profiles, packed = _front_end(echo, rt=Domain.RANGE_TIME in domains,
+                                  doppler=doppler, rt_mti=mti)
+    for domain in domains:
+        if domain is Domain.RANGE_TIME:
+            yield _range_time(echo.params, packed)
+        elif domain is Domain.DOPPLER_TIME:
+            yield _doppler_time(echo.params, profiles, cfg)[0]
+        else:
+            yield _range_doppler(echo.params, profiles)
 
 
 def resize_bilinear(spectro: SpectroMap, out_h: int, out_w: int) -> SpectroMap:

@@ -170,45 +170,63 @@ def butterworth_highpass(order: int = 4, cutoff_norm: float = 0.0075) -> IirCoef
     return IirCoeffs(b=b, a=a)
 
 
-def iir_filter(coeffs: IirCoeffs, x, axis: int = 0, zero_phase: bool = False):
+def iir_filter(coeffs: IirCoeffs, x, axis: int = 0, zero_phase: bool = False,
+               out=None):
     """Causal direct-form IIR filtering with zero initial state.
 
     y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k], evaluated along
     ``axis``. Output length equals input length. ``zero_phase`` runs the
     filter forward then backward (squares the magnitude response,
-    cancels phase); it is off by default.
+    cancels phase); it is off by default. ``out``, as in numpy, receives
+    the result and is returned; it may be ``x`` itself, which filters in
+    place with the same arithmetic.
     """
     x = np.asarray(x)
     if x.shape[axis] < 1:
         raise DspError("input must hold at least one sample")
-    y = _lfilter_df2t(coeffs.b, coeffs.a, np.moveaxis(x, axis, 0))
-    if zero_phase:
-        y = _lfilter_df2t(coeffs.b, coeffs.a, y[::-1])[::-1]
-    return np.moveaxis(y, 0, axis)
-
-
-def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Direct form II transposed along axis 0; lanes on the remaining axes."""
-    n_taps = b.size
     out_dtype = np.result_type(x.dtype, np.float64)
-    y = np.empty(x.shape, dtype=out_dtype)
-    state = np.zeros((n_taps - 1,) + x.shape[1:], dtype=out_dtype)
+    if out is None:
+        out = np.empty(x.shape, dtype=out_dtype)
+    elif out.shape != x.shape or out.dtype != out_dtype:
+        raise DspError(
+            f"out must have shape {x.shape} and dtype {out_dtype}, "
+            f"got {out.shape} and {out.dtype}"
+        )
+    y = np.moveaxis(out, axis, 0)
+    _lfilter_df2t(coeffs.b, coeffs.a, np.moveaxis(x, axis, 0), y)
+    if zero_phase:
+        _lfilter_df2t(coeffs.b, coeffs.a, y[::-1], y[::-1])
+    return out
+
+
+def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Direct form II transposed along axis 0 into ``y``; lanes on the
+    remaining axes. ``y[n]`` is written only after the state update has
+    read ``x[n]``, so ``y`` may alias ``x``."""
+    n_taps = b.size
+    state = np.zeros((n_taps - 1,) + x.shape[1:], dtype=y.dtype)
     for n in range(x.shape[0]):
         xn = x[n]
         yn = b[0] * xn + state[0] if n_taps > 1 else b[0] * xn
-        y[n] = yn
         if n_taps > 1:
             for i in range(n_taps - 2):
                 state[i] = state[i + 1] + b[i + 1] * xn - a[i + 1] * yn
             state[-1] = b[-1] * xn - a[-1] * yn
-    return y
+        y[n] = yn
 
 
 def log_magnitude(x, floor_eps: float = 1e-12) -> np.ndarray:
     """Elementwise 20 log10(max(|x|, floor_eps)); the floor keeps zeros finite."""
     if not floor_eps > 0:
         raise DspError(f"floor_eps must be > 0, got {floor_eps}")
-    return 20.0 * np.log10(np.maximum(np.abs(x), floor_eps))
+    mag = np.abs(x)
+    if not isinstance(mag, np.ndarray) or mag.dtype.kind != "f":
+        mag = np.array(mag, dtype=np.float64)
+    # In place on the one fresh array: no further full-size temporaries.
+    np.maximum(mag, floor_eps, out=mag)
+    np.log10(mag, out=mag)
+    mag *= 20.0
+    return mag
 
 
 def concentration(spectrum_mag, eps: float = 1e-12) -> float:

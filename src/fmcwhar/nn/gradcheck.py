@@ -16,6 +16,7 @@ two-sided smooth.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ def check_layer(name, layer, x, forward=None, eps=DEFAULT_EPS) -> GradCheckResul
     """Compare analytic input/parameter gradients against central differences."""
     fwd = forward if forward is not None else (
         lambda: layer.forward(x, train=False))
-    rng = np.random.default_rng(abs(hash(name)) % 2**32)
+    # crc32, not hash(): str hashes are salted per process.
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     out = fwd()
     projection = rng.standard_normal(out.shape)
 

@@ -42,6 +42,10 @@ class EmptyPayload(RadarIoError):
     """Stream contains no complete chirp."""
 
 
+class NonFiniteSample(RadarIoError):
+    """An echo sample is NaN or infinite."""
+
+
 class ShapeMismatch(RadarIoError):
     """Echo matrix does not agree with its parameter block."""
 
@@ -139,7 +143,7 @@ def _format_complex(value: complex) -> str:
     return f"{re!r}{sign}{im!r}i"
 
 
-def _entries_from_ascii(raw: bytes) -> list[complex]:
+def _entries_from_ascii(raw: bytes) -> tuple[list[complex], np.ndarray]:
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -148,10 +152,12 @@ def _entries_from_ascii(raw: bytes) -> list[complex]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             entries.append(_parse_complex_token(line, lineno))
-    return entries
+    if len(entries) < 4:
+        raise TruncatedHeader(f"stream holds {len(entries)} entries, header needs 4")
+    return entries[:4], np.asarray(entries[4:], dtype=np.complex128)
 
 
-def _entries_from_binary(raw: bytes) -> list[complex]:
+def _entries_from_binary(raw: bytes) -> tuple[list[complex], np.ndarray]:
     if len(raw) < _DATB_HEADER.size:
         raise TruncatedHeader(
             f"binary stream holds {len(raw)} bytes, header needs {_DATB_HEADER.size}"
@@ -167,9 +173,8 @@ def _entries_from_binary(raw: bytes) -> list[complex]:
             f"payload truncated: header declares {count} entries "
             f"({expected} bytes), stream holds {len(raw)}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=_DATB_HEADER.size)
-    payload = flat[0::2] + 1j * flat[1::2]
-    return [complex(f0), complex(tc), complex(ns), complex(bw)] + payload.tolist()
+    payload = np.frombuffer(raw, dtype="<c16", count=count, offset=_DATB_HEADER.size)
+    return [complex(f0), complex(tc), complex(ns), complex(bw)], payload.astype(np.complex128)
 
 
 def parse_dat(raw: bytes, codec: str = "ascii") -> ParsedRecording:
@@ -179,18 +184,15 @@ def parse_dat(raw: bytes, codec: str = "ascii") -> ParsedRecording:
     carrier frequency, chirp duration, samples per chirp, bandwidth.
     Remaining entries are reshaped row-major into (n_chirps, N_s); a
     trailing partial chirp is dropped and reported, never zero-padded.
+    A NaN or infinite sample anywhere in the payload is rejected.
     """
     if codec == "ascii":
-        entries = _entries_from_ascii(raw)
+        header, payload = _entries_from_ascii(raw)
     elif codec == "binary":
-        entries = _entries_from_binary(raw)
+        header, payload = _entries_from_binary(raw)
     else:
         raise ValueError(f"unknown codec {codec!r}")
 
-    if len(entries) < 4:
-        raise TruncatedHeader(f"stream holds {len(entries)} entries, header needs 4")
-
-    header = entries[:4]
     for i, value in enumerate(header):
         if value.imag != 0.0:
             raise RadarIoError(f"header entry {i + 1} is not real-valued: {value}")
@@ -201,7 +203,12 @@ def parse_dat(raw: bytes, codec: str = "ascii") -> ParsedRecording:
         bandwidth_hz=header[3].real,
     )
 
-    payload = np.asarray(entries[4:], dtype=np.complex128)
+    finite = np.isfinite(payload)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFiniteSample(
+            f"payload entry {first + 1} is not finite: {complex(payload[first])}"
+        )
     n_s = params.samples_per_chirp
     n_chirps = payload.size // n_s
     discarded = payload.size - n_chirps * n_s

@@ -185,8 +185,9 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
 
 def maps_for_echo(echo, map_size: int):
     """The three resized domain maps of one echo, in rt/dt/rd order."""
-    builders = (dm.range_time_map, dm.doppler_time_map, dm.range_doppler_map)
-    return [dm.resize_bilinear(build(echo), map_size, map_size) for build in builders]
+    # map() drops each full-size map before the next one is built.
+    return list(map(lambda m: dm.resize_bilinear(m, map_size, map_size),
+                    dm.domain_maps(echo)))
 
 
 def _render_samples(samples_per_class: int, seed: int, map_size: int,

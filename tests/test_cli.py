@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmcwhar import cli
 from fmcwhar import domain_maps as dm
@@ -85,6 +89,22 @@ class TestMaps:
         assert cli.main(["maps", str(src), "--out", str(out)]) == 0
         rt = dm.load_spectro_map(out / "rt.smap")
         assert np.unique(rt.values).size == 1
+
+    @pytest.mark.parametrize("no_mti", [False, True])
+    def test_matches_library_maps(self, tmp_path, echo_file, no_mti):
+        out = tmp_path / "maps"
+        argv = ["maps", str(echo_file), "--domains", "rd,rt,dt", "--out", str(out)]
+        assert cli.main(argv + ["--no-mti"] * no_mti) == 0
+        _, echo, _ = radar_io.load_recording(echo_file)
+        expected = {"rt": dm.range_time_map(echo, mti=not no_mti),
+                    "dt": dm.doppler_time_map(echo),
+                    "rd": dm.range_doppler_map(echo)}
+        for key, spectro in expected.items():
+            written = dm.load_spectro_map(out / f"{key}.smap")
+            np.testing.assert_array_equal(
+                written.values, spectro.values.astype("<f4").astype(np.float64))
+            assert (written.row_axis, written.col_axis) == (spectro.row_axis,
+                                                            spectro.col_axis)
 
     def test_unknown_domain_rejected(self, tmp_path, echo_file):
         assert cli.main(["maps", str(echo_file), "--domains", "rt,xx",
@@ -174,12 +194,42 @@ class TestTrainEval:
         assert len(confusion) == 7  # header + 6 classes
 
 
-class TestEnvironment:
-    def test_thread_cap_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FMCW_THREADS", "not-a-number")
-        assert cli.main(["params", "--preset", "toy"]) == 2
-        monkeypatch.setenv("FMCW_THREADS", "4")
-        assert cli.main(["params", "--preset", "toy"]) == 0
+SMALL = radar_io.RadarParams(5.8e9, 1e-3, 8, 4e8)
+
+
+def parse_exit_code(name, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(raw)
+        return cli.main(["parse", str(path), "--out", str(Path(tmp) / "out")])
+
+
+class TestMalformedRecordings:
+    """Malformed recordings are input errors (exit 2), never internal ones."""
+
+    @given(
+        codec=st.sampled_from(["ascii", "binary"]),
+        index=st.integers(min_value=0, max_value=4 * 8 - 1),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        imaginary=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_non_finite_sample(self, codec, index, bad, imaginary):
+        data = np.ones(4 * 8, dtype=complex)
+        data[index] = complex(1.0, bad) if imaginary else complex(bad, 1.0)
+        echo = radar_io.EchoMatrix(params=SMALL, data=data.reshape(4, 8))
+        raw = radar_io.write_dat(SMALL, echo, codec=codec)
+        name = "rec.datb" if codec == "binary" else "rec.dat"
+        with pytest.raises(radar_io.NonFiniteSample):
+            radar_io.parse_dat(raw, codec=codec)
+        assert parse_exit_code(name, raw) == 2
+
+    @given(cut=st.integers(min_value=1, max_value=4 * 8 * 16 + 48))
+    @settings(max_examples=25, deadline=None)
+    def test_truncated_datb(self, cut):
+        echo = radar_io.EchoMatrix(params=SMALL, data=np.ones((4, 8), dtype=complex))
+        raw = radar_io.write_dat(SMALL, echo, codec="binary")
+        assert parse_exit_code("rec.datb", raw[: len(raw) - cut]) == 2
 
 
 def test_manifest_contents(tmp_path, echo_file):

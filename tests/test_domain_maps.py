@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fmcwhar import domain_maps as dm
-from fmcwhar import dsp, synth
+from fmcwhar import dsp, synth, training
 from fmcwhar.radar_io import EchoMatrix, RadarParams, SPEED_OF_LIGHT
 
 from oracles import check_scene_bins
@@ -187,6 +187,55 @@ class TestRangeDopplerMap:
         echo = EchoMatrix(params=PARAMS, data=np.zeros((32, 128), dtype=complex))
         rdm = dm.range_doppler_map(echo)
         np.testing.assert_array_equal(rdm.values, np.full((128, 32), -240.0))
+
+
+def assert_same_map(a, b):
+    assert a.domain is b.domain
+    np.testing.assert_array_equal(a.values, b.values, strict=True)
+    assert (a.row_axis, a.col_axis, a.params) == (b.row_axis, b.col_axis, b.params)
+
+
+class TestSharedFrontEnd:
+    """domain_maps() shares one range FFT and one MTI pass; its maps must
+    equal the per-domain wrappers' bit for bit."""
+
+    @pytest.mark.parametrize("n_s", [128, 37])
+    @pytest.mark.parametrize("kind", [k.value for k in synth.ActivityKind])
+    def test_matches_wrappers(self, kind, n_s):
+        params = RadarParams(5.8e9, 1e-3, n_s, 4e8)
+        full = synth.generate(synth.activity_template(kind, seed=4), params)
+        echo = EchoMatrix(params=params, data=full.data[:512])
+        dt = dm.doppler_time_map(echo)
+        rd = dm.range_doppler_map(echo)
+        for mti in (True, False):
+            rt, dt_shared, rd_shared = dm.domain_maps(echo, mti=mti)
+            assert_same_map(rt, dm.range_time_map(echo, mti=mti))
+            assert_same_map(dt_shared, dt)
+            assert_same_map(rd_shared, rd)
+
+    def test_requested_domains_in_requested_order(self):
+        echo = single_target(3.0, 1.0, duration=0.256)
+        maps = list(dm.domain_maps(echo, mti=False, domains=["rd", "rt"]))
+        assert [m.domain for m in maps] == [dm.Domain.RANGE_DOPPLER, dm.Domain.RANGE_TIME]
+        assert_same_map(maps[0], dm.range_doppler_map(echo))
+        assert_same_map(maps[1], dm.range_time_map(echo, mti=False))
+
+    def test_one_range_fft_and_one_filter_pass(self, monkeypatch):
+        calls = {"iir_filter": 0, "range_profiles": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(dsp, "iir_filter")
+        counted(dm, "range_profiles")
+        echo = single_target(3.0, 1.0, duration=0.256)
+        training.maps_for_echo(echo, 16)
+        assert calls == {"iir_filter": 1, "range_profiles": 1}
 
 
 class TestTranslationCovariance:

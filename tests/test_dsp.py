@@ -208,6 +208,36 @@ class TestIirFilter:
         np.testing.assert_allclose(cols.real, iir_filter(c, x.real, axis=0), atol=1e-12)
         np.testing.assert_allclose(cols.imag, iir_filter(c, x.imag, axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("complex_lanes", [False, True])
+    @pytest.mark.parametrize("zero_phase", [False, True])
+    def test_in_place_out_matches_fresh_output(self, complex_lanes, zero_phase):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((400, 6))
+        if complex_lanes:
+            x = x + 1j * rng.standard_normal((400, 6))
+        c = butterworth_highpass(4, 0.0075)
+        fresh = iir_filter(c, x, axis=0, zero_phase=zero_phase)
+        xt = np.ascontiguousarray(x.T)
+        assert iir_filter(c, xt, axis=1, zero_phase=zero_phase, out=xt) is xt
+        np.testing.assert_array_equal(xt.T, fresh, strict=True)
+
+    def test_in_place_matches_scipy_lfilter(self):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(500)
+        c = butterworth_highpass(4, 0.0075)
+        expected = scipy_signal.lfilter(c.b, c.a, x)
+        iir_filter(c, x, out=x)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-10)
+
+    def test_out_must_match_shape_and_dtype(self):
+        c = butterworth_highpass(4, 0.0075)
+        x = np.ones((8, 3))
+        with pytest.raises(DspError):
+            iir_filter(c, x, out=np.empty((8, 2)))
+        with pytest.raises(DspError):
+            iir_filter(c, x, out=np.empty((8, 3), dtype=np.complex128))
+
     def test_zero_phase_is_forward_backward(self):
         scipy_signal = pytest.importorskip("scipy.signal")
         rng = np.random.default_rng(5)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import fmcwhar
 from fmcwhar.nn import Cbam, ChannelAttention, SpatialAttention, SqueezeExcite
 from fmcwhar.nn.gradcheck import run_gradcheck
 
@@ -94,6 +100,21 @@ class TestCbam:
     def test_gradients(self):
         for r in run_gradcheck("cbam"):
             assert r.passed, f"{r.name}: {r.max_rel_error:.3e}"
+
+    def test_gradients_independent_of_hash_seed(self):
+        # The projection seed must not follow Python's per-process string
+        # hash salt, or the same check reports different errors per run.
+        src = str(Path(fmcwhar.__file__).resolve().parents[1])
+        code = ("from fmcwhar.nn.gradcheck import run_gradcheck\n"
+                "print([r.max_rel_error for r in run_gradcheck('cbam')])")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_attention_maps_open_interval(self):
         cbam = Cbam(5, rng=np.random.default_rng(10))
