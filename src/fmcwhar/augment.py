@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .domain_maps import SpectroMap
+from .synth import seeded_rng
 
 REGION_LOW = 0
 REGION_MID = 1
@@ -75,7 +76,7 @@ def inject(spectro: SpectroMap, policy: AugmentPolicy) -> SpectroMap:
     always yields the same output.
     """
     labels = segment_regions(spectro, policy)
-    rng = np.random.Generator(np.random.Philox(key=[policy.seed & 0xFFFFFFFFFFFFFFFF, 0]))
+    rng = seeded_rng(policy.seed)
     noise = rng.standard_normal(spectro.values.shape)
 
     out = spectro.values.copy()

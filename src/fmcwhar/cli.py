@@ -26,7 +26,7 @@ from . import __version__
 from . import augment as augment_mod
 from . import domain_maps as dm
 from . import radar_io, synth, training
-from .nn.checkpoint import load_checkpoint
+from .nn.checkpoint import CheckpointError, load_checkpoint
 from .nn.config import preset
 from .nn.counting import (
     REFERENCE_SE_BASELINE_TRAINABLE,
@@ -368,6 +368,7 @@ _INPUT_ERRORS = (
     synth.SynthError,
     augment_mod.AugmentError,
     training.TrainingError,
+    CheckpointError,
     FileNotFoundError,
     json.JSONDecodeError,
     KeyError,

@@ -17,10 +17,9 @@ from .layers import (
     Linear,
     ReLU,
     ShapeMismatch,
-    Sigmoid,
     Swish,
 )
-from .attention import Cbam, ChannelAttention, SpatialAttention, SqueezeExcite
+from .attention import Cbam, ChannelAttention, SpatialAttention
 from .blocks import Backbone, MBConv
 from .recurrent import Lstm
 from .heads import FusionClassifier, RdHead, SequenceReshape
@@ -32,8 +31,8 @@ __all__ = [
     "Backbone", "BatchNorm2d", "Cbam", "ChannelAttention", "Conv2d",
     "DepthwiseConv2d", "Dropout", "FusionClassifier", "GradCheckResult",
     "Layer", "Linear", "Lstm", "MBConv", "ModelConfig", "MultiDomainModel",
-    "RdHead", "ReLU", "SequenceReshape", "ShapeMismatch", "Sigmoid",
-    "SpatialAttention", "SqueezeExcite", "StageSpec", "Swish",
+    "RdHead", "ReLU", "SequenceReshape", "ShapeMismatch", "SpatialAttention",
+    "StageSpec", "Swish",
     "count_flops", "count_params", "load_checkpoint", "run_gradcheck",
     "save_checkpoint",
 ]

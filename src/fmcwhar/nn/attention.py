@@ -1,4 +1,4 @@
-"""Channel and spatial attention: CBAM blocks plus an SE reference.
+"""Channel and spatial attention: CBAM blocks.
 
 Channel attention squeezes the feature map with global average and max
 pooling, runs both through one shared two-layer MLP (reduction 16, ReLU
@@ -125,28 +125,3 @@ class Cbam(Layer):
         dm_c = (dgated * x).sum(axis=(2, 3), keepdims=True)
         dx += self.channel.backward(dm_c)
         return dx
-
-
-class SqueezeExcite(Layer):
-    """SE channel gate: the attention the CBAM variant replaces.
-
-    Kept forward-only; it exists for the single-branch parameter audit
-    and for side-by-side map comparisons, not for training.
-    """
-
-    def __init__(self, channels, squeeze_channels, rng=None):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.register_param("w1", fan_in_uniform(rng, (squeeze_channels, channels), channels))
-        self.register_param("b1", np.zeros(squeeze_channels))
-        self.register_param("w2", fan_in_uniform(rng, (channels, squeeze_channels),
-                                                 squeeze_channels))
-        self.register_param("b2", np.zeros(channels))
-
-    def forward(self, x, train: bool = False):
-        x = check_tensor4(x)
-        v = global_avg_pool(x)
-        h = v @ self.w1.T + self.b1
-        h = h * sigmoid(h)  # swish
-        gate = sigmoid(h @ self.w2.T + self.b2)
-        return x * gate[:, :, None, None]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .attention import Cbam, SqueezeExcite
+from .attention import Cbam
+from .config import block_plan
 from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, Swish
 
 
@@ -36,8 +37,10 @@ class MBConv(Layer):
         if attention == "cbam":
             self.register_child("attn", Cbam(expanded, cbam_reduction, rng=rng))
         elif attention == "se":
-            self.register_child("attn", SqueezeExcite(
-                expanded, max(1, in_channels // 4), rng=rng))
+            raise ValueError(
+                "squeeze-excite attention exists only as a static count "
+                "(nn.counting); it has no trainable layer"
+            )
         elif attention == "none":
             self.attn = None
         else:
@@ -82,36 +85,25 @@ class MBConv(Layer):
 
 
 class Backbone(Layer):
-    """Stem conv -> MBConv stages -> 1x1 head conv, per the stage table."""
+    """Stem conv -> MBConv blocks -> 1x1 head conv, per the block plan."""
 
     def __init__(self, cfg, rng=None):
         super().__init__()
-        self.cfg = cfg
         self.register_child("stem_conv", Conv2d(cfg.in_channels, cfg.stem_channels, 3,
                                                 stride=2, rng=rng))
         self.register_child("stem_bn", BatchNorm2d(cfg.stem_channels))
         self.register_child("stem_act", Swish())
 
-        self.block_names: list[str] = []
-        channels = cfg.stem_channels
-        for stage_idx, stage in enumerate(cfg.stages, start=1):
-            for rep in range(stage.repeats):
-                name = f"stage{stage_idx}_block{rep}"
-                block = MBConv(
-                    in_channels=channels if rep == 0 else stage.out_channels,
-                    out_channels=stage.out_channels,
-                    kernel=stage.kernel,
-                    expand_ratio=stage.expand_ratio,
-                    stride=stage.stride if rep == 0 else 1,
-                    cbam_reduction=cfg.cbam_reduction,
-                    attention=cfg.attention,
-                    rng=rng,
-                )
-                self.register_child(name, block)
-                self.block_names.append(name)
-            channels = stage.out_channels
+        plan = block_plan(cfg)
+        self.block_names = [block.name for block in plan]
+        for block in plan:
+            self.register_child(block.name, MBConv(
+                block.c_in, block.c_out, block.kernel, block.expand_ratio, block.stride,
+                cbam_reduction=cfg.cbam_reduction, attention=cfg.attention, rng=rng,
+            ))
 
-        self.register_child("head_conv", Conv2d(channels, cfg.head_channels, 1, rng=rng))
+        self.register_child("head_conv", Conv2d(plan[-1].c_out, cfg.head_channels, 1,
+                                                rng=rng))
         self.register_child("head_bn", BatchNorm2d(cfg.head_channels))
         self.register_child("head_act", Swish())
 
@@ -131,14 +123,3 @@ class Backbone(Layer):
             dx = getattr(self, name).backward(dx)
         return self.stem_conv.backward(self.stem_bn.backward(
             self.stem_act.backward(dx)))
-
-    def stage_output_shapes(self, input_hw: int) -> list[tuple[str, tuple[int, ...]]]:
-        """Static (layer name, (C, H, W)) walk for shape auditing."""
-        shapes = []
-        hw = (input_hw + 1) // 2
-        shapes.append(("stem", (self.cfg.stem_channels, hw, hw)))
-        for stage_idx, stage in enumerate(self.cfg.stages, start=1):
-            hw = (hw + stage.stride - 1) // stage.stride
-            shapes.append((f"stage{stage_idx}", (stage.out_channels, hw, hw)))
-        shapes.append(("head", (self.cfg.head_channels, hw, hw)))
-        return shapes

@@ -13,14 +13,20 @@ they stay valid filenames.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig
+from .layers import ShapeMismatch
 from .model import MultiDomainModel
 
 FORMAT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """A checkpoint whose manifest or blobs do not describe a loadable model."""
 
 
 def _blob_name(param_name: str) -> str:
@@ -57,12 +63,24 @@ def load_checkpoint(directory) -> MultiDomainModel:
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    cfg = ModelConfig.from_json(json.dumps(manifest["config"]))
-    model = MultiDomainModel(cfg, seed=manifest.get("seed", 0))
-    for section, setter in (("params", model.set_param), ("buffers", model.set_buffer)):
+        raise CheckpointError(
+            f"{directory}: unsupported checkpoint version {manifest.get('format_version')}"
+        )
+    try:
+        cfg = ModelConfig.from_json(json.dumps(manifest["config"]))
+        model = MultiDomainModel(cfg, seed=manifest.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
+    for section in ("params", "buffers"):
         for entry in manifest.get(section, []):
             blob = directory / section / _blob_name(entry["name"])
             value = np.fromfile(blob, dtype="<f4").astype(np.float64)
-            setter(entry["name"], value.reshape(entry["shape"]))
+            if value.size != math.prod(entry["shape"]):
+                raise CheckpointError(
+                    f"{blob}: holds {value.size} values, manifest shape is {entry['shape']}"
+                )
+            try:
+                model.assign(entry["name"], value.reshape(entry["shape"]))
+            except (KeyError, ShapeMismatch) as exc:
+                raise CheckpointError(f"{directory}: {exc}") from exc
     return model

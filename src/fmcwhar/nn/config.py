@@ -1,7 +1,9 @@
 """Declarative network configuration and the built-in presets.
 
-The stage table drives everything: the backbone construction, the shape
-audit, and the static parameter/FLOP counting. Presets:
+The stage table drives everything. ``block_plan`` walks it once into
+one record per MBConv block, and the backbone construction, the shape
+audit and the static parameter/FLOP counting all read that plan.
+Presets:
 
 - ``b0``: the full-scale backbone stage table with canonical per-stage
   repeats (1, 2, 2, 3, 3, 4, 1) and 224 x 224 three-channel input, so
@@ -26,6 +28,24 @@ class StageSpec:
     expand_ratio: int
     stride: int
     repeats: int = 1
+
+
+@dataclass(frozen=True)
+class BlockSpec:
+    """One MBConv block of the backbone: its place, widths and sizes."""
+
+    name: str
+    stage: int
+    c_in: int
+    c_out: int
+    kernel: int
+    expand_ratio: int
+    stride: int
+    hw_in: int
+    hw_out: int
+
+
+ATTENTIONS = ("cbam", "se", "none")
 
 
 # Backbone stage table shared by the full-scale presets.
@@ -65,6 +85,12 @@ class ModelConfig:
                 f"lstm_feature_dim_rule must be one of {FEATURE_RULES}, "
                 f"got {self.lstm_feature_dim_rule!r}"
             )
+        if self.attention not in ATTENTIONS:
+            raise ValueError(
+                f"attention must be one of {ATTENTIONS}, got {self.attention!r}"
+            )
+        if not self.stages or min(s.repeats for s in self.stages) < 1:
+            raise ValueError("the stage table needs at least one block per stage")
         if self.rd_linear_out != self.lstm_hidden:
             raise ValueError("rd head width must match the LSTM hidden size")
         if self.fused_dim != 3 * self.lstm_hidden:
@@ -77,10 +103,7 @@ class ModelConfig:
     @property
     def feature_hw(self) -> int:
         """Spatial size after the stem and all stage strides."""
-        hw = (self.input_hw + 1) // 2
-        for stage in self.stages:
-            hw = (hw + stage.stride - 1) // stage.stride
-        return hw
+        return block_plan(self)[-1].hw_out
 
     def lstm_feature_dim(self) -> int:
         if self.lstm_feature_dim_rule == "hxc":
@@ -101,6 +124,29 @@ class ModelConfig:
         payload = json.loads(text)
         payload["stages"] = tuple(StageSpec(**s) for s in payload["stages"])
         return cls(**payload)
+
+
+def block_plan(cfg: ModelConfig) -> tuple[BlockSpec, ...]:
+    """Every MBConv block of the backbone, in order, from the stage table.
+
+    The first repeat of a stage takes the stage stride and the incoming
+    channels; later repeats keep stride 1 and the stage width. Sizes
+    start after the stride-2 stem and round up at each stride.
+    """
+    plan = []
+    channels, hw = cfg.stem_channels, (cfg.input_hw + 1) // 2
+    for stage_idx, stage in enumerate(cfg.stages, start=1):
+        for rep in range(stage.repeats):
+            stride = stage.stride if rep == 0 else 1
+            hw_out = (hw + stride - 1) // stride
+            plan.append(BlockSpec(
+                name=f"stage{stage_idx}_block{rep}", stage=stage_idx,
+                c_in=channels, c_out=stage.out_channels, kernel=stage.kernel,
+                expand_ratio=stage.expand_ratio, stride=stride,
+                hw_in=hw, hw_out=hw_out,
+            ))
+            channels, hw = stage.out_channels, hw_out
+    return tuple(plan)
 
 
 def _full_stages(repeats) -> tuple[StageSpec, ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import ModelConfig
+from .config import BlockSpec, ModelConfig, block_plan
 
 # Audit targets: published totals for the full-scale three-branch network
 # (params / MAC-FLOPs) and the trainable count of one stock single-branch
@@ -36,63 +36,82 @@ class CountReport:
         self.total += count
 
 
-def _bn_params(channels: int) -> tuple[int, int]:
-    return 2 * channels, 2 * channels  # (gamma+beta, running mean+var)
+@dataclass
+class _Tally:
+    """Trainable parameters, batch-norm running statistics and MACs of one part."""
+
+    trainable: int = 0
+    running: int = 0
+    macs: int = 0
+
+    def conv(self, k: int, c_in: int, c_out: int, hw_out: int, bias: bool = False) -> None:
+        """A k x k convolution; a depthwise one is ``conv(k, 1, channels, ...)``."""
+        self.trainable += k * k * c_in * c_out + (c_out if bias else 0)
+        self.macs += k * k * c_in * c_out * hw_out * hw_out
+
+    def dense(self, n_in: int, n_out: int, bias: bool = False, calls: int = 1) -> None:
+        self.trainable += n_in * n_out + (n_out if bias else 0)
+        self.macs += calls * n_in * n_out
+
+    def batch_norm(self, channels: int) -> None:
+        self.trainable += 2 * channels  # gamma, beta
+        self.running += 2 * channels  # running mean, running variance
 
 
-def _attention_params(cfg: ModelConfig, block_in: int, expanded: int) -> int:
+def _mbconv_tally(cfg: ModelConfig, block: BlockSpec) -> _Tally:
+    tally = _Tally()
+    expanded = block.c_in * block.expand_ratio
+    if block.expand_ratio != 1:
+        tally.conv(1, block.c_in, expanded, block.hw_in)
+        tally.batch_norm(expanded)
+    tally.conv(block.kernel, 1, expanded, block.hw_out)
+    tally.batch_norm(expanded)
     if cfg.attention == "cbam":
+        # One shared MLP runs on both the average- and the max-pooled vector.
         hidden = max(1, math.ceil(expanded / cfg.cbam_reduction))
-        mlp = expanded * hidden + hidden * expanded
-        spatial = 7 * 7 * 2 * 1 + 1
-        return mlp + spatial
-    if cfg.attention == "se":
-        squeeze = max(1, block_in // 4)
-        return expanded * squeeze + squeeze + squeeze * expanded + expanded
-    return 0
+        tally.dense(expanded, hidden, calls=2)
+        tally.dense(hidden, expanded, calls=2)
+        tally.conv(7, 2, 1, block.hw_out, bias=True)
+    elif cfg.attention == "se":
+        squeeze = max(1, block.c_in // 4)
+        tally.dense(expanded, squeeze, bias=True)
+        tally.dense(squeeze, expanded, bias=True)
+    tally.conv(1, expanded, block.c_out, block.hw_out)
+    tally.batch_norm(block.c_out)
+    return tally
 
 
-def _mbconv_params(cfg: ModelConfig, block_in: int, block_out: int,
-                   kernel: int, expand: int) -> tuple[int, int]:
-    expanded = block_in * expand
-    trainable = 0
-    running = 0
-    if expand != 1:
-        trainable += block_in * expanded
-        t, r = _bn_params(expanded)
-        trainable, running = trainable + t, running + r
-    trainable += expanded * kernel * kernel
-    t, r = _bn_params(expanded)
-    trainable, running = trainable + t, running + r
-    trainable += _attention_params(cfg, block_in, expanded)
-    trainable += expanded * block_out
-    t, r = _bn_params(block_out)
-    return trainable + t, running + r
+def _backbone_tallies(cfg: ModelConfig) -> list[tuple[str, _Tally]]:
+    """(module, tally) for the stem, each block, the head and the classifier."""
+    plan = block_plan(cfg)
+    stem = _Tally()
+    stem.conv(3, cfg.in_channels, cfg.stem_channels, plan[0].hw_in)
+    stem.batch_norm(cfg.stem_channels)
+    tallies = [("stem", stem)]
+    tallies += [(f"stage{block.stage}", _mbconv_tally(cfg, block)) for block in plan]
+    head = _Tally()
+    head.conv(1, plan[-1].c_out, cfg.head_channels, plan[-1].hw_out)
+    head.batch_norm(cfg.head_channels)
+    tallies.append(("head_conv", head))
+    if cfg.include_classifier:
+        classifier = _Tally()
+        classifier.dense(cfg.head_channels, 1000, bias=True)
+        tallies.append(("classifier", classifier))
+    return tallies
 
 
 def count_backbone_params(cfg: ModelConfig) -> CountReport:
     report = CountReport()
-    trainable = cfg.in_channels * cfg.stem_channels * 9
-    t, r = _bn_params(cfg.stem_channels)
-    report.add("stem", trainable + t)
-    report.non_trainable += r
+    for module, tally in _backbone_tallies(cfg):
+        report.add(module, tally.trainable)
+        report.non_trainable += tally.running
+    return report
 
-    channels = cfg.stem_channels
-    for idx, stage in enumerate(cfg.stages, start=1):
-        for rep in range(stage.repeats):
-            block_in = channels if rep == 0 else stage.out_channels
-            t, r = _mbconv_params(cfg, block_in, stage.out_channels,
-                                  stage.kernel, stage.expand_ratio)
-            report.add(f"stage{idx}", t)
-            report.non_trainable += r
-        channels = stage.out_channels
 
-    t, r = _bn_params(cfg.head_channels)
-    report.add("head_conv", channels * cfg.head_channels + t)
-    report.non_trainable += r
-
-    if cfg.include_classifier:
-        report.add("classifier", cfg.head_channels * 1000 + 1000)
+def count_backbone_flops(cfg: ModelConfig) -> CountReport:
+    report = CountReport()
+    for module, tally in _backbone_tallies(cfg):
+        report.add(module, tally.macs)
     return report
 
 
@@ -111,44 +130,6 @@ def count_params(cfg: ModelConfig) -> CountReport:
         report.add(f"{branch}.lstm", _lstm_params(cfg.lstm_feature_dim(), cfg.lstm_hidden))
     report.add("rd.head", cfg.rd_feature_dim() * cfg.rd_linear_out + cfg.rd_linear_out)
     report.add("fusion", cfg.fused_dim * cfg.num_classes + cfg.num_classes)
-    return report
-
-
-def _conv_macs(k: int, c_in: int, c_out: int, h_out: int, w_out: int) -> int:
-    return k * k * c_in * c_out * h_out * w_out
-
-
-def count_backbone_flops(cfg: ModelConfig) -> CountReport:
-    report = CountReport()
-    hw = (cfg.input_hw + 1) // 2
-    report.add("stem", _conv_macs(3, cfg.in_channels, cfg.stem_channels, hw, hw))
-
-    channels = cfg.stem_channels
-    for idx, stage in enumerate(cfg.stages, start=1):
-        for rep in range(stage.repeats):
-            block_in = channels if rep == 0 else stage.out_channels
-            stride = stage.stride if rep == 0 else 1
-            expanded = block_in * stage.expand_ratio
-            macs = 0
-            if stage.expand_ratio != 1:
-                macs += _conv_macs(1, block_in, expanded, hw, hw)
-            hw_out = (hw + stride - 1) // stride
-            macs += stage.kernel * stage.kernel * expanded * hw_out * hw_out
-            if cfg.attention == "cbam":
-                hidden = max(1, math.ceil(expanded / cfg.cbam_reduction))
-                macs += 2 * (expanded * hidden + hidden * expanded)
-                macs += _conv_macs(7, 2, 1, hw_out, hw_out)
-            elif cfg.attention == "se":
-                squeeze = max(1, block_in // 4)
-                macs += expanded * squeeze + squeeze * expanded
-            macs += _conv_macs(1, expanded, stage.out_channels, hw_out, hw_out)
-            report.add(f"stage{idx}", macs)
-            hw = hw_out
-        channels = stage.out_channels
-
-    report.add("head_conv", _conv_macs(1, channels, cfg.head_channels, hw, hw))
-    if cfg.include_classifier:
-        report.add("classifier", cfg.head_channels * 1000)
     return report
 
 

@@ -56,57 +56,46 @@ class Layer:
         self._children.append((name, child))
         return child
 
-    def _walk(self, attr_names_field: str, prefix_getter) -> dict[str, np.ndarray]:
-        out = {name: getattr(self, name) for name in getattr(self, attr_names_field)}
+    def _layers(self, prefix: str = ""):
+        """(dotted prefix, layer) for this layer and every descendant."""
+        yield prefix, self
         for child_name, child in self._children:
-            for key, value in prefix_getter(child).items():
-                out[f"{child_name}.{key}"] = value
-        return out
+            yield from child._layers(f"{prefix}{child_name}.")
+
+    def _walk(self, registry: str, attr_prefix: str = "") -> dict[str, np.ndarray]:
+        return {
+            prefix + name: getattr(layer, attr_prefix + name)
+            for prefix, layer in self._layers()
+            for name in getattr(layer, registry)
+        }
 
     def params(self) -> dict[str, np.ndarray]:
-        return self._walk("_param_names", lambda c: c.params())
+        return self._walk("_param_names")
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return self._walk("_buffer_names", lambda c: c.buffers())
+        return self._walk("_buffer_names")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {name: getattr(self, "g_" + name) for name in self._param_names}
-        for child_name, child in self._children:
-            for key, value in child.grads().items():
-                out[f"{child_name}.{key}"] = value
-        return out
+        return self._walk("_param_names", attr_prefix="g_")
 
     def zero_grads(self) -> None:
-        for name in self._param_names:
-            getattr(self, "g_" + name)[...] = 0.0
-        for _, child in self._children:
-            child.zero_grads()
+        for grad in self.grads().values():
+            grad[...] = 0.0
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        head, _, rest = name.partition(".")
-        if rest:
-            getattr(self, head).set_param(rest, value)
-        else:
-            current = getattr(self, name)
-            if current.shape != value.shape:
-                raise ShapeMismatch(
-                    f"parameter {name}: checkpoint shape {value.shape} "
-                    f"!= model shape {current.shape}"
-                )
-            current[...] = value
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        head, _, rest = name.partition(".")
-        if rest:
-            getattr(self, head).set_buffer(rest, value)
-        else:
-            current = getattr(self, name)
-            if current.shape != value.shape:
-                raise ShapeMismatch(
-                    f"buffer {name}: checkpoint shape {value.shape} "
-                    f"!= model shape {current.shape}"
-                )
-            current[...] = value
+    def assign(self, dotted_name: str, value: np.ndarray) -> None:
+        """Copy ``value`` into the parameter or buffer at ``dotted_name``."""
+        *path, name = dotted_name.split(".")
+        layer = self
+        for part in path:
+            layer = getattr(layer, part, None)
+        if not isinstance(layer, Layer) or name not in layer._param_names + layer._buffer_names:
+            raise KeyError(f"no parameter or buffer named {dotted_name!r}")
+        current = getattr(layer, name)
+        if current.shape != value.shape:
+            raise ShapeMismatch(
+                f"{dotted_name}: shape {value.shape} != model shape {current.shape}"
+            )
+        current[...] = value
 
     def forward(self, x, train: bool = False):
         raise NotImplementedError
@@ -269,15 +258,6 @@ class ReLU(Layer):
 
     def backward(self, dout):
         return np.where(self._mask, dout, 0.0)
-
-
-class Sigmoid(Layer):
-    def forward(self, x, train: bool = False):
-        self._out = sigmoid(x)
-        return self._out
-
-    def backward(self, dout):
-        return dout * self._out * (1.0 - self._out)
 
 
 class Swish(Layer):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..synth import seeded_rng
 from .blocks import Backbone
 from .config import ModelConfig
 from .heads import FusionClassifier, RdHead, SequenceReshape
@@ -60,7 +61,7 @@ class MultiDomainModel(Layer):
         super().__init__()
         self.cfg = cfg
         self.seed = seed
-        rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0]))
+        rng = seeded_rng(seed)
         self.register_child("rt", _TemporalBranch(cfg, rng))
         self.register_child("dt", _TemporalBranch(cfg, rng))
         self.register_child("rd", _MaxPoolBranch(cfg, rng))

@@ -38,7 +38,8 @@ class RangeWentNonpositive(SynthError):
     """A scatterer's range dropped to zero or below during the scene."""
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
+def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The project's one seeded generator: Philox keyed by (seed mod 2**64, stream)."""
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
 
 
@@ -179,7 +180,7 @@ def generate(scene: Scene, params: RadarParams, analytic: bool = True) -> EchoMa
             data += sc.amplitude * np.cos(phase)
 
     if scene.noise_std > 0:
-        rng = _rng(scene.seed)
+        rng = seeded_rng(scene.seed)
         if analytic:
             data += scene.noise_std * (
                 rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
@@ -220,7 +221,7 @@ def activity_template(kind: ActivityKind | str, seed: int) -> Scene:
     per class are documented in ``_TEMPLATE_DOC``.
     """
     kind = ActivityKind(kind)
-    rng = _rng(seed, stream=list(ActivityKind).index(kind) + 1)
+    rng = seeded_rng(seed, stream=list(ActivityKind).index(kind) + 1)
     dur = TEMPLATE_DURATION_S
 
     if kind is ActivityKind.WALK:

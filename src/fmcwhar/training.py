@@ -121,7 +121,7 @@ def cross_entropy(logits, labels):
 def stratified_split(labels, split=(0.6, 0.2, 0.2), seed=0):
     """Per-class proportional train/val/test index sets, seeded and disjoint."""
     labels = np.asarray(labels)
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0]))
+    rng = synth.seeded_rng(seed)
     train, val, test = [], [], []
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
@@ -277,7 +277,7 @@ def train(model: MultiDomainModel, dataset, cfg: TrainConfig,
     """Seeded full-batch-shuffled mini-batch training; returns epoch history."""
     x_rt, x_dt, x_rd, labels = dataset
     n = len(labels)
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed & 0xFFFFFFFFFFFFFFFF, 1]))
+    rng = synth.seeded_rng(cfg.seed, stream=1)
     state = AdamState()
     history = []
     t = 0

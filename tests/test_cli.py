@@ -1,4 +1,5 @@
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from fmcwhar import cli
 from fmcwhar import domain_maps as dm
-from fmcwhar import radar_io
+from fmcwhar import radar_io, training
+from fmcwhar.nn import MultiDomainModel, save_checkpoint
+from fmcwhar.nn.config import preset
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,18 @@ class TestAugment:
                          "--policy", str(policy_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-4], lambda raw: raw[:-2],
+                                      lambda raw: raw + b"\0\0\0\0"],
+                             ids=["truncated", "truncated_mid_value", "over_long"])
+    def test_payload_disagreeing_with_sidecar(self, tmp_path, echo_file, edit):
+        maps_dir = tmp_path / "maps"
+        assert cli.main(["maps", str(echo_file), "--domains", "dt",
+                         "--out", str(maps_dir)]) == 0
+        smap = maps_dir / "dt.smap"
+        smap.write_bytes(edit(smap.read_bytes()))
+        assert cli.main(["augment", str(smap), "--seed", "5",
+                         "--out", str(tmp_path / "aug.smap")]) == 2
+
 
 class TestParams:
     def test_b0_table(self, capsys, tmp_path):
@@ -192,6 +207,61 @@ class TestTrainEval:
         assert overall == pytest.approx(train_acc, abs=1e-6)
         confusion = (eval_dir / "confusion.csv").read_text().splitlines()
         assert len(confusion) == 7  # header + 6 classes
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """An untrained toy checkpoint and a one-sample-per-class dataset for it."""
+    root = tmp_path_factory.mktemp("toy_run")
+    save_checkpoint(root / "checkpoint", MultiDomainModel(preset("toy"), seed=2))
+    training.save_toy_dataset(root / "dataset", samples_per_class=1, seed=0, map_size=32)
+    return root
+
+
+def _edit_manifest(ckpt, change):
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _set_shape(manifest, name, shape):
+    next(e for e in manifest["params"] if e["name"] == name)["shape"] = shape
+
+
+BLOB = Path("params") / "fusion.linear.w.f32"
+
+
+class TestMalformedCheckpoints:
+    """Checkpoints that do not describe a loadable model are input errors."""
+
+    def eval_exit_code(self, tmp_path, toy_run, corrupt, capsys):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(toy_run / "checkpoint", ckpt)
+        corrupt(ckpt)
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(toy_run / "dataset"),
+                         "--out", str(tmp_path / "eval"), "--json"])
+        err = capsys.readouterr().err
+        return code, json.loads(err)["error"] if err else None
+
+    def test_intact_checkpoint_evaluates(self, tmp_path, toy_run, capsys):
+        assert self.eval_exit_code(tmp_path, toy_run, lambda ckpt: None, capsys) == (0, None)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda ckpt: (ckpt / BLOB).write_bytes((ckpt / BLOB).read_bytes()[:-4]),
+        lambda ckpt: _edit_manifest(
+            ckpt, lambda m: _set_shape(m, "fusion.linear.w", [48, 6])),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(format_version=9)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(attention="se")),
+    ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config"])
+    def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
+        assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
+            2, "CheckpointError")
+
+    def test_missing_blob(self, tmp_path, toy_run, capsys):
+        code, _ = self.eval_exit_code(tmp_path, toy_run,
+                                      lambda ckpt: (ckpt / BLOB).unlink(), capsys)
+        assert code == 2
 
 
 SMALL = radar_io.RadarParams(5.8e9, 1e-3, 8, 4e8)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import fmcwhar
-from fmcwhar.nn import Cbam, ChannelAttention, SpatialAttention, SqueezeExcite
+from fmcwhar.nn import Cbam, ChannelAttention, SpatialAttention
 from fmcwhar.nn.gradcheck import run_gradcheck
 
 
@@ -124,15 +124,3 @@ class TestCbam:
         for gate in (m_c, m_s):
             assert np.all(gate > 0) and np.all(gate < 1)
 
-
-class TestSqueezeExcite:
-    def test_forward_shape_and_gating(self):
-        se = SqueezeExcite(8, 2, rng=np.random.default_rng(12))
-        x = np.random.default_rng(13).uniform(0.5, 1.5, size=(2, 8, 4, 4))
-        out = se.forward(x)
-        assert out.shape == x.shape
-        ratio = out / x
-        # One gate per (batch, channel), constant over space, in (0, 1).
-        np.testing.assert_allclose(ratio, np.broadcast_to(ratio[:, :, :1, :1],
-                                                          ratio.shape), atol=1e-12)
-        assert np.all(ratio > 0) and np.all(ratio < 1)

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from fmcwhar.nn import Backbone, MBConv
-from fmcwhar.nn.config import preset
+from fmcwhar.nn.config import block_plan, preset
 from fmcwhar.nn.gradcheck import run_gradcheck
 
 
@@ -31,6 +32,10 @@ class TestMBConv:
         assert not MBConv(4, 8, 3, 1, stride=1).use_residual
         assert not MBConv(4, 4, 3, 1, stride=2).use_residual
         assert MBConv(4, 4, 3, 1, stride=1).use_residual
+
+    def test_squeeze_excite_is_count_only(self):
+        with pytest.raises(ValueError, match="static count"):
+            MBConv(8, 8, 3, expand_ratio=2, stride=1, attention="se")
 
     def test_gradients(self):
         for r in run_gradcheck("mbconv"):
@@ -64,12 +69,27 @@ class TestBackbone:
         cfg = preset("toy")
         bb = Backbone(cfg, rng=np.random.default_rng(4))
         out = bb.forward(np.zeros((1, 1, 32, 32)))
-        walk = dict(bb.stage_output_shapes(32))
-        assert out.shape[1:] == walk["head"]
+        assert out.shape[1:] == (cfg.head_channels, cfg.feature_hw, cfg.feature_hw)
 
     def test_b0_block_count(self):
         bb = Backbone(preset("b0"))
         assert len(bb.block_names) == 16  # repeats (1, 2, 2, 3, 3, 4, 1)
+
+    def test_b0_block_plan(self):
+        cfg = preset("b0")
+        plan = block_plan(cfg)
+        assert len(plan) == 16
+        assert [b.name for b in plan] == Backbone(cfg).block_names
+        last_of_stage = {b.stage: b.hw_out for b in plan}
+        assert list(last_of_stage.values()) == [112, 56, 28, 14, 14, 7, 7]
+        assert cfg.feature_hw == plan[-1].hw_out == 7
+        # Only a stage's first repeat strides and changes the width.
+        for b in plan:
+            stage = cfg.stages[b.stage - 1]
+            if b.name.endswith("_block0"):
+                assert b.stride == stage.stride
+            else:
+                assert b.stride == 1 and b.c_in == b.c_out == stage.out_channels
 
     def test_backbone_backward_shape(self):
         cfg = preset("toy")

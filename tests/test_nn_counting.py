@@ -20,6 +20,12 @@ class TestBackboneParams:
         assert report.total == 5_288_548
         assert report.non_trainable == 42_016
 
+    @pytest.mark.parametrize("rule, total", [("hxc", 23_394_710), ("c", 15_530_390)])
+    def test_b0_totals_exact(self, rule, total):
+        report = count_params(preset("b0", lstm_feature_dim_rule=rule))
+        assert report.total == total
+        assert report.non_trainable == 126_048
+
     def test_classifier_breakdown(self):
         with_clf = count_backbone_params(preset("b0", include_classifier=True))
         without = count_backbone_params(preset("b0"))
@@ -66,6 +72,10 @@ class TestFlops:
         # MAC convention: convolutions + linear/recurrent matrix products.
         assert abs(total - REFERENCE_TOTAL_FLOPS) / REFERENCE_TOTAL_FLOPS < 0.10
 
+    @pytest.mark.parametrize("rule, total", [("hxc", 1_236_947_534), ("c", 1_181_897_294)])
+    def test_b0_totals_exact(self, rule, total):
+        assert count_flops(preset("b0", lstm_feature_dim_rule=rule)).total == total
+
     def test_one_branch_magnitude(self):
         report = count_flops(preset("b0"))
         backbone = report.per_module["rt.backbone"]
@@ -102,6 +112,10 @@ def test_config_validation():
                     rd_linear_out=128, fused_dim=256)
     with pytest.raises(ValueError):
         ModelConfig(stages=(StageSpec(8, 3, 1, 1),), lstm_feature_dim_rule="bogus")
+    with pytest.raises(ValueError, match="attention"):
+        ModelConfig(stages=(StageSpec(8, 3, 1, 1),), attention="cbma")
+    with pytest.raises(ValueError, match="at least one block"):
+        ModelConfig(stages=(StageSpec(8, 3, 1, 1, repeats=0),))
 
 
 def test_config_json_round_trip():

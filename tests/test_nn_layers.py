@@ -3,6 +3,7 @@ import pytest
 
 from fmcwhar.nn import (
     BatchNorm2d,
+    Cbam,
     Conv2d,
     DepthwiseConv2d,
     Dropout,
@@ -144,9 +145,25 @@ def test_parameter_registry_namespacing():
     conv = Conv2d(2, 3, 3, bias=True)
     names = set(conv.params())
     assert names == {"w", "b"}
-    from fmcwhar.nn import Cbam
-
     cbam = Cbam(8, reduction=4)
     assert "channel.w1" in cbam.params()
     assert "spatial.conv.w" in cbam.params()
     assert set(cbam.params()) == set(cbam.grads())
+
+
+def test_assign_names_the_full_path():
+    cbam = Cbam(8, reduction=4)
+    cbam.assign("spatial.conv.b", np.array([0.5]))
+    assert cbam.spatial.conv.b[0] == 0.5
+    with pytest.raises(ShapeMismatch, match=r"spatial\.conv\.w"):
+        cbam.assign("spatial.conv.w", np.zeros((1, 2, 3, 3)))
+    with pytest.raises(KeyError):
+        cbam.assign("spatial.conv.g_w", np.zeros((1, 2, 7, 7)))
+
+
+def test_zero_grads_clears_every_gradient():
+    cbam = Cbam(8, reduction=4)
+    for grad in cbam.grads().values():
+        grad[...] = 1.0
+    cbam.zero_grads()
+    assert all(not grad.any() for grad in cbam.grads().values())
