@@ -71,8 +71,14 @@ def load_checkpoint(directory) -> MultiDomainModel:
         model = MultiDomainModel(cfg, seed=manifest.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
-    for section in ("params", "buffers"):
-        for entry in manifest.get(section, []):
+    for section, expected in (("params", model.params()), ("buffers", model.buffers())):
+        entries = manifest.get(section, [])
+        missing = sorted(set(expected) - {entry["name"] for entry in entries})
+        if missing:
+            raise CheckpointError(
+                f"{directory}: manifest lists no {section} entry for {', '.join(missing)}"
+            )
+        for entry in entries:
             blob = directory / section / _blob_name(entry["name"])
             value = np.fromfile(blob, dtype="<f4").astype(np.float64)
             if value.size != math.prod(entry["shape"]):

@@ -28,6 +28,7 @@ from .layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
+    Layer,
     Linear,
     ReLU,
     Swish,
@@ -101,6 +102,39 @@ def check_layer(name, layer, x, forward=None, eps=DEFAULT_EPS) -> GradCheckResul
 def _case_conv(rng):
     layer = Conv2d(3, 4, 3, stride=2, bias=True, rng=rng)
     return layer, _away_from_kinks(rng, (2, 3, 8, 8))
+
+
+def _case_conv_pointwise(rng):
+    layer = Conv2d(3, 4, 1, bias=True, rng=rng)
+    layer.b[...] = rng.standard_normal(4)
+    return layer, rng.standard_normal((2, 3, 5, 6))
+
+
+class _Chain(Layer):
+    """Layers applied in order, so one case can cover several shapes."""
+
+    def __init__(self, *layers):
+        super().__init__()
+        for i, layer in enumerate(layers):
+            self.register_child(str(i), layer)
+
+    def forward(self, x, train: bool = False):
+        for _, layer in self._children:
+            x = layer.forward(x, train=train)
+        return x
+
+    def backward(self, dout):
+        for _, layer in reversed(self._children):
+            dout = layer.backward(dout)
+        return dout
+
+
+def _case_conv_stride1(rng):
+    first = Conv2d(3, 4, 3, bias=True, rng=rng)
+    second = Conv2d(4, 2, 5, bias=True, rng=rng)
+    for conv in (first, second):
+        conv.b[...] = rng.standard_normal(conv.out_channels)
+    return _Chain(first, second), rng.standard_normal((2, 3, 7, 6))
 
 
 def _case_depthwise(rng):
@@ -240,6 +274,8 @@ def _case_cross_entropy(rng):
 
 CASES = {
     "conv": _case_conv,
+    "conv_pointwise": _case_conv_pointwise,
+    "conv_stride1": _case_conv_stride1,
     "depthwise": _case_depthwise,
     "batchnorm": _case_batchnorm,
     "batchnorm_train": _case_batchnorm_train,
@@ -261,7 +297,7 @@ CASES = {
 
 MODULE_GROUPS = {
     "all": list(CASES),
-    "conv": ["conv", "depthwise"],
+    "conv": ["conv", "conv_pointwise", "conv_stride1", "depthwise"],
     "bn": ["batchnorm", "batchnorm_train"],
     "activations": ["relu", "swish"],
     "cbam": ["cbam_channel", "cbam_spatial", "cbam"],

@@ -1,9 +1,13 @@
-"""Shared closed-form oracles for single-scatterer scenes.
+"""Shared oracles: closed-form single-scatterer scenes and tap-loop convs.
 
 A constant-velocity point target has beat frequency 2 k R(t) / c and
 Doppler 2 v / lambda, so every map's peak position can be predicted
 exactly. Scene durations are capped so range migration stays within
 about two bins, keeping the joint Range-Doppler argmax well defined.
+
+The conv reference walks the k x k kernel taps one at a time: each tap
+is a strided slice of the padded input, so forward, input gradient and
+weight gradient are each a sum of k*k small contractions.
 """
 
 import numpy as np
@@ -80,3 +84,33 @@ def check_scene_bins(r0, v, seed, params=GLASGOW_PARAMS, noise_std=0.05):
         ) <= 1.5 * rdm.col_axis.step
     )
     return rtm_ok, dtm_ok, rdm_ok
+
+
+def conv_taps(x, w, dout, stride, padding):
+    """Tap-loop conv: (out, dx, g_w) for a dense or depthwise weight.
+
+    A dense weight is (O, C, k, k); a depthwise one is (C, k, k). ``dout``
+    is the upstream gradient, shaped like ``out``.
+    """
+    k, s, p = w.shape[-1], stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    h_out = (xp.shape[2] - k) // s + 1
+    w_out = (xp.shape[3] - k) // s + 1
+    depthwise = w.ndim == 3
+    out = 0.0
+    dxp = np.zeros_like(xp)
+    g_w = np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            tap = (slice(None), slice(None),
+                   slice(i, i + s * h_out, s), slice(j, j + s * w_out, s))
+            if depthwise:
+                out = out + xp[tap] * w[None, :, i, j, None, None]
+                dxp[tap] += dout * w[None, :, i, j, None, None]
+                g_w[:, i, j] = np.einsum("bchw,bchw->c", dout, xp[tap])
+            else:
+                out = out + np.einsum("bchw,oc->bohw", xp[tap], w[:, :, i, j])
+                dxp[tap] += np.einsum("bohw,oc->bchw", dout, w[:, :, i, j])
+                g_w[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, xp[tap])
+    dx = dxp[:, :, p: xp.shape[2] - p, p: xp.shape[3] - p]
+    return out, dx, g_w

@@ -69,9 +69,9 @@ def test_criterion_3_gradient_suite():
     started = time.time()
     results = run_gradcheck("all")
     elapsed = time.time() - started
-    required = {"conv", "depthwise", "batchnorm", "relu", "swish", "cbam_channel",
-                "cbam_spatial", "mbconv", "lstm", "rd_head", "fusion",
-                "cross_entropy"}
+    required = {"conv", "conv_pointwise", "conv_stride1", "depthwise", "batchnorm",
+                "relu", "swish", "cbam_channel", "cbam_spatial", "mbconv", "lstm",
+                "rd_head", "fusion", "cross_entropy"}
     names = {r.name for r in results}
     assert required <= names, f"missing cases: {required - names}"
     worst = max(results, key=lambda r: r.max_rel_error)

@@ -229,6 +229,10 @@ def _set_shape(manifest, name, shape):
     next(e for e in manifest["params"] if e["name"] == name)["shape"] = shape
 
 
+def _omit(manifest, section, name):
+    manifest[section] = [e for e in manifest[section] if e["name"] != name]
+
+
 BLOB = Path("params") / "fusion.linear.w.f32"
 
 
@@ -253,7 +257,11 @@ class TestMalformedCheckpoints:
             ckpt, lambda m: _set_shape(m, "fusion.linear.w", [48, 6])),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(format_version=9)),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(attention="se")),
-    ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config"])
+        lambda ckpt: _edit_manifest(ckpt, lambda m: _omit(m, "params", "fusion.linear.w")),
+        lambda ckpt: _edit_manifest(
+            ckpt, lambda m: _omit(m, "buffers", "rt.backbone.stem_bn.running_mean")),
+    ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
+            "omitted_param", "omitted_buffer"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")

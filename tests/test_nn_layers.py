@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import conv_taps
 
 from fmcwhar.nn import (
     BatchNorm2d,
@@ -53,6 +54,50 @@ class TestConv:
         suite_passes("conv")
 
 
+KERNELS = [1, 3, 5, 7]
+STRIDES = [1, 2]
+SIZES = [(8, 9), (9, 8)]  # even and odd heights and widths
+
+
+def assert_matches_taps(layer, x, seed):
+    """Forward, dx, g_w and g_b of ``layer`` against the tap-loop reference."""
+    out = layer.forward(x)
+    dout = np.random.default_rng(seed).standard_normal(out.shape)
+    layer.zero_grads()
+    dx = layer.backward(dout)
+    ref_out, ref_dx, ref_gw = conv_taps(x, layer.w, dout, layer.stride, layer.padding)
+    pairs = [(dx, ref_dx), (layer.g_w, ref_gw)]
+    if getattr(layer, "has_bias", False):
+        ref_out = ref_out + layer.b[:, None, None]
+        pairs.append((layer.g_b, dout.sum(axis=(0, 2, 3))))
+    for got, want in [(out, ref_out)] + pairs:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestConvMatchesTapLoop:
+    """Every conv dispatch agrees with the k x k tap loop to 1e-12."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("hw", SIZES)
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_conv2d(self, kernel, stride, hw, bias):
+        rng = np.random.default_rng([kernel, stride, *hw])
+        conv = Conv2d(3, 4, kernel, stride=stride, bias=bias, rng=rng)
+        if bias:
+            conv.b[...] = rng.standard_normal(4)
+        assert_matches_taps(conv, rng.standard_normal((2, 3, *hw)), seed=kernel)
+
+    @pytest.mark.parametrize("hw", SIZES)
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_depthwise(self, kernel, stride, hw):
+        rng = np.random.default_rng([kernel, stride, *hw])
+        dw = DepthwiseConv2d(4, kernel, stride=stride, rng=rng)
+        assert_matches_taps(dw, rng.standard_normal((2, 4, *hw)), seed=kernel)
+
+
 class TestDepthwise:
     def test_per_channel_independence(self):
         dw = DepthwiseConv2d(2, 3)
@@ -97,8 +142,22 @@ class TestActivations:
         np.testing.assert_array_equal(ReLU().forward(x), [0.0, 0.0, 3.0])
 
     def test_sigmoid_stable_at_extremes(self):
-        out = sigmoid(np.array([-1e4, 0.0, 1e4]))
+        with np.errstate(all="raise"):
+            out = sigmoid(np.array([-1e4, 0.0, 1e4]))
         assert out[0] == 0.0 and out[1] == 0.5 and out[2] == 1.0
+
+    def test_sigmoid_matches_exp_form(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        with np.errstate(all="raise"):
+            got = sigmoid(x)
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_sigmoid_is_a_fresh_array_in_the_input_layout(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = sigmoid(x.T)
+        assert out.strides == x.T.strides
+        np.testing.assert_array_equal(x, np.linspace(-3.0, 3.0, 12).reshape(3, 4))
 
     def test_gradients(self):
         suite_passes("activations")

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from fmcwhar.nn import MultiDomainModel, ShapeMismatch, load_checkpoint, save_checkpoint
+from fmcwhar.nn.checkpoint import CheckpointError
 from fmcwhar.nn.config import preset
 
 TOY = preset("toy")
@@ -105,4 +108,16 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     manifest.write_text(manifest.read_text().replace('"format_version": 1',
                                                      '"format_version": 99'))
     with pytest.raises(ValueError):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_names_omitted_entries(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", MultiDomainModel(TOY, seed=0))
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    gone = {"rd.head.linear.b", "dt.backbone.stem_conv.w"}
+    manifest["params"] = [e for e in manifest["params"] if e["name"] not in gone]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError,
+                       match=r"dt\.backbone\.stem_conv\.w, rd\.head\.linear\.b"):
         load_checkpoint(tmp_path / "ckpt")

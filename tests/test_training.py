@@ -167,7 +167,8 @@ def test_train_config_json_round_trip():
 
 
 @pytest.fixture(scope="module")
-def history():
+def trained():
+    """(model, dataset, history) of one 22-epoch toy training run."""
     from fmcwhar.nn import MultiDomainModel
     from fmcwhar.nn.config import preset
     from fmcwhar.training import build_toy_dataset, train
@@ -175,7 +176,12 @@ def history():
     cfg = TrainConfig(epochs=22, seed=2, samples_per_class=5, map_size=32)
     dataset = build_toy_dataset(cfg.samples_per_class, cfg.seed, cfg.map_size)
     model = MultiDomainModel(preset("toy", in_channels=1), seed=2)
-    return train(model, dataset, cfg)
+    return model, dataset, train(model, dataset, cfg)
+
+
+@pytest.fixture(scope="module")
+def history(trained):
+    return trained[2]
 
 
 class TestToyTrainingLoop:
@@ -195,6 +201,23 @@ class TestToyTrainingLoop:
 
     def test_lr_recorded(self, history):
         assert all(rec.lr == pytest.approx(1e-3) for rec in history)
+
+
+def test_checkpoint_logit_tolerance(trained, tmp_path):
+    # Checkpoints store float32 and the model runs in float64, so a
+    # reloaded model is close to the trained one but not identical. On
+    # this model the largest logit moves by 2.2e-7 of the largest logit
+    # magnitude; the worst of 29 toy models measured was 7.3e-7.
+    from fmcwhar.nn import load_checkpoint, save_checkpoint
+
+    model, dataset, _ = trained
+    x = dataset[:3]
+    before = model.forward(*x, train=False)
+    save_checkpoint(tmp_path / "ckpt", model)
+    after = load_checkpoint(tmp_path / "ckpt").forward(*x, train=False)
+    moved = np.abs(after - before).max()
+    assert 0.0 < moved < 1e-6 * np.abs(before).max()
+    np.testing.assert_array_equal(after.argmax(axis=1), before.argmax(axis=1))
 
 
 def test_dataset_save_load_round_trip(tmp_path):
