@@ -1,7 +1,8 @@
 """Reusable numeric kernels: DFT, windows, Butterworth high-pass, log magnitude.
 
-Everything here is a pure function over immutable inputs and safe to call
-from many threads.
+Every function here keeps no state and leaves its arguments unchanged,
+except that ``iir_filter`` writes into ``out`` (which may be its input).
+Calls are safe from many threads as long as no two write the same buffer.
 """
 
 from __future__ import annotations
@@ -170,16 +171,14 @@ def butterworth_highpass(order: int = 4, cutoff_norm: float = 0.0075) -> IirCoef
     return IirCoeffs(b=b, a=a)
 
 
-def iir_filter(coeffs: IirCoeffs, x, axis: int = 0, zero_phase: bool = False,
-               out=None):
+def iir_filter(coeffs: IirCoeffs, x, axis: int = 0, out=None):
     """Causal direct-form IIR filtering with zero initial state.
 
     y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k], evaluated along
-    ``axis``. Output length equals input length. ``zero_phase`` runs the
-    filter forward then backward (squares the magnitude response,
-    cancels phase); it is off by default. ``out``, as in numpy, receives
-    the result and is returned; it may be ``x`` itself, which filters in
-    place with the same arithmetic.
+    ``axis``. Output length equals input length. ``out``, as in numpy,
+    receives the result and is returned; it may be ``x`` itself, which
+    filters in place with the same arithmetic. An ``out`` that overlaps
+    ``x`` any other way raises ``DspError``.
     """
     x = np.asarray(x)
     if x.shape[axis] < 1:
@@ -192,27 +191,48 @@ def iir_filter(coeffs: IirCoeffs, x, axis: int = 0, zero_phase: bool = False,
             f"out must have shape {x.shape} and dtype {out_dtype}, "
             f"got {out.shape} and {out.dtype}"
         )
-    y = np.moveaxis(out, axis, 0)
-    _lfilter_df2t(coeffs.b, coeffs.a, np.moveaxis(x, axis, 0), y)
-    if zero_phase:
-        _lfilter_df2t(coeffs.b, coeffs.a, y[::-1], y[::-1])
+    elif np.shares_memory(out, x) and (
+            out.ctypes.data != x.ctypes.data or out.strides != x.strides):
+        raise DspError("out overlaps x without being the same view of it")
+    _lfilter_df2t(coeffs.b, coeffs.a, np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0))
     return out
 
 
 def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """Direct form II transposed along axis 0 into ``y``; lanes on the
-    remaining axes. ``y[n]`` is written only after the state update has
-    read ``x[n]``, so ``y`` may alias ``x``."""
-    n_taps = b.size
-    state = np.zeros((n_taps - 1,) + x.shape[1:], dtype=y.dtype)
-    for n in range(x.shape[0]):
-        xn = x[n]
-        yn = b[0] * xn + state[0] if n_taps > 1 else b[0] * xn
-        if n_taps > 1:
-            for i in range(n_taps - 2):
-                state[i] = state[i + 1] + b[i + 1] * xn - a[i + 1] * yn
-            state[-1] = b[-1] * xn - a[-1] * yn
-        y[n] = yn
+    remaining axes.
+
+    Each step makes five numpy calls over all lanes, into buffers
+    allocated once. The state carries one extra row held at -0.0, the
+    additive identity, so the last row updates in the same broadcast as
+    the others: every element sees the same IEEE operations in the same
+    order as scipy's DF2T, so with two or more taps the output matches
+    scipy's ``lfilter`` bit for bit.
+    ``y[n]`` is written only after the last read of ``x[n]``, so ``y``
+    may be ``x``.
+    """
+    if x.ndim == 1:
+        x, y = x[:, None], y[:, None]
+    p = b.size - 1
+    if p == 0:
+        np.multiply(b[0], x, out=y)
+        return
+    col = (-1,) + (1,) * (x.ndim - 1)
+    b_col, a_col = b.reshape(col), a[1:].reshape(col)
+    lanes = x.shape[1:]
+    s = np.zeros((p + 1,) + lanes, dtype=y.dtype)
+    # -0.0 in every part: a plain -0.0 would leave +0.0 in a complex
+    # row's imaginary part, and x + (+0.0) turns x = -0.0 into +0.0.
+    np.negative(s[p], out=s[p])
+    t_b = np.empty((p + 1,) + lanes, dtype=y.dtype)
+    t_a = np.empty((p,) + lanes, dtype=y.dtype)
+    t_b0, t_b1, s0, s1, s_head = t_b[0], t_b[1:], s[0], s[1:], s[:p]
+    for xn, yn in zip(x, y):
+        np.multiply(b_col, xn, out=t_b)
+        np.add(t_b0, s0, out=yn)
+        np.add(t_b1, s1, out=t_b1)
+        np.multiply(a_col, yn, out=t_a)
+        np.subtract(t_b1, t_a, out=s_head)
 
 
 def log_magnitude(x, floor_eps: float = 1e-12) -> np.ndarray:

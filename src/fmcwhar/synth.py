@@ -148,14 +148,13 @@ class Scene:
         )
 
 
-def generate(scene: Scene, params: RadarParams, analytic: bool = True) -> EchoMatrix:
+def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
     """Render a scene into an echo matrix.
 
     Each chirp n and sample m receives the sum over scatterers of
     a * exp(j(2 pi f_b t_m - 4 pi R(t_n) / lambda)) with beat frequency
-    f_b = 2 k R(t_n) / c. The default analytic (complex-exponential)
-    signal keeps the Doppler sign recoverable; ``analytic=False`` emits
-    the literal real IF cosine instead.
+    f_b = 2 k R(t_n) / c. The analytic (complex-exponential) signal keeps
+    the Doppler sign recoverable.
     """
     n_c = scene.n_chirps(params)
     n_s = params.samples_per_chirp
@@ -174,19 +173,13 @@ def generate(scene: Scene, params: RadarParams, analytic: bool = True) -> EchoMa
         f_beat = 2.0 * k_slope * r / SPEED_OF_LIGHT
         phase = (2.0 * math.pi) * f_beat[:, None] * t_fast[None, :] \
             - (4.0 * math.pi / lam) * r[:, None]
-        if analytic:
-            data += sc.amplitude * np.exp(1j * phase)
-        else:
-            data += sc.amplitude * np.cos(phase)
+        data += sc.amplitude * np.exp(1j * phase)
 
     if scene.noise_std > 0:
         rng = seeded_rng(scene.seed)
-        if analytic:
-            data += scene.noise_std * (
-                rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
-            )
-        else:
-            data += scene.noise_std * rng.standard_normal(data.shape)
+        data += scene.noise_std * (
+            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
+        )
 
     return EchoMatrix(params=params, data=data)
 

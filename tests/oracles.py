@@ -8,6 +8,9 @@ about two bins, keeping the joint Range-Doppler argmax well defined.
 The conv reference walks the k x k kernel taps one at a time: each tap
 is a strided slice of the padded input, so forward, input gradient and
 weight gradient are each a sum of k*k small contractions.
+
+The filter reference runs direct form II transposed one state row at a
+time, with scalar coefficients, as scipy's ``lfilter`` does.
 """
 
 import numpy as np
@@ -114,3 +117,24 @@ def conv_taps(x, w, dout, stride, padding):
                 g_w[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, xp[tap])
     dx = dxp[:, :, p: xp.shape[2] - p, p: xp.shape[3] - p]
     return out, dx, g_w
+
+
+def df2t_rows(b, a, x, axis=0):
+    """Row-loop DF2T: y[n] = b[0] x[n] + s[0], then each state row in turn.
+
+    ``b`` and ``a`` are normalized so that ``a[0] == 1``; returns a fresh
+    array shaped like ``x``.
+    """
+    x = np.moveaxis(np.asarray(x), axis, 0)
+    y = np.empty(x.shape, dtype=np.result_type(x.dtype, np.float64))
+    n_taps = b.size
+    state = np.zeros((n_taps - 1,) + x.shape[1:], dtype=y.dtype)
+    for n in range(x.shape[0]):
+        xn = x[n]
+        yn = b[0] * xn + state[0] if n_taps > 1 else b[0] * xn
+        if n_taps > 1:
+            for i in range(n_taps - 2):
+                state[i] = state[i + 1] + b[i + 1] * xn - a[i + 1] * yn
+            state[-1] = b[-1] * xn - a[-1] * yn
+        y[n] = yn
+    return np.moveaxis(y, 0, axis)

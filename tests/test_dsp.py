@@ -17,6 +17,8 @@ from fmcwhar.dsp import (
     log_magnitude,
 )
 
+from oracles import df2t_rows
+
 # Order-4 high-pass at 0.0075 of Nyquist, designed independently with
 # scipy.signal.butter (analog prototype + bilinear transform) and frozen.
 BUTTER_4_0p0075_B = np.array([
@@ -209,16 +211,15 @@ class TestIirFilter:
         np.testing.assert_allclose(cols.imag, iir_filter(c, x.imag, axis=0), atol=1e-12)
 
     @pytest.mark.parametrize("complex_lanes", [False, True])
-    @pytest.mark.parametrize("zero_phase", [False, True])
-    def test_in_place_out_matches_fresh_output(self, complex_lanes, zero_phase):
+    def test_in_place_out_matches_fresh_output(self, complex_lanes):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((400, 6))
         if complex_lanes:
             x = x + 1j * rng.standard_normal((400, 6))
         c = butterworth_highpass(4, 0.0075)
-        fresh = iir_filter(c, x, axis=0, zero_phase=zero_phase)
+        fresh = iir_filter(c, x, axis=0)
         xt = np.ascontiguousarray(x.T)
-        assert iir_filter(c, xt, axis=1, zero_phase=zero_phase, out=xt) is xt
+        assert iir_filter(c, xt, axis=1, out=xt) is xt
         np.testing.assert_array_equal(xt.T, fresh, strict=True)
 
     def test_in_place_matches_scipy_lfilter(self):
@@ -238,15 +239,98 @@ class TestIirFilter:
         with pytest.raises(DspError):
             iir_filter(c, x, out=np.empty((8, 3), dtype=np.complex128))
 
-    def test_zero_phase_is_forward_backward(self):
+    @pytest.mark.parametrize("overlap", ["out_ahead", "out_behind", "out_transposed"])
+    def test_out_overlapping_x_is_rejected(self, overlap):
+        c = butterworth_highpass(4, 0.0075)
+        buf = np.random.default_rng(5).standard_normal(49)
+        before = buf.copy()
+        x, out = {
+            "out_ahead": (buf[:-1], buf[1:]),
+            "out_behind": (buf[1:], buf[:-1]),
+            "out_transposed": (buf.reshape(7, 7), buf.reshape(7, 7).T),
+        }[overlap]
+        with pytest.raises(DspError, match="overlaps"):
+            iir_filter(c, x, out=out)
+        np.testing.assert_array_equal(buf, before)
+
+
+# One design per tap count; a[0] != 1 on the one- and three-tap designs.
+DESIGNS = {
+    "1tap": IirCoeffs(b=[1.5], a=[2.0]),
+    "2tap": butterworth_highpass(1, 0.1),
+    "3tap": IirCoeffs(b=[0.2, -0.3, 0.1], a=[1.6, -0.4, 0.25]),
+    "mti": butterworth_highpass(4, 0.0075),
+}
+
+# (shape, axis): 1-D, 2-D and 3-D inputs along every axis.
+LAYOUTS = [
+    ((37,), 0),
+    ((37, 4), 0), ((4, 37), 1), ((4, 37), -1),
+    ((37, 3, 2), 0), ((3, 37, 2), 1), ((3, 2, 37), -1),
+]
+
+
+def _lanes(rng, shape, complex_lanes):
+    x = rng.standard_normal(shape)
+    if complex_lanes:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+class TestDf2tMatchesRowLoop:
+    """The broadcast DF2T is byte-identical to the row loop it replaced."""
+
+    @pytest.mark.parametrize("complex_lanes", [False, True])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_every_layout_and_out_buffer(self, design, complex_lanes):
+        c = DESIGNS[design]
+        rng = np.random.default_rng(11)
+        for shape, axis in LAYOUTS:
+            x = _lanes(rng, shape, complex_lanes)
+            expected = df2t_rows(c.b, c.a, x, axis).tobytes()
+            where = f"shape {shape}, axis {axis}"
+            assert iir_filter(c, x, axis=axis).tobytes() == expected, where
+            in_place = x.copy()
+            assert iir_filter(c, in_place, axis=axis, out=in_place) is in_place
+            assert in_place.tobytes() == expected, where
+            transposed = np.empty(shape[::-1], dtype=x.dtype).T
+            iir_filter(c, x, axis=axis, out=transposed)
+            assert transposed.tobytes() == expected, where
+
+    @pytest.mark.parametrize("complex_lanes", [False, True])
+    @pytest.mark.parametrize("design", ["2tap", "3tap", "mti"])
+    def test_multi_tap_matches_scipy_bit_for_bit(self, design, complex_lanes):
         scipy_signal = pytest.importorskip("scipy.signal")
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(300)
-        c = butterworth_highpass(2, 0.1)
-        ours = iir_filter(c, x, zero_phase=True)
-        fwd = scipy_signal.lfilter(c.b, c.a, x)
-        theirs = scipy_signal.lfilter(c.b, c.a, fwd[::-1])[::-1]
-        np.testing.assert_allclose(ours, theirs, atol=1e-10)
+        c = DESIGNS[design]
+        x = _lanes(np.random.default_rng(12), (300, 5), complex_lanes)
+        x[:, 1] *= 0.0
+        x[::3, 2] = -0.0
+        expected = scipy_signal.lfilter(c.b, c.a, x, axis=0)
+        assert iir_filter(c, x).tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), design=st.sampled_from(sorted(DESIGNS)),
+           complex_lanes=st.booleans())
+    def test_signed_zeros_and_zero_lanes(self, data, design, complex_lanes):
+        c = DESIGNS[design]
+        n = data.draw(st.integers(1, 12), label="samples")
+        n_lanes = data.draw(st.integers(1, 4), label="lanes")
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+        )
+        values = st.lists(value, min_size=n * n_lanes, max_size=n * n_lanes)
+        zero_lanes = np.array(data.draw(
+            st.lists(st.booleans(), min_size=n_lanes, max_size=n_lanes),
+            label="zero_lanes"))
+        x = np.empty((n, n_lanes), dtype=complex if complex_lanes else float)
+        parts = (x.real, x.imag) if complex_lanes else (x,)
+        for part in parts:
+            part[...] = np.reshape(data.draw(values), (n, n_lanes))
+            part[:, zero_lanes] *= 0.0  # keeps each zero's sign
+        expected = df2t_rows(c.b, c.a, x).tobytes()
+        assert iir_filter(c, x).tobytes() == expected
+        assert iir_filter(c, x, out=x).tobytes() == expected
 
 
 class TestLogMagnitude:

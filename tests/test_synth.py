@@ -58,15 +58,6 @@ def test_determinism_bit_identical():
     np.testing.assert_array_equal(e1.data, e2.data)
 
 
-def test_real_if_mode():
-    scene = Scene(scatterers=(Scatterer(3.0, 0.5),), duration_s=0.016)
-    echo = generate(scene, PARAMS, analytic=False)
-    np.testing.assert_array_equal(echo.data.imag, np.zeros_like(echo.data.imag))
-    # The real IF signal is the real part of the analytic one.
-    analytic = generate(scene, PARAMS, analytic=True)
-    np.testing.assert_allclose(echo.data.real, analytic.data.real, atol=1e-12)
-
-
 def test_range_went_nonpositive():
     scene = Scene(scatterers=(Scatterer(0.5, 3.0),), duration_s=0.512)
     with pytest.raises(RangeWentNonpositive):
