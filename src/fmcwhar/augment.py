@@ -50,7 +50,11 @@ class AugmentPolicy:
 
     @classmethod
     def from_json(cls, text: str) -> "AugmentPolicy":
-        return cls(**json.loads(text))
+        payload = json.loads(text)
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # unknown keys or values of the wrong type
+            raise AugmentError(f"bad augment policy: {exc}") from exc
 
 
 def segment_regions(spectro: SpectroMap, policy: AugmentPolicy) -> np.ndarray:

@@ -178,7 +178,6 @@ def _cmd_maps(args) -> int:
 def _cmd_augment(args) -> int:
     started = time.time()
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     policy = (augment_mod.AugmentPolicy.from_json(Path(args.policy).read_text())
               if args.policy else augment_mod.AugmentPolicy())
     if args.seed is not None:
@@ -188,6 +187,7 @@ def _cmd_augment(args) -> int:
         )
     spectro = dm.load_spectro_map(args.input)
     noised = augment_mod.inject(spectro, policy)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     dm.save_spectro_map(noised, out_path)
 
     _manifest("augment", {"input": args.input, "policy": json.loads(policy.to_json())},

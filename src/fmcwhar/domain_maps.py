@@ -415,6 +415,11 @@ def save_spectro_map(spectro: SpectroMap, path) -> None:
 def load_spectro_map(path) -> SpectroMap:
     with open(_sidecar_path(path)) as fh:
         meta = json.load(fh)
+    try:
+        domain = Domain(meta["domain"])
+    except ValueError:
+        raise DomainMapError(
+            f"{path}: unknown domain {meta['domain']!r} in sidecar") from None
     shape = tuple(meta["shape"])
     values = np.fromfile(path, dtype="<f4")
     if values.size != shape[0] * shape[1]:
@@ -424,7 +429,7 @@ def load_spectro_map(path) -> SpectroMap:
     def axis(d):
         return Axis(d["name"], d["unit"], d["start"], d["step"])
     return SpectroMap(
-        domain=Domain(meta["domain"]),
+        domain=domain,
         values=values.astype(np.float64).reshape(shape),
         row_axis=axis(meta["row_axis"]),
         col_axis=axis(meta["col_axis"]),

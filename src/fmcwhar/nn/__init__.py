@@ -16,6 +16,7 @@ from .layers import (
     Layer,
     Linear,
     ReLU,
+    Sequential,
     ShapeMismatch,
     Swish,
 )
@@ -31,8 +32,8 @@ __all__ = [
     "Backbone", "BatchNorm2d", "Cbam", "ChannelAttention", "Conv2d",
     "DepthwiseConv2d", "Dropout", "FusionClassifier", "GradCheckResult",
     "Layer", "Linear", "Lstm", "MBConv", "ModelConfig", "MultiDomainModel",
-    "RdHead", "ReLU", "SequenceReshape", "ShapeMismatch", "SpatialAttention",
-    "StageSpec", "Swish",
+    "RdHead", "ReLU", "Sequential", "SequenceReshape", "ShapeMismatch",
+    "SpatialAttention", "StageSpec", "Swish",
     "count_flops", "count_params", "load_checkpoint", "run_gradcheck",
     "save_checkpoint",
 ]

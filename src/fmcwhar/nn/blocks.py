@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from .attention import Cbam
 from .config import block_plan
-from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Layer, Swish
+from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Sequential, Swish
 
 
-class MBConv(Layer):
+class MBConv(Sequential):
     """Expansion 1x1 -> depthwise k x k -> attention -> projection 1x1.
 
-    The expansion stage is skipped when the expand ratio is 1. A residual
-    connection applies when the block keeps both stride and channel count.
+    Only the stages a block has are registered: the expansion stage is
+    skipped when the expand ratio is 1, the attention stage when it is
+    "none". A residual connection applies when the block keeps both
+    stride and channel count.
     """
 
     def __init__(self, in_channels, out_channels, kernel, expand_ratio, stride,
@@ -27,8 +29,6 @@ class MBConv(Layer):
             self.register_child("expand_conv", Conv2d(in_channels, expanded, 1, rng=rng))
             self.register_child("expand_bn", BatchNorm2d(expanded))
             self.register_child("expand_act", Swish())
-        else:
-            self.expand_conv = None
 
         self.register_child("dw_conv", DepthwiseConv2d(expanded, kernel, stride, rng=rng))
         self.register_child("dw_bn", BatchNorm2d(expanded))
@@ -41,50 +41,22 @@ class MBConv(Layer):
                 "squeeze-excite attention exists only as a static count "
                 "(nn.counting); it has no trainable layer"
             )
-        elif attention == "none":
-            self.attn = None
-        else:
+        elif attention != "none":
             raise ValueError(f"unknown attention {attention!r}")
 
         self.register_child("project_conv", Conv2d(expanded, out_channels, 1, rng=rng))
         self.register_child("project_bn", BatchNorm2d(out_channels))
 
     def forward(self, x, train: bool = False):
-        out = x
-        if self.expand_conv is not None:
-            out = self.expand_conv.forward(out, train)
-            out = self.expand_bn.forward(out, train)
-            out = self.expand_act.forward(out, train)
-        out = self.dw_conv.forward(out, train)
-        out = self.dw_bn.forward(out, train)
-        out = self.dw_act.forward(out, train)
-        if self.attn is not None:
-            out = self.attn.forward(out, train)
-        out = self.project_conv.forward(out, train)
-        out = self.project_bn.forward(out, train)
-        if self.use_residual:
-            out = out + x
-        return out
+        out = super().forward(x, train)
+        return out + x if self.use_residual else out
 
     def backward(self, dout):
-        dres = dout if self.use_residual else None
-        dx = self.project_bn.backward(dout)
-        dx = self.project_conv.backward(dx)
-        if self.attn is not None:
-            dx = self.attn.backward(dx)
-        dx = self.dw_act.backward(dx)
-        dx = self.dw_bn.backward(dx)
-        dx = self.dw_conv.backward(dx)
-        if self.expand_conv is not None:
-            dx = self.expand_act.backward(dx)
-            dx = self.expand_bn.backward(dx)
-            dx = self.expand_conv.backward(dx)
-        if dres is not None:
-            dx = dx + dres
-        return dx
+        dx = super().backward(dout)
+        return dx + dout if self.use_residual else dx
 
 
-class Backbone(Layer):
+class Backbone(Sequential):
     """Stem conv -> MBConv blocks -> 1x1 head conv, per the block plan."""
 
     def __init__(self, cfg, rng=None):
@@ -106,20 +78,3 @@ class Backbone(Layer):
                                                 rng=rng))
         self.register_child("head_bn", BatchNorm2d(cfg.head_channels))
         self.register_child("head_act", Swish())
-
-    def forward(self, x, train: bool = False):
-        out = self.stem_act.forward(self.stem_bn.forward(
-            self.stem_conv.forward(x, train), train), train)
-        for name in self.block_names:
-            out = getattr(self, name).forward(out, train)
-        out = self.head_act.forward(self.head_bn.forward(
-            self.head_conv.forward(out, train), train), train)
-        return out
-
-    def backward(self, dout):
-        dx = self.head_conv.backward(self.head_bn.backward(
-            self.head_act.backward(dout)))
-        for name in reversed(self.block_names):
-            dx = getattr(self, name).backward(dx)
-        return self.stem_conv.backward(self.stem_bn.backward(
-            self.stem_act.backward(dx)))

@@ -28,9 +28,9 @@ from .layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
-    Layer,
     Linear,
     ReLU,
+    Sequential,
     Swish,
 )
 from .recurrent import Lstm
@@ -110,31 +110,12 @@ def _case_conv_pointwise(rng):
     return layer, rng.standard_normal((2, 3, 5, 6))
 
 
-class _Chain(Layer):
-    """Layers applied in order, so one case can cover several shapes."""
-
-    def __init__(self, *layers):
-        super().__init__()
-        for i, layer in enumerate(layers):
-            self.register_child(str(i), layer)
-
-    def forward(self, x, train: bool = False):
-        for _, layer in self._children:
-            x = layer.forward(x, train=train)
-        return x
-
-    def backward(self, dout):
-        for _, layer in reversed(self._children):
-            dout = layer.backward(dout)
-        return dout
-
-
 def _case_conv_stride1(rng):
     first = Conv2d(3, 4, 3, bias=True, rng=rng)
     second = Conv2d(4, 2, 5, bias=True, rng=rng)
     for conv in (first, second):
         conv.b[...] = rng.standard_normal(conv.out_channels)
-    return _Chain(first, second), rng.standard_normal((2, 3, 7, 6))
+    return Sequential(first=first, second=second), rng.standard_normal((2, 3, 7, 6))
 
 
 def _case_depthwise(rng):
@@ -197,12 +178,10 @@ def _case_mbconv_stride2(rng):
 
 
 def _set_bn_eval_stats(layer, rng):
-    for name, child in layer._children:
-        if isinstance(child, BatchNorm2d):
-            child.running_mean = rng.standard_normal(child.channels) * 0.1
-            child.running_var = rng.uniform(0.8, 1.2, child.channels)
-        else:
-            _set_bn_eval_stats(child, rng)
+    for _, bn in layer._layers():
+        if isinstance(bn, BatchNorm2d):
+            bn.running_mean = rng.standard_normal(bn.channels) * 0.1
+            bn.running_var = rng.uniform(0.8, 1.2, bn.channels)
 
 
 def _case_lstm(rng):

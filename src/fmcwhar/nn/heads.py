@@ -44,13 +44,6 @@ class SequenceReshape(Layer):
             dout.transpose(0, 2, 1)[:, :, None, :], self._shape
         ) / h
 
-    def inverse(self, seq):
-        """Undo an ``hxc`` reshape; only that rule is invertible."""
-        if self.rule != "hxc":
-            raise ShapeMismatch("only the hxc rule is invertible")
-        b, c, h, w = self._shape
-        return seq.reshape(b, w, h, c).transpose(0, 3, 2, 1)
-
 
 class RdHead(Layer):
     """Per-step linear map followed by an elementwise max over time.

@@ -103,8 +103,28 @@ class Layer:
     def backward(self, dout):
         raise NotImplementedError
 
-    def __call__(self, x, train: bool = False):
-        return self.forward(x, train=train)
+
+class Sequential(Layer):
+    """Children run in registration order; backward runs them in reverse.
+
+    Keyword children register in argument order; subclasses may register
+    more with ``register_child``, and that order is the execution order.
+    """
+
+    def __init__(self, **children: Layer):
+        super().__init__()
+        for name, child in children.items():
+            self.register_child(name, child)
+
+    def forward(self, x, train: bool = False):
+        for _, child in self._children:
+            x = child.forward(x, train)
+        return x
+
+    def backward(self, dout):
+        for _, child in reversed(self._children):
+            dout = child.backward(dout)
+        return dout
 
 
 class Conv2d(Layer):

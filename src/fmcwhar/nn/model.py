@@ -16,44 +16,8 @@ from ..synth import seeded_rng
 from .blocks import Backbone
 from .config import ModelConfig
 from .heads import FusionClassifier, RdHead, SequenceReshape
-from .layers import Layer, ShapeMismatch
+from .layers import Layer, Sequential, ShapeMismatch
 from .recurrent import Lstm
-
-
-class _TemporalBranch(Layer):
-    def __init__(self, cfg: ModelConfig, rng):
-        super().__init__()
-        self.register_child("backbone", Backbone(cfg, rng=rng))
-        self.register_child("reshape", SequenceReshape(cfg.lstm_feature_dim_rule))
-        self.register_child("lstm", Lstm(cfg.lstm_feature_dim(), cfg.lstm_hidden, rng=rng))
-
-    def forward(self, x, train: bool = False):
-        features = self.backbone.forward(x, train)
-        seq = self.reshape.forward(features, train)
-        return self.lstm.forward(seq, train)
-
-    def backward(self, dout):
-        dseq = self.lstm.backward(dout)
-        dfeat = self.reshape.backward(dseq)
-        return self.backbone.backward(dfeat)
-
-
-class _MaxPoolBranch(Layer):
-    def __init__(self, cfg: ModelConfig, rng):
-        super().__init__()
-        self.register_child("backbone", Backbone(cfg, rng=rng))
-        self.register_child("reshape", SequenceReshape("hxc"))
-        self.register_child("head", RdHead(cfg.rd_feature_dim(), cfg.rd_linear_out, rng=rng))
-
-    def forward(self, x, train: bool = False):
-        features = self.backbone.forward(x, train)
-        seq = self.reshape.forward(features, train)
-        return self.head.forward(seq, train)
-
-    def backward(self, dout):
-        dseq = self.head.backward(dout)
-        dfeat = self.reshape.backward(dseq)
-        return self.backbone.backward(dfeat)
 
 
 class MultiDomainModel(Layer):
@@ -62,9 +26,17 @@ class MultiDomainModel(Layer):
         self.cfg = cfg
         self.seed = seed
         rng = seeded_rng(seed)
-        self.register_child("rt", _TemporalBranch(cfg, rng))
-        self.register_child("dt", _TemporalBranch(cfg, rng))
-        self.register_child("rd", _MaxPoolBranch(cfg, rng))
+        for name in ("rt", "dt"):
+            self.register_child(name, Sequential(
+                backbone=Backbone(cfg, rng=rng),
+                reshape=SequenceReshape(cfg.lstm_feature_dim_rule),
+                lstm=Lstm(cfg.lstm_feature_dim(), cfg.lstm_hidden, rng=rng),
+            ))
+        self.register_child("rd", Sequential(
+            backbone=Backbone(cfg, rng=rng),
+            reshape=SequenceReshape("hxc"),
+            head=RdHead(cfg.rd_feature_dim(), cfg.rd_linear_out, rng=rng),
+        ))
         self.register_child(
             "fusion",
             FusionClassifier(cfg.lstm_hidden, cfg.num_classes, cfg.dropout_p, rng=rng),

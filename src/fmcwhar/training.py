@@ -20,7 +20,7 @@ import numpy as np
 from . import domain_maps as dm
 from . import synth
 from .nn import MultiDomainModel
-from .nn.config import preset
+from .nn.config import PRESETS, preset
 from .radar_io import RadarParams
 
 TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
@@ -54,8 +54,14 @@ class TrainConfig:
     def __post_init__(self):
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise TrainingError(f"split must sum to 1, got {self.split}")
-        if min(self.split) <= 0 or self.lr0 <= 0 or self.batch_size < 1 or self.epochs < 1:
+        if (min(self.split) <= 0 or self.lr0 <= 0 or self.batch_size < 1
+                or self.epochs < 1 or self.decay_every_epochs < 1
+                or self.samples_per_class < 1 or self.map_size < 1):
             raise TrainingError("all training settings must be positive")
+        if self.model_preset not in PRESETS:
+            raise TrainingError(
+                f"unknown model_preset {self.model_preset!r}; choose from {sorted(PRESETS)}"
+            )
 
     def lr_at_epoch(self, epoch: int) -> float:
         return self.lr0 * self.decay_factor ** (epoch // self.decay_every_epochs)
@@ -66,9 +72,12 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         payload = json.loads(text)
-        if "split" in payload:
-            payload["split"] = tuple(payload["split"])
-        return cls(**payload)
+        try:
+            if "split" in payload:
+                payload["split"] = tuple(payload["split"])
+            return cls(**payload)
+        except TypeError as exc:  # unknown keys or values of the wrong type
+            raise TrainingError(f"bad training config: {exc}") from exc
 
 
 @dataclass
@@ -199,24 +208,6 @@ def _render_samples(samples_per_class: int, seed: int, map_size: int,
             yield f"{kind.value}_{i:03d}", label, maps_for_echo(echo, map_size)
 
 
-def build_toy_dataset(samples_per_class: int, seed: int, map_size: int = 64,
-                      params: RadarParams = TOY_RADAR_PARAMS):
-    """Balanced in-memory dataset: (x_rt, x_dt, x_rd, labels).
-
-    Map tensors have shape (N, 1, map_size, map_size), each map min-max
-    normalized to [0, 1]; labels index the activity kinds in
-    declaration order.
-    """
-    stacks = {key: [] for key in DOMAIN_KEYS}
-    labels = []
-    for _, label, maps in _render_samples(samples_per_class, seed, map_size, params):
-        for key, spectro in zip(DOMAIN_KEYS, maps):
-            stacks[key].append(min_max_normalize(spectro.values)[None])
-        labels.append(label)
-    return (np.stack(stacks["rt"]), np.stack(stacks["dt"]), np.stack(stacks["rd"]),
-            np.array(labels, dtype=np.int64))
-
-
 def save_toy_dataset(out_dir, samples_per_class: int, seed: int,
                      map_size: int = 64,
                      params: RadarParams = TOY_RADAR_PARAMS) -> Path:
@@ -238,7 +229,11 @@ def save_toy_dataset(out_dir, samples_per_class: int, seed: int,
 
 
 def load_dataset(directory):
-    """Load a saved dataset directory into normalized training tensors."""
+    """Load a saved dataset directory as (x_rt, x_dt, x_rd, labels).
+
+    Map tensors have shape (N, 1, map_size, map_size), each map min-max
+    normalized to [0, 1]; labels index the activity kinds.
+    """
     directory = Path(directory)
     with open(directory / "index.json") as fh:
         index = json.load(fh)

@@ -150,6 +150,31 @@ class TestAugment:
         assert cli.main(["augment", str(smap), "--seed", "5",
                          "--out", str(tmp_path / "aug.smap")]) == 2
 
+    @pytest.mark.parametrize("policy", ['{"seed": 1, "var_high": 2.0}',
+                                        '{"low_threshold": "0.3"}'],
+                             ids=["unknown_key", "string_threshold"])
+    def test_bad_policy(self, tmp_path, echo_file, policy):
+        maps_dir = tmp_path / "maps"
+        assert cli.main(["maps", str(echo_file), "--domains", "dt",
+                         "--out", str(maps_dir)]) == 0
+        policy_path = tmp_path / "p.json"
+        policy_path.write_text(policy)
+        out = tmp_path / "aug" / "aug.smap"
+        assert cli.main(["augment", str(maps_dir / "dt.smap"), "--policy", str(policy_path),
+                         "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
+    def test_unknown_sidecar_domain(self, tmp_path, echo_file):
+        maps_dir = tmp_path / "maps"
+        assert cli.main(["maps", str(echo_file), "--domains", "dt",
+                         "--out", str(maps_dir)]) == 0
+        sidecar = maps_dir / "dt.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "domain": "xt"}))
+        out = tmp_path / "aug" / "aug.smap"
+        assert cli.main(["augment", str(maps_dir / "dt.smap"), "--seed", "5",
+                         "--out", str(out)]) == 2
+        assert not out.parent.exists()
+
 
 class TestParams:
     def test_b0_table(self, capsys, tmp_path):
@@ -207,6 +232,23 @@ class TestTrainEval:
         assert overall == pytest.approx(train_acc, abs=1e-6)
         confusion = (eval_dir / "confusion.csv").read_text().splitlines()
         assert len(confusion) == 7  # header + 6 classes
+
+    # Each is rejected when the config is parsed, before the dataset is
+    # rendered.
+    @pytest.mark.parametrize("config", [
+        {"decay_every_epochs": 0},
+        {"samples_per_class": 0},
+        {"model_preset": "b1"},
+        {"epoch": 3},
+        {"epochs": "3"},
+    ], ids=["zero_decay_period", "no_samples", "unknown_preset", "unknown_key",
+            "string_epochs"])
+    def test_bad_config(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"samples_per_class": 5, "map_size": 32, **config}))
+        run_dir = tmp_path / "run"
+        assert cli.main(["train-toy", "--config", str(path), "--out", str(run_dir)]) == 2
+        assert not run_dir.exists()
 
 
 @pytest.fixture(scope="module")

@@ -25,8 +25,24 @@ class TestMBConv:
 
     def test_expand_ratio_one_skips_expansion(self):
         block = MBConv(8, 8, 3, expand_ratio=1, stride=1)
-        assert block.expand_conv is None
+        assert not any(name.startswith("expand_") for name, _ in block._children)
         assert "expand_conv.w" not in block.params()
+
+    # Registration order is execution order, and a reordering that keeps
+    # every shape valid would still pass the gradient checks, so the
+    # child sequence is pinned here.
+    @pytest.mark.parametrize("expand_ratio,attention,names", [
+        (2, "cbam", ["expand_conv", "expand_bn", "expand_act", "dw_conv", "dw_bn",
+                     "dw_act", "attn", "project_conv", "project_bn"]),
+        (2, "none", ["expand_conv", "expand_bn", "expand_act", "dw_conv", "dw_bn",
+                     "dw_act", "project_conv", "project_bn"]),
+        (1, "cbam", ["dw_conv", "dw_bn", "dw_act", "attn", "project_conv", "project_bn"]),
+        (1, "none", ["dw_conv", "dw_bn", "dw_act", "project_conv", "project_bn"]),
+    ])
+    def test_child_order(self, expand_ratio, attention, names):
+        block = MBConv(4, 4, 3, expand_ratio, stride=1, cbam_reduction=2,
+                       attention=attention)
+        assert [name for name, _ in block._children] == names
 
     def test_no_residual_on_stride_or_channel_change(self):
         assert not MBConv(4, 8, 3, 1, stride=1).use_residual
@@ -70,6 +86,15 @@ class TestBackbone:
         bb = Backbone(cfg, rng=np.random.default_rng(4))
         out = bb.forward(np.zeros((1, 1, 32, 32)))
         assert out.shape[1:] == (cfg.head_channels, cfg.feature_hw, cfg.feature_hw)
+
+    def test_child_order(self):
+        bb = Backbone(preset("toy"))
+        assert [name for name, _ in bb._children] == [
+            "stem_conv", "stem_bn", "stem_act",
+            *(f"stage{i}_block0" for i in range(1, 8)),
+            "head_conv", "head_bn", "head_act",
+        ]
+        assert bb.block_names == [f"stage{i}_block0" for i in range(1, 8)]
 
     def test_b0_block_count(self):
         bb = Backbone(preset("b0"))

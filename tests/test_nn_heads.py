@@ -27,12 +27,6 @@ class TestSequenceReshape:
                 for cc in range(c):
                     assert seq[0, t, hh * c + cc] == x[0, cc, hh, t]
 
-    def test_hxc_inverse_identity(self):
-        reshape = SequenceReshape("hxc")
-        x = np.random.default_rng(2).standard_normal((2, 5, 3, 4))
-        seq = reshape.forward(x)
-        np.testing.assert_array_equal(reshape.inverse(seq), x)
-
     def test_c_rule_pools_height(self):
         x = np.random.default_rng(3).standard_normal((2, 4, 6, 5))
         seq = SequenceReshape("c").forward(x)

@@ -8,8 +8,10 @@ from fmcwhar.nn import (
     Conv2d,
     DepthwiseConv2d,
     Dropout,
+    Layer,
     Linear,
     ReLU,
+    Sequential,
     ShapeMismatch,
     Swish,
 )
@@ -226,3 +228,30 @@ def test_zero_grads_clears_every_gradient():
         grad[...] = 1.0
     cbam.zero_grads()
     assert all(not grad.any() for grad in cbam.grads().values())
+
+
+class _Recorder(Layer):
+    """Appends its name to a shared log and marks the value it passes on."""
+
+    def __init__(self, name, log):
+        super().__init__()
+        self.name, self.log = name, log
+
+    def forward(self, x, train: bool = False):
+        self.log.append(("forward", self.name, train))
+        return x + [self.name]
+
+    def backward(self, dout):
+        self.log.append(("backward", self.name))
+        return dout + [self.name]
+
+
+def test_sequential_runs_forward_in_order_and_backward_in_reverse():
+    log = []
+    chain = Sequential(a=_Recorder("a", log), b=_Recorder("b", log))
+    chain.register_child("c", _Recorder("c", log))
+    assert [name for name, _ in chain._children] == ["a", "b", "c"]
+    assert chain.forward([], train=True) == ["a", "b", "c"]
+    assert chain.backward([]) == ["c", "b", "a"]
+    assert log == [("forward", "a", True), ("forward", "b", True), ("forward", "c", True),
+                   ("backward", "c"), ("backward", "b"), ("backward", "a")]

@@ -67,6 +67,17 @@ def test_branches_have_independent_weights():
                               params["dt.backbone.stem_conv.w"])
 
 
+def test_branch_child_order():
+    # Branches run their children in registration order; the names are
+    # also the checkpoint's parameter prefixes.
+    model = MultiDomainModel(preset("toy"), seed=0)
+    assert [name for name, _ in model._children] == ["rt", "dt", "rd", "fusion"]
+    for branch in ("rt", "dt"):
+        children = getattr(model, branch)._children
+        assert [name for name, _ in children] == ["backbone", "reshape", "lstm"]
+    assert [name for name, _ in model.rd._children] == ["backbone", "reshape", "head"]
+
+
 def test_checkpoint_round_trip(tmp_path):
     model = MultiDomainModel(TOY, seed=4)
     x = toy_inputs(seed=9)

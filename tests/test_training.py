@@ -167,14 +167,18 @@ def test_train_config_json_round_trip():
 
 
 @pytest.fixture(scope="module")
-def trained():
-    """(model, dataset, history) of one 22-epoch toy training run."""
+def trained(tmp_path_factory):
+    """(model, dataset, history) of one 22-epoch toy training run.
+
+    The dataset goes through its float32 map files, as in ``train-toy``.
+    """
     from fmcwhar.nn import MultiDomainModel
     from fmcwhar.nn.config import preset
-    from fmcwhar.training import build_toy_dataset, train
+    from fmcwhar.training import load_dataset, save_toy_dataset, train
 
     cfg = TrainConfig(epochs=22, seed=2, samples_per_class=5, map_size=32)
-    dataset = build_toy_dataset(cfg.samples_per_class, cfg.seed, cfg.map_size)
+    dataset = load_dataset(save_toy_dataset(tmp_path_factory.mktemp("toy"),
+                                            cfg.samples_per_class, cfg.seed, cfg.map_size))
     model = MultiDomainModel(preset("toy", in_channels=1), seed=2)
     return model, dataset, train(model, dataset, cfg)
 
@@ -206,7 +210,7 @@ class TestToyTrainingLoop:
 def test_checkpoint_logit_tolerance(trained, tmp_path):
     # Checkpoints store float32 and the model runs in float64, so a
     # reloaded model is close to the trained one but not identical. On
-    # this model the largest logit moves by 2.2e-7 of the largest logit
+    # this model the largest logit moves by 2.4e-7 of the largest logit
     # magnitude; the worst of 29 toy models measured was 7.3e-7.
     from fmcwhar.nn import load_checkpoint, save_checkpoint
 
@@ -221,14 +225,20 @@ def test_checkpoint_logit_tolerance(trained, tmp_path):
 
 
 def test_dataset_save_load_round_trip(tmp_path):
-    from fmcwhar.training import build_toy_dataset, load_dataset, save_toy_dataset
+    from fmcwhar import synth
+    from fmcwhar.training import (
+        TOY_RADAR_PARAMS, load_dataset, maps_for_echo, min_max_normalize, save_toy_dataset,
+    )
 
     save_toy_dataset(tmp_path / "ds", samples_per_class=1, seed=4, map_size=32)
     x_rt, x_dt, x_rd, labels = load_dataset(tmp_path / "ds")
     assert x_rt.shape == (6, 1, 32, 32)
     np.testing.assert_array_equal(labels, np.arange(6))
     assert x_rt.min() >= 0.0 and x_rt.max() <= 1.0
-    # The float32 map files reproduce the in-memory pipeline to storage
-    # precision.
-    mem = build_toy_dataset(1, seed=4, map_size=32)
-    np.testing.assert_allclose(x_dt, mem[1], atol=1e-6)
+    # The float32 map files reproduce the rendered maps to storage precision.
+    for label, kind in enumerate(synth.ActivityKind):
+        scene = synth.activity_template(kind, seed=4 * 1000 + label * 100)
+        maps = maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), 32)
+        for loaded, spectro in zip((x_rt, x_dt, x_rd), maps):
+            np.testing.assert_allclose(loaded[label, 0], min_max_normalize(spectro.values),
+                                       atol=1e-6)
