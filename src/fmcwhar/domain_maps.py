@@ -400,12 +400,7 @@ def save_spectro_map(spectro: SpectroMap, path) -> None:
         "shape": list(spectro.shape),
         "row_axis": asdict(spectro.row_axis),
         "col_axis": asdict(spectro.col_axis),
-        "params": {
-            "carrier_freq_hz": spectro.params.carrier_freq_hz,
-            "chirp_duration_s": spectro.params.chirp_duration_s,
-            "samples_per_chirp": spectro.params.samples_per_chirp,
-            "bandwidth_hz": spectro.params.bandwidth_hz,
-        },
+        "params": asdict(spectro.params),
     }
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)

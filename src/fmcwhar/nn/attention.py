@@ -31,12 +31,19 @@ from .layers import (
     sigmoid,
 )
 
+SPATIAL_KERNEL = 7
+
+
+def mlp_width(channels: int, reduction: int) -> int:
+    """Hidden width of the shared channel-attention MLP."""
+    return max(1, math.ceil(channels / reduction))
+
 
 class ChannelAttention(Layer):
     def __init__(self, channels, reduction=16, rng=None):
         super().__init__()
         self.channels = channels
-        self.hidden = max(1, math.ceil(channels / reduction))
+        self.hidden = mlp_width(channels, reduction)
         rng = rng or np.random.default_rng(0)
         self.register_param("w1", fan_in_uniform(rng, (self.hidden, channels), channels))
         self.register_param("w2", fan_in_uniform(rng, (channels, self.hidden), self.hidden))
@@ -77,10 +84,10 @@ class ChannelAttention(Layer):
 
 
 class SpatialAttention(Layer):
-    def __init__(self, kernel=7, rng=None):
+    def __init__(self, rng=None):
         super().__init__()
         self.conv = self.register_child(
-            "conv", Conv2d(2, 1, kernel, stride=1, bias=True, rng=rng)
+            "conv", Conv2d(2, 1, SPATIAL_KERNEL, bias=True, rng=rng)
         )
 
     def forward(self, x, train: bool = False):

@@ -67,7 +67,6 @@ class Backbone(Sequential):
         self.register_child("stem_act", Swish())
 
         plan = block_plan(cfg)
-        self.block_names = [block.name for block in plan]
         for block in plan:
             self.register_child(block.name, MBConv(
                 block.c_in, block.c_out, block.kernel, block.expand_ratio, block.stride,

@@ -12,9 +12,9 @@ batch-norm running statistics are reported separately as non-trainable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+from .attention import SPATIAL_KERNEL, mlp_width
 from .config import BlockSpec, ModelConfig, block_plan
 
 # Audit targets: published totals for the full-scale three-branch network
@@ -68,10 +68,10 @@ def _mbconv_tally(cfg: ModelConfig, block: BlockSpec) -> _Tally:
     tally.batch_norm(expanded)
     if cfg.attention == "cbam":
         # One shared MLP runs on both the average- and the max-pooled vector.
-        hidden = max(1, math.ceil(expanded / cfg.cbam_reduction))
+        hidden = mlp_width(expanded, cfg.cbam_reduction)
         tally.dense(expanded, hidden, calls=2)
         tally.dense(hidden, expanded, calls=2)
-        tally.conv(7, 2, 1, block.hw_out, bias=True)
+        tally.conv(SPATIAL_KERNEL, 2, 1, block.hw_out, bias=True)
     elif cfg.attention == "se":
         squeeze = max(1, block.c_in // 4)
         tally.dense(expanded, squeeze, bias=True)

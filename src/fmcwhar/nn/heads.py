@@ -23,10 +23,6 @@ class SequenceReshape(Layer):
             raise ValueError(f"rule must be one of {FEATURE_RULES}, got {rule!r}")
         self.rule = rule
 
-    @staticmethod
-    def feature_dim(rule: str, channels: int, height: int) -> int:
-        return channels * height if rule == "hxc" else channels
-
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
         b, c, h, w = x.shape

@@ -128,16 +128,17 @@ class Sequential(Layer):
 
 
 class Conv2d(Layer):
-    def __init__(self, in_channels, out_channels, kernel, stride=1, padding=None,
-                 bias=False, rng=None):
+    """k x k convolution, zero-padded by (k - 1) // 2 on every side."""
+
+    def __init__(self, in_channels, out_channels, kernel, stride=1, bias=False, rng=None):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self.padding = (kernel - 1) // 2 if padding is None else padding
-        # 1x1, stride 1, unpadded: one channel matmul per sample, no windows.
-        self._pointwise = kernel == 1 and stride == 1 and self.padding == 0
+        self.padding = (kernel - 1) // 2
+        # 1x1, stride 1: one channel matmul per sample, no windows.
+        self._pointwise = kernel == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel * kernel
         self.register_param(
@@ -180,7 +181,7 @@ class Conv2d(Layer):
             return np.matmul(self.w[:, :, 0, 0].T, d3).reshape(b, self.in_channels, h, w)
         xp_shape, windows = self._cache
         self.g_w += np.einsum("bohw,bchwij->ocij", dout, windows, optimize=True)
-        if s == 1 and p < k:
+        if s == 1:
             # Transposed conv: dx correlates dout, padded by k-1-p, with
             # the flipped kernel. Plain einsum reads the window view in
             # place; optimize=True would copy it into a contiguous array.
@@ -202,12 +203,14 @@ class Conv2d(Layer):
 
 
 class DepthwiseConv2d(Layer):
-    def __init__(self, channels, kernel, stride=1, padding=None, rng=None):
+    """Per-channel k x k convolution, padded like ``Conv2d``."""
+
+    def __init__(self, channels, kernel, stride=1, rng=None):
         super().__init__()
         self.channels = channels
         self.kernel = kernel
         self.stride = stride
-        self.padding = (kernel - 1) // 2 if padding is None else padding
+        self.padding = (kernel - 1) // 2
         rng = rng or np.random.default_rng(0)
         self.register_param(
             "w", fan_in_uniform(rng, (channels, kernel, kernel), kernel * kernel)
@@ -331,15 +334,15 @@ def sigmoid(x):
 
 
 class Linear(Layer):
-    def __init__(self, in_features, out_features, bias=True, rng=None):
+    """Affine map x @ w.T + b over the last axis."""
+
+    def __init__(self, in_features, out_features, rng=None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         rng = rng or np.random.default_rng(0)
         self.register_param("w", fan_in_uniform(rng, (out_features, in_features), in_features))
-        self.has_bias = bias
-        if bias:
-            self.register_param("b", np.zeros(out_features))
+        self.register_param("b", np.zeros(out_features))
 
     def forward(self, x, train: bool = False):
         x = np.asarray(x)
@@ -348,17 +351,13 @@ class Linear(Layer):
                 f"linear expects {self.in_features} features, got {x.shape[-1]}"
             )
         self._x = x
-        out = x @ self.w.T
-        if self.has_bias:
-            out = out + self.b
-        return out
+        return x @ self.w.T + self.b
 
     def backward(self, dout):
         x2 = self._x.reshape(-1, self.in_features)
         d2 = dout.reshape(-1, self.out_features)
         self.g_w += d2.T @ x2
-        if self.has_bias:
-            self.g_b += d2.sum(axis=0)
+        self.g_b += d2.sum(axis=0)
         return dout @ self.w
 
 

@@ -24,6 +24,9 @@ from .nn.config import PRESETS, preset
 from .radar_io import RadarParams
 
 TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(ValueError):
@@ -45,18 +48,15 @@ class TrainConfig:
     decay_every_epochs: int = 30
     batch_size: int = 8
     epochs: int = 50
-    split: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 0
     samples_per_class: int = 10
     map_size: int = 64
     model_preset: str = "toy"
 
     def __post_init__(self):
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise TrainingError(f"split must sum to 1, got {self.split}")
-        if (min(self.split) <= 0 or self.lr0 <= 0 or self.batch_size < 1
-                or self.epochs < 1 or self.decay_every_epochs < 1
-                or self.samples_per_class < 1 or self.map_size < 1):
+        if (self.lr0 <= 0 or self.batch_size < 1 or self.epochs < 1
+                or self.decay_every_epochs < 1 or self.samples_per_class < 1
+                or self.map_size < 1):
             raise TrainingError("all training settings must be positive")
         if self.model_preset not in PRESETS:
             raise TrainingError(
@@ -73,8 +73,6 @@ class TrainConfig:
     def from_json(cls, text: str) -> "TrainConfig":
         payload = json.loads(text)
         try:
-            if "split" in payload:
-                payload["split"] = tuple(payload["split"])
             return cls(**payload)
         except TypeError as exc:  # unknown keys or values of the wrong type
             raise TrainingError(f"bad training config: {exc}") from exc
@@ -86,8 +84,7 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params, grads, state: AdamState, t: int, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, t: int, lr: float):
     """One Adam update, in place over the parameter dict. t starts at 1."""
     if t < 1:
         raise TrainingError(f"step index must be >= 1, got {t}")
@@ -100,11 +97,11 @@ def adam_step(params, grads, state: AdamState, t: int, lr: float,
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 

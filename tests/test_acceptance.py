@@ -12,7 +12,7 @@ from fmcwhar import augment, cli, dsp
 from fmcwhar import domain_maps as dm
 from fmcwhar import radar_io, synth
 from fmcwhar.nn import MultiDomainModel, run_gradcheck
-from fmcwhar.nn.config import preset
+from fmcwhar.nn.config import block_plan, preset
 from fmcwhar.nn.counting import count_backbone_params, count_flops, count_params
 
 from oracles import GLASGOW_PARAMS, check_scene_bins
@@ -101,9 +101,9 @@ def test_criterion_4_shape_contract():
     bb = model.rt.backbone
     out = bb.stem_act.forward(bb.stem_bn.forward(bb.stem_conv.forward(x), False), False)
     seen = {"stem": out.shape}
-    for name in bb.block_names:
-        out = getattr(bb, name).forward(out)
-        seen[name.split("_")[0]] = out.shape
+    for block in block_plan(cfg):
+        out = getattr(bb, block.name).forward(out)
+        seen[f"stage{block.stage}"] = out.shape
     out = bb.head_act.forward(bb.head_bn.forward(bb.head_conv.forward(out), False), False)
     seen["head"] = out.shape
     for name, shape in expected_stages:

@@ -113,6 +113,14 @@ class TestMaps:
         assert cli.main(["maps", str(echo_file), "--domains", "rt,xx",
                          "--out", str(tmp_path / "m")]) == 2
 
+    # Rejected before the recording is read, so no output directory appears.
+    @pytest.mark.parametrize("domains", [",", "rt,rt"], ids=["empty", "repeated"])
+    def test_malformed_domain_list_rejected(self, tmp_path, echo_file, domains):
+        out = tmp_path / "m"
+        assert cli.main(["maps", str(echo_file), "--domains", domains,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestAugment:
     def test_roundtrip_deterministic(self, tmp_path, echo_file):
@@ -241,8 +249,9 @@ class TestTrainEval:
         {"model_preset": "b1"},
         {"epoch": 3},
         {"epochs": "3"},
+        {"split": [0.6, 0.2, 0.2]},
     ], ids=["zero_decay_period", "no_samples", "unknown_preset", "unknown_key",
-            "string_epochs"])
+            "string_epochs", "no_op_split"])
     def test_bad_config(self, tmp_path, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"samples_per_class": 5, "map_size": 32, **config}))

@@ -32,6 +32,10 @@ class TestBackboneParams:
         assert with_clf.total - without.total == 1280 * 1000 + 1000
 
 
+WALK_CASES = [(name, attention, rule) for name in ("toy", "table1_literal")
+              for attention in ("cbam", "none") for rule in ("hxc", "c")]
+
+
 class TestFullModelParams:
     def test_hxc_rule_within_twenty_percent_of_reference(self):
         total = count_params(preset("b0")).total
@@ -57,11 +61,13 @@ class TestFullModelParams:
         assert report.per_module["rd.head"] == 8960 * 128 + 128 == 1_147_008
         assert report.per_module["fusion"] == 384 * 6 + 6 == 2310
 
-    @pytest.mark.parametrize("name", ["toy", "table1_literal"])
-    def test_static_walk_matches_instantiation(self, name):
-        cfg = preset(name) if name == "toy" else preset(name, input_hw=32, in_channels=1,
-                                                        lstm_hidden=16, rd_linear_out=16,
-                                                        fused_dim=48)
+    # Ids name only what differs from the default cbam/hxc network.
+    @pytest.mark.parametrize("name, attention, rule", WALK_CASES, ids=[
+        "-".join(v for v in case if v not in ("cbam", "hxc")) for case in WALK_CASES])
+    def test_static_walk_matches_instantiation(self, name, attention, rule):
+        small = {} if name == "toy" else dict(input_hw=32, in_channels=1, lstm_hidden=16,
+                                              rd_linear_out=16, fused_dim=48)
+        cfg = preset(name, attention=attention, lstm_feature_dim_rule=rule, **small)
         model = MultiDomainModel(cfg, seed=0)
         assert model.n_params() == count_params(cfg).total
 

@@ -28,13 +28,13 @@ def suite_passes(module):
 
 class TestConv:
     def test_identity_permutation_passthrough(self):
-        conv = Conv2d(3, 3, 1, padding=0)
+        conv = Conv2d(3, 3, 1)
         conv.w[...] = np.eye(3).reshape(3, 3, 1, 1)
         x = np.random.default_rng(0).standard_normal((2, 3, 5, 5))
         np.testing.assert_allclose(conv.forward(x), x, atol=0)
 
     def test_channel_swap(self):
-        conv = Conv2d(2, 2, 1, padding=0)
+        conv = Conv2d(2, 2, 1)
         conv.w[...] = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1, 1)
         x = np.random.default_rng(1).standard_normal((1, 2, 3, 3))
         out = conv.forward(x)

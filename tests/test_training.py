@@ -121,10 +121,6 @@ class TestStratifiedSplit:
         with pytest.raises(TooFewSamples):
             stratified_split(np.array([0, 0, 0, 0, 1, 1, 1, 1, 1]), seed=0)
 
-    def test_split_must_sum_to_one(self):
-        with pytest.raises(TrainingError):
-            TrainConfig(split=(0.5, 0.2, 0.2))
-
 
 class TestMetrics:
     def test_perfect_predictor(self):
