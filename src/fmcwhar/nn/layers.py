@@ -11,7 +11,6 @@ flat name->array dicts, with child layers namespaced by dots.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(ValueError):
@@ -127,6 +126,74 @@ class Sequential(Layer):
         return dout
 
 
+def _row_taps(h, k, s, p, h_out):
+    """(i, y0, y1, r0) per kernel row i: output rows y0:y1 read input rows
+    r0, r0 + s, ...; rows that fall in the zero padding are skipped."""
+    for i in range(k):
+        y0, y1 = max(0, -((i - p) // s)), min(h_out, (h - 1 - i + p) // s + 1)
+        if y1 > y0:
+            yield i, y0, y1, s * y0 + i - p
+
+
+def _row_toeplitz(x, w4, s, p):
+    """Row stack (C, B*Ho, k*Wp) of ``x`` and banded Toeplitz matrix
+    (C, k*Wp, O*Wo) of the (C, O, k, k) weight ``w4``.
+
+    Stack row (b, y) holds the padded input rows s*y .. s*y + k - 1 side
+    by side; tap (i, j) of output o meets output column x at band row
+    i*Wp + s*x + j, column o*Wo + x. Also returns those flat band
+    positions, shaped (k, k, O, Wo), and (Ho, Wo).
+    """
+    b, c, h, w = x.shape
+    o, k = w4.shape[1], w4.shape[-1]
+    wp = w + 2 * p
+    h_out, w_out = (h + 2 * p - k) // s + 1, (wp - k) // s + 1
+    cols = np.zeros((c, b, h_out, k, wp))
+    for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
+        cols[:, :, y0:y1, i, p: p + w] = x.transpose(1, 0, 2, 3)[:, :, r0: r0 + s * (y1 - y0): s]
+    i, j = np.arange(k)[:, None, None, None], np.arange(k)[:, None, None]
+    oo, xx = np.arange(o)[:, None], np.arange(w_out)
+    idx = ((i * wp + s * xx + j) * o + oo) * w_out + xx
+    band = np.zeros((c, k * wp * o * w_out))
+    band[:, idx] = w4.transpose(0, 2, 3, 1)[..., None]
+    return (cols.reshape(c, b * h_out, k * wp), band.reshape(c, k * wp, o * w_out), idx,
+            (h_out, w_out))
+
+
+def toeplitz_conv(x, w4, s, p, dense):
+    """k x k conv of ``x`` by the (C, O, k, k) weight ``w4``, as one
+    matmul of its row stack and band batched over input channels.
+
+    A dense conv sums the products over input channels into O outputs; a
+    depthwise one (O = 1) keeps the C products apart.
+    """
+    cols, band, _, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
+    prod = cols @ band
+    if dense:
+        prod = prod.sum(axis=0, keepdims=True)
+    c, b, o = prod.shape[0], x.shape[0], w4.shape[1]
+    out = prod.reshape(c, b, h_out, o, w_out).transpose(1, 0, 3, 2, 4)
+    return out.reshape(b, c * o, h_out, w_out)
+
+
+def toeplitz_conv_backward(x, w4, dout, s, p, dense):
+    """(g_w4, dx) of ``toeplitz_conv``. The row stack is rebuilt from
+    ``x``; g_w4 sums the band diagonals of cols^T dout, and dx folds the
+    rows of dout band^T back onto the input, k row adds in all."""
+    cols, band, idx, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
+    b, c, h, w = x.shape
+    o, k = w4.shape[1], w4.shape[-1]
+    c_out = 1 if dense else c
+    d2 = dout.reshape(b, c_out, o, h_out, w_out).transpose(1, 0, 3, 2, 4)
+    d2 = d2.reshape(c_out, b * h_out, o * w_out)
+    g_band = (cols.transpose(0, 2, 1) @ d2).reshape(c, -1)
+    drows = (d2 @ band.transpose(0, 2, 1)).reshape(c, b, h_out, k, w + 2 * p)
+    dx = np.zeros((c, b, h, w))
+    for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
+        dx[:, :, r0: r0 + s * (y1 - y0): s] += drows[:, :, y0:y1, i, p: p + w]
+    return g_band[:, idx].sum(axis=-1).transpose(0, 3, 1, 2), dx.transpose(1, 0, 2, 3)
+
+
 class Conv2d(Layer):
     """k x k convolution, zero-padded by (k - 1) // 2 on every side."""
 
@@ -154,23 +221,20 @@ class Conv2d(Layer):
             raise ShapeMismatch(
                 f"conv expects {self.in_channels} input channels, got {x.shape[1]}"
             )
-        p, s, k = self.padding, self.stride, self.kernel
         if self._pointwise:
             b, c, h, w = x.shape
             x3 = x.reshape(b, c, h * w)
             out = np.matmul(self.w[:, :, 0, 0], x3).reshape(b, self.out_channels, h, w)
             self._cache = x3
         else:
-            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-            windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-            out = np.einsum("bchwij,ocij->bohw", windows, self.w, optimize=True)
-            self._cache = (xp.shape, windows)
+            out = toeplitz_conv(x, self.w.transpose(1, 0, 2, 3), self.stride, self.padding,
+                                dense=True)
+            self._cache = x
         if self.has_bias:
             out += self.b[:, None, None]
         return out
 
     def backward(self, dout):
-        p, s, k = self.padding, self.stride, self.kernel
         if self.has_bias:
             self.g_b += dout.sum(axis=(0, 2, 3))
         if self._pointwise:
@@ -179,27 +243,10 @@ class Conv2d(Layer):
             d3 = dout.reshape(b, o, h * w)
             self.g_w[:, :, 0, 0] += np.matmul(d3, x3.transpose(0, 2, 1)).sum(axis=0)
             return np.matmul(self.w[:, :, 0, 0].T, d3).reshape(b, self.in_channels, h, w)
-        xp_shape, windows = self._cache
-        self.g_w += np.einsum("bohw,bchwij->ocij", dout, windows, optimize=True)
-        if s == 1:
-            # Transposed conv: dx correlates dout, padded by k-1-p, with
-            # the flipped kernel. Plain einsum reads the window view in
-            # place; optimize=True would copy it into a contiguous array.
-            q = k - 1 - p
-            dpad = np.pad(dout, ((0, 0), (0, 0), (q, q), (q, q)))
-            dwin = sliding_window_view(dpad, (k, k), axis=(2, 3))
-            return np.einsum("bohwij,ocij->bchw", dwin, self.w[:, :, ::-1, ::-1])
-        # Strided convs scatter each tap's contribution; measured faster
-        # than the transposed form at stride 2.
-        dxp = np.zeros(xp_shape)
-        h_out, w_out = dout.shape[2], dout.shape[3]
-        for i in range(k):
-            for j in range(k):
-                patch = np.einsum("bohw,oc->bchw", dout, self.w[:, :, i, j], optimize=True)
-                dxp[:, :, i: i + s * h_out: s, j: j + s * w_out: s] += patch
-        if p:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        g_w4, dx = toeplitz_conv_backward(self._cache, self.w.transpose(1, 0, 2, 3), dout,
+                                          self.stride, self.padding, dense=True)
+        self.g_w += g_w4.transpose(1, 0, 2, 3)
+        return dx
 
 
 class DepthwiseConv2d(Layer):
@@ -222,27 +269,14 @@ class DepthwiseConv2d(Layer):
             raise ShapeMismatch(
                 f"depthwise conv expects {self.channels} channels, got {x.shape[1]}"
             )
-        p, s, k = self.padding, self.stride, self.kernel
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        out = np.einsum("bchwij,cij->bchw", windows, self.w, optimize=True)
-        self._cache = (xp.shape, windows)
-        return out
+        self._cache = x
+        return toeplitz_conv(x, self.w[:, None], self.stride, self.padding, dense=False)
 
     def backward(self, dout):
-        xp_shape, windows = self._cache
-        p, s, k = self.padding, self.stride, self.kernel
-        self.g_w += np.einsum("bchw,bchwij->cij", dout, windows, optimize=True)
-        dxp = np.zeros(xp_shape)
-        h_out, w_out = dout.shape[2], dout.shape[3]
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i: i + s * h_out: s, j: j + s * w_out: s] += (
-                    dout * self.w[:, i, j][None, :, None, None]
-                )
-        if p:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        g_w4, dx = toeplitz_conv_backward(self._cache, self.w[:, None], dout,
+                                          self.stride, self.padding, dense=False)
+        self.g_w += g_w4[:, 0]
+        return dx
 
 
 class BatchNorm2d(Layer):
@@ -271,31 +305,35 @@ class BatchNorm2d(Layer):
             )
         if train:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            n = x.shape[0] * x.shape[2] * x.shape[3]
-            unbiased = var * n / max(1, n - 1)
+            x_hat = x - mean[:, None, None]
+            n = x.size // self.channels
+            var = np.einsum("bchw,bchw->c", x_hat, x_hat) / n
             self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (unbiased - self.running_var)
+            self.running_var += self.momentum * (var * n / max(1, n - 1) - self.running_var)
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
+            x_hat = x - self.running_mean[:, None, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        x_hat *= inv_std[:, None, None]
         self._cache = (x_hat, inv_std, train)
-        return self.gamma[None, :, None, None] * x_hat + self.beta[None, :, None, None]
+        out = x_hat * self.gamma[:, None, None]
+        out += self.beta[:, None, None]
+        return out
 
     def backward(self, dout):
         x_hat, inv_std, train = self._cache
-        self.g_gamma += np.sum(dout * x_hat, axis=(0, 2, 3))
-        self.g_beta += np.sum(dout, axis=(0, 2, 3))
-        dxhat = dout * self.gamma[None, :, None, None]
-        scale = inv_std[None, :, None, None]
-        if not train:
-            return dxhat * scale
-        # Train mode routes gradient through the batch mean and variance.
-        n = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dxhat_xhat = (dxhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        return scale * (dxhat - sum_dxhat / n - x_hat * sum_dxhat_xhat / n)
+        sum_d, sum_d_xhat = dout.sum(axis=(0, 2, 3)), np.einsum("bchw,bchw->c", dout, x_hat)
+        self.g_gamma += sum_d_xhat
+        self.g_beta += sum_d
+        scale = self.gamma * inv_std
+        dx = dout * scale[:, None, None]
+        if train:
+            # Through the batch statistics as well:
+            # dx = scale * (dout - sum_d / n - x_hat * sum_d_xhat / n).
+            n = dout.size // self.channels
+            dx -= x_hat * (scale * sum_d_xhat / n)[:, None, None]
+            dx -= (scale * sum_d / n)[:, None, None]
+        return dx
 
 
 class ReLU(Layer):

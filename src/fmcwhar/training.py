@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -54,10 +55,12 @@ class TrainConfig:
     model_preset: str = "toy"
 
     def __post_init__(self):
-        if (self.lr0 <= 0 or self.batch_size < 1 or self.epochs < 1
+        # The chained comparisons are False for NaN, so NaN is rejected too.
+        if (not 0 < self.lr0 < math.inf or not 0 < self.decay_factor < math.inf
+                or self.batch_size < 1 or self.epochs < 1
                 or self.decay_every_epochs < 1 or self.samples_per_class < 1
                 or self.map_size < 1):
-            raise TrainingError("all training settings must be positive")
+            raise TrainingError("all training settings must be positive and finite")
         if self.model_preset not in PRESETS:
             raise TrainingError(
                 f"unknown model_preset {self.model_preset!r}; choose from {sorted(PRESETS)}"
@@ -80,28 +83,43 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam moments: rows of ``flat`` (2, n), with a view per parameter in m / v."""
+
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    flat: np.ndarray | None = None
 
 
 def adam_step(params, grads, state: AdamState, t: int, lr: float):
-    """One Adam update, in place over the parameter dict. t starts at 1."""
+    """One Adam update, in place over the parameter dict. t starts at 1.
+
+    All parameters step as one flat vector: a few whole-vector numpy calls
+    instead of a dozen per parameter. Every operation is elementwise, so
+    each parameter gets the same bits as a step of its own.
+    """
     if t < 1:
         raise TrainingError(f"step index must be >= 1, got {t}")
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+        if grads[name].shape != p.shape:
             raise TrainingError(f"gradient shape mismatch for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if state.flat is None:
+        state.flat = np.zeros((2, sum(p.size for p in params.values())))
+        offset = 0
+        for name, p in params.items():
+            state.m[name], state.v[name] = state.flat[:, offset: offset + p.size].reshape(
+                2, *p.shape)
+            offset += p.size
+    elif list(state.m) != list(params):
+        raise TrainingError("this Adam state belongs to another parameter set")
+    m, v = state.flat
+    g = np.concatenate([grads[name].reshape(-1) for name in params])
+    m += (1.0 - ADAM_BETA1) * (g - m)
+    v += (1.0 - ADAM_BETA2) * (g * g - v)
+    step = lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
+    offset = 0
+    for p in params.values():
+        p -= step[offset: offset + p.size].reshape(p.shape)
+        offset += p.size
     return params, state
 
 
@@ -271,6 +289,7 @@ def train(model: MultiDomainModel, dataset, cfg: TrainConfig,
     n = len(labels)
     rng = synth.seeded_rng(cfg.seed, stream=1)
     state = AdamState()
+    params, grads = model.params(), model.grads()
     history = []
     t = 0
     for epoch in range(cfg.epochs):
@@ -282,10 +301,11 @@ def train(model: MultiDomainModel, dataset, cfg: TrainConfig,
             idx = order[start: start + cfg.batch_size]
             logits = model.forward(x_rt[idx], x_dt[idx], x_rd[idx], train=True)
             loss, dlogits = cross_entropy(logits, labels[idx])
-            model.zero_grads()
+            for grad in grads.values():
+                grad[...] = 0.0
             model.backward(dlogits)
             t += 1
-            adam_step(model.params(), model.grads(), state, t, lr)
+            adam_step(params, grads, state, t, lr)
             epoch_loss += loss * idx.size
             hits += int(np.sum(np.argmax(logits, axis=1) == labels[idx]))
         record = EpochRecord(epoch=epoch, loss=epoch_loss / n, accuracy=hits / n, lr=lr)

@@ -11,6 +11,9 @@ weight gradient are each a sum of k*k small contractions.
 
 The filter reference runs direct form II transposed one state row at a
 time, with scalar coefficients, as scipy's ``lfilter`` does.
+
+The batch-norm and Adam references are the unfused forms: one numpy
+expression per formula, each allocating its own temporaries.
 """
 
 import numpy as np
@@ -117,6 +120,48 @@ def conv_taps(x, w, dout, stride, padding):
                 g_w[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, xp[tap])
     dx = dxp[:, :, p: xp.shape[2] - p, p: xp.shape[3] - p]
     return out, dx, g_w
+
+
+def batchnorm_reference(x, gamma, beta, running_mean, running_var, dout, train,
+                        momentum=0.1, eps=1e-5):
+    """Unfused batch norm: (out, dx, g_gamma, g_beta, running_mean, running_var).
+
+    The running statistics are returned updated (train mode) or as given.
+    """
+    running_mean, running_var = running_mean.copy(), running_var.copy()
+    if train:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        unbiased = var * n / max(1, n - 1)
+        running_mean += momentum * (mean - running_mean)
+        running_var += momentum * (unbiased - running_var)
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+    g_gamma = np.sum(dout * x_hat, axis=(0, 2, 3))
+    g_beta = np.sum(dout, axis=(0, 2, 3))
+    dxhat = dout * gamma[None, :, None, None]
+    scale = inv_std[None, :, None, None]
+    if train:
+        n = dout.shape[0] * dout.shape[2] * dout.shape[3]
+        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        sum_dxhat_xhat = (dxhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+        dx = scale * (dxhat - sum_dxhat / n - x_hat * sum_dxhat_xhat / n)
+    else:
+        dx = dxhat * scale
+    return out, dx, g_gamma, g_beta, running_mean, running_var
+
+
+def adam_reference(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step on copies: (p, m, v) after it. t starts at 1."""
+    m = m + (1.0 - beta1) * (g - m)
+    v = v + (1.0 - beta2) * (g * g - v)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 def df2t_rows(b, a, x, axis=0):

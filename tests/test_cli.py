@@ -250,8 +250,13 @@ class TestTrainEval:
         {"epoch": 3},
         {"epochs": "3"},
         {"split": [0.6, 0.2, 0.2]},
+        {"decay_factor": -2.0},
+        {"decay_factor": 0},
+        {"lr0": float("nan")},
+        {"decay_factor": float("inf")},
     ], ids=["zero_decay_period", "no_samples", "unknown_preset", "unknown_key",
-            "string_epochs", "no_op_split"])
+            "string_epochs", "no_op_split", "negative_decay", "zero_decay", "nan_lr",
+            "infinite_decay"])
     def test_bad_config(self, tmp_path, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"samples_per_class": 5, "map_size": 32, **config}))

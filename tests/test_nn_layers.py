@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import conv_taps
+from oracles import batchnorm_reference, conv_taps
 
 from fmcwhar.nn import (
     BatchNorm2d,
@@ -99,6 +101,55 @@ class TestConvMatchesTapLoop:
         dw = DepthwiseConv2d(4, kernel, stride=stride, rng=rng)
         assert_matches_taps(dw, rng.standard_normal((2, 4, *hw)), seed=kernel)
 
+    # Maps no larger than the kernel (CBAM's 7x7 conv sees 2x2 maps at the
+    # deepest stages), so most kernel rows fall in the zero padding.
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (3, 3), (1, 3)])
+    @pytest.mark.parametrize("kernel", [5, 7])
+    def test_maps_smaller_than_kernel(self, kernel, hw, stride):
+        rng = np.random.default_rng([kernel, stride, *hw, 1])
+        conv = Conv2d(3, 2, kernel, stride=stride, rng=rng)
+        assert_matches_taps(conv, rng.standard_normal((2, 3, *hw)), seed=kernel)
+        dw = DepthwiseConv2d(3, kernel, stride=stride, rng=rng)
+        assert_matches_taps(dw, rng.standard_normal((2, 3, *hw)), seed=kernel)
+
+    @pytest.mark.parametrize("hw", [(7, 7), (11, 5), (5, 13)])
+    @pytest.mark.parametrize("kernel", [3, 5, 7])
+    def test_odd_sizes_at_stride_two(self, kernel, hw):
+        rng = np.random.default_rng([kernel, *hw, 2])
+        conv = Conv2d(2, 3, kernel, stride=2, bias=True, rng=rng)
+        conv.b[...] = rng.standard_normal(3)
+        assert_matches_taps(conv, rng.standard_normal((3, 2, *hw)), seed=kernel)
+        dw = DepthwiseConv2d(5, kernel, stride=2, rng=rng)
+        assert_matches_taps(dw, rng.standard_normal((3, 5, *hw)), seed=kernel)
+
+    def test_cbam_spatial_conv(self):
+        # The spatial attention conv as built: 2 -> 1 channels, k7, bias,
+        # on a B=8 batch of 32 x 32 maps.
+        rng = np.random.default_rng(77)
+        conv = Cbam(8, rng=rng).spatial.conv
+        assert (conv.in_channels, conv.out_channels, conv.kernel, conv.has_bias) == (2, 1, 7, True)
+        conv.b[...] = rng.standard_normal(1)
+        assert_matches_taps(conv, rng.standard_normal((8, 2, 32, 32)), seed=7)
+
+    def test_channel_major_input(self):
+        # A depthwise output is channel-major in memory; the next layers
+        # read it through a transposed view.
+        rng = np.random.default_rng(78)
+        x = rng.standard_normal((4, 2, 9, 8)).transpose(1, 0, 2, 3)
+        assert not x.flags.c_contiguous
+        assert_matches_taps(DepthwiseConv2d(4, 3, rng=rng), x, seed=3)
+        assert_matches_taps(Conv2d(4, 2, 3, stride=2, rng=rng), x, seed=3)
+
+
+def test_nn_plans_no_einsum_path_per_call():
+    # einsum(optimize=True) searches for a contraction path on every call
+    # and copies strided window views into contiguous arrays.
+    nn_dir = Path(__file__).resolve().parents[1] / "src" / "fmcwhar" / "nn"
+    offenders = [path.name for path in sorted(nn_dir.glob("*.py"))
+                 if "optimize=True" in path.read_text()]
+    assert offenders == []
+
 
 class TestDepthwise:
     def test_per_channel_independence(self):
@@ -132,6 +183,45 @@ class TestBatchNorm:
 
     def test_gradients(self):
         suite_passes("bn")
+
+
+class TestBatchNormMatchesReference:
+    """The fused batch norm against the unfused form, to 1e-12."""
+
+    @pytest.mark.parametrize("channel_major", [False, True])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches(self, train, channel_major):
+        rng = np.random.default_rng([train, channel_major])
+        shape = (6, 5, 7, 9)
+        if channel_major:  # as a depthwise conv lays out its output
+            x = rng.standard_normal((5, 6, 7, 9)).transpose(1, 0, 2, 3)
+        else:
+            x = rng.standard_normal(shape)
+        x = x * 3.0 + 1.5
+        bn = BatchNorm2d(5)
+        bn.gamma[...] = rng.uniform(0.5, 2.0, 5)
+        bn.beta[...] = rng.standard_normal(5)
+        bn.running_mean[...] = rng.standard_normal(5)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, 5)
+        dout = rng.standard_normal(shape)
+        want = batchnorm_reference(x, bn.gamma, bn.beta, bn.running_mean,
+                                   bn.running_var, dout, train)
+        out = bn.forward(x, train=train)
+        bn.zero_grads()
+        dx = bn.backward(dout)
+        got = (out, dx, bn.g_gamma, bn.g_beta, bn.running_mean, bn.running_var)
+        for name, g, w in zip(("out", "dx", "g_gamma", "g_beta", "running_mean",
+                               "running_var"), got, want):
+            assert g.shape == w.shape, name
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_leaves_input_untouched(self):
+        x = np.random.default_rng(5).standard_normal((2, 3, 4, 4))
+        before = x.copy()
+        bn = BatchNorm2d(3)
+        bn.forward(x, train=True)
+        bn.forward(x, train=False)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestActivations:

@@ -1,5 +1,9 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from oracles import adam_reference
 
 from fmcwhar.training import (
     AdamState,
@@ -52,6 +56,28 @@ class TestAdam:
     def test_step_index_positive(self):
         with pytest.raises(TrainingError):
             adam_step({}, {}, AdamState(), t=0, lr=1e-3)
+
+    def test_state_is_bound_to_one_parameter_set(self):
+        state = AdamState()
+        adam_step({"w": np.zeros(2)}, {"w": np.ones(2)}, state, 1, 1e-3)
+        with pytest.raises(TrainingError):
+            adam_step({"b": np.zeros(2)}, {"b": np.ones(2)}, state, 2, 1e-3)
+
+    def test_bit_identical_to_unfused_form(self):
+        rng = np.random.default_rng(11)
+        params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
+        ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
+               for name, p in params.items()}
+        state = AdamState()
+        for t in range(1, 4):
+            grads = {name: rng.standard_normal(p.shape) * 10.0 ** -t
+                     for name, p in params.items()}
+            adam_step(params, grads, state, t, lr=3e-3)
+            for name, (p, m, v) in ref.items():
+                ref[name] = adam_reference(p, grads[name], m, v, t, lr=3e-3)
+                np.testing.assert_array_equal(params[name], ref[name][0])
+                np.testing.assert_array_equal(state.m[name], ref[name][1])
+                np.testing.assert_array_equal(state.v[name], ref[name][2])
 
 
 class TestCrossEntropy:
@@ -162,6 +188,23 @@ def test_train_config_json_round_trip():
     assert TrainConfig.from_json(cfg.to_json()) == cfg
 
 
+@pytest.mark.parametrize("settings", [
+    {"decay_factor": -2.0},
+    {"decay_factor": 0.0},
+    {"decay_factor": math.inf},
+    {"lr0": math.nan},
+    {"lr0": -math.inf},
+    {"lr0": 0.0},
+], ids=["negative_decay", "zero_decay", "infinite_decay", "nan_lr", "minus_inf_lr",
+        "zero_lr"])
+def test_train_config_rejects_bad_learning_rates(settings):
+    with pytest.raises(TrainingError):
+        TrainConfig(**settings)
+    # JSON has no NaN or Infinity, but Python's json module reads both.
+    with pytest.raises(TrainingError):
+        TrainConfig.from_json(json.dumps(settings))
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """(model, dataset, history) of one 22-epoch toy training run.
@@ -201,6 +244,42 @@ class TestToyTrainingLoop:
 
     def test_lr_recorded(self, history):
         assert all(rec.lr == pytest.approx(1e-3) for rec in history)
+
+
+def test_train_matches_a_loop_that_walks_the_model_each_step():
+    # train() takes the parameter and gradient dicts once; a loop that
+    # walks the layer tree for them on every step gives the same model.
+    from fmcwhar import synth
+    from fmcwhar.nn import MultiDomainModel
+    from fmcwhar.nn.config import preset
+    from fmcwhar.training import AdamState, cross_entropy, train
+
+    rng = np.random.default_rng(8)
+    dataset = tuple(rng.random((6, 1, 16, 16)) for _ in range(3)) + (
+        np.arange(6) % 6,)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
+    model_cfg = preset("toy", input_hw=16, in_channels=1)
+    trained = MultiDomainModel(model_cfg, seed=3)
+    history = train(trained, dataset, cfg)
+
+    walked = MultiDomainModel(model_cfg, seed=3)
+    order_rng = synth.seeded_rng(cfg.seed, stream=1)
+    state, t = AdamState(), 0
+    for epoch in range(cfg.epochs):
+        order = order_rng.permutation(6)
+        for start in range(0, 6, cfg.batch_size):
+            idx = order[start: start + cfg.batch_size]
+            logits = walked.forward(*(x[idx] for x in dataset[:3]), train=True)
+            _, dlogits = cross_entropy(logits, dataset[3][idx])
+            walked.zero_grads()
+            walked.backward(dlogits)
+            t += 1
+            adam_step(walked.params(), walked.grads(), state, t, cfg.lr_at_epoch(epoch))
+    assert len(history) == 2
+    for name, value in trained.params().items():
+        np.testing.assert_array_equal(value, walked.params()[name], err_msg=name)
+    for name, value in trained.buffers().items():
+        np.testing.assert_array_equal(value, walked.buffers()[name], err_msg=name)
 
 
 def test_checkpoint_logit_tolerance(trained, tmp_path):
