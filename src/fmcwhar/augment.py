@@ -38,6 +38,9 @@ class AugmentPolicy:
     seed: int = 0
 
     def __post_init__(self):
+        # bool subclasses int, but a JSON true is no seed.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise AugmentError(f"seed must be an integer, got {self.seed!r}")
         if not 0.0 < self.low_threshold < self.high_threshold < 1.0:
             raise AugmentError(
                 f"need 0 < low < high < 1, got {self.low_threshold}, {self.high_threshold}"

@@ -1,9 +1,9 @@
 """Command-line front door for the radar pipeline.
 
 Subcommands: parse, synth, maps, augment, train-toy, eval, params,
-gradcheck. Every command writes a run manifest next to its outputs so a
-run can be reproduced bit-exactly; every seeded command is
-deterministic.
+gradcheck. Every command except params and gradcheck writes a run
+manifest next to its outputs so a run can be reproduced bit-exactly;
+every seeded command is deterministic.
 
 Exit codes: 0 success, 2 input error, 3 verification failure,
 4 internal error. With ``--json``, errors land on stderr as one JSON
@@ -32,9 +32,9 @@ from .nn.counting import (
     REFERENCE_SE_BASELINE_TRAINABLE,
     REFERENCE_TOTAL_FLOPS,
     REFERENCE_TOTAL_PARAMS,
-    count_backbone_params,
     count_flops,
     count_params,
+    count_se_baseline,
 )
 from .nn.gradcheck import DEFAULT_TOLERANCE, MODULE_GROUPS, run_gradcheck
 
@@ -255,8 +255,7 @@ def _cmd_params(args) -> int:
     lines.append(f"{'non-trainable':<16} {params.non_trainable:>12,}")
 
     if args.preset in ("b0", "table1_literal"):
-        se = count_backbone_params(
-            preset(args.preset, attention="se", include_classifier=True))
+        se = count_se_baseline(cfg)
         lines.append("")
         lines.append(
             f"single-branch SE baseline: {se.total:,} trainable "

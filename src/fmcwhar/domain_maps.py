@@ -37,8 +37,6 @@ import numpy as np
 from . import dsp
 from .radar_io import EchoMatrix, RadarParams
 
-LOG_FLOOR_EPS = 1e-12
-
 MTI_ORDER = 4
 MTI_CUTOFF_NORM = 0.0075
 
@@ -216,7 +214,7 @@ def _range_time(params: RadarParams, packed: np.ndarray) -> SpectroMap:
     mags = np.concatenate((packed.real, packed.imag[:, :n_imag]), axis=1)
     return SpectroMap(
         domain=Domain.RANGE_TIME,
-        values=dsp.log_magnitude(mags, LOG_FLOOR_EPS),
+        values=dsp.log_magnitude(mags),
         row_axis=Axis("slow time", "s", 0.0, params.chirp_duration_s),
         col_axis=Axis("range", "m", 0.0, params.range_bin_m),
         params=params,
@@ -253,7 +251,7 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
         mags = np.abs(spectra)  # (n_alpha, n_frames, L)
         s1 = mags.sum(axis=2)
         s2 = np.square(mags).sum(axis=2)
-        conc = s1 * s1 / (s2 + 1e-12)
+        conc = s1 * s1 / (s2 + dsp.CONCENTRATION_EPS)  # dsp.concentration per frame
         chosen = np.argmin(conc, axis=0)  # first minimum wins ties
         selected = mags[chosen, np.arange(mags.shape[1]), :]  # (n_frames, L)
         del spectra, mags  # free before the next bin's FFT
@@ -261,7 +259,7 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
         selections.append(chosen)
 
     doppler_by_frame = np.fft.fftshift(accum, axes=1)  # center zero Doppler
-    values = dsp.log_magnitude(doppler_by_frame.T, LOG_FLOOR_EPS)
+    values = dsp.log_magnitude(doppler_by_frame.T)
 
     prf = params.chirp_rate_hz
     doppler_step = prf / length
@@ -305,7 +303,7 @@ def _range_doppler(params: RadarParams, profiles: np.ndarray) -> SpectroMap:
     n_c = profiles.shape[0]
     # dB before the shift: the shift only permutes, and it then copies
     # real values instead of complex ones.
-    doppler_db = dsp.log_magnitude(np.fft.fft(profiles, axis=0), LOG_FLOOR_EPS)
+    doppler_db = dsp.log_magnitude(np.fft.fft(profiles, axis=0))
     values = np.fft.fftshift(doppler_db, axes=0)  # (n_doppler, n_range)
     doppler_step = params.chirp_rate_hz / n_c
     return SpectroMap(

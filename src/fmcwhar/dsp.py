@@ -15,6 +15,10 @@ from enum import Enum
 import numpy as np
 
 
+LOG_FLOOR_EPS = 1e-12  # -240 dB
+CONCENTRATION_EPS = 1e-12
+
+
 class DspError(ValueError):
     pass
 
@@ -235,22 +239,20 @@ def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) ->
         np.subtract(t_b1, t_a, out=s_head)
 
 
-def log_magnitude(x, floor_eps: float = 1e-12) -> np.ndarray:
-    """Elementwise 20 log10(max(|x|, floor_eps)); the floor keeps zeros finite."""
-    if not floor_eps > 0:
-        raise DspError(f"floor_eps must be > 0, got {floor_eps}")
+def log_magnitude(x) -> np.ndarray:
+    """Elementwise 20 log10(max(|x|, LOG_FLOOR_EPS)); the floor keeps zeros finite."""
     mag = np.abs(x)
     if not isinstance(mag, np.ndarray) or mag.dtype.kind != "f":
         mag = np.array(mag, dtype=np.float64)
     # In place on the one fresh array: no further full-size temporaries.
-    np.maximum(mag, floor_eps, out=mag)
+    np.maximum(mag, LOG_FLOOR_EPS, out=mag)
     np.log10(mag, out=mag)
     mag *= 20.0
     return mag
 
 
-def concentration(spectrum_mag, eps: float = 1e-12) -> float:
-    """Spectral concentration factor (sum|X|)^2 / (sum|X|^2 + eps).
+def concentration(spectrum_mag) -> float:
+    """Spectral concentration factor (sum|X|)^2 / (sum|X|^2 + CONCENTRATION_EPS).
 
     Small values mean energy packed into few bins; a single occupied bin
     gives ~1, N equal bins give ~N. Minimizing this over a window bank
@@ -261,4 +263,4 @@ def concentration(spectrum_mag, eps: float = 1e-12) -> float:
         raise DspError("spectrum magnitudes must be non-negative")
     s1 = float(mag.sum())
     s2 = float(np.square(mag).sum())
-    return s1 * s1 / (s2 + eps)
+    return s1 * s1 / (s2 + CONCENTRATION_EPS)

@@ -32,6 +32,7 @@ from .layers import (
 )
 
 SPATIAL_KERNEL = 7
+CBAM_REDUCTION = 16
 
 
 def mlp_width(channels: int, reduction: int) -> int:
@@ -40,7 +41,7 @@ def mlp_width(channels: int, reduction: int) -> int:
 
 
 class ChannelAttention(Layer):
-    def __init__(self, channels, reduction=16, rng=None):
+    def __init__(self, channels, reduction=CBAM_REDUCTION, rng=None):
         super().__init__()
         self.channels = channels
         self.hidden = mlp_width(channels, reduction)
@@ -111,7 +112,7 @@ class SpatialAttention(Layer):
 class Cbam(Layer):
     """Sequential channel-then-spatial gating: out = M_s * (M_c * x)."""
 
-    def __init__(self, channels, reduction=16, rng=None):
+    def __init__(self, channels, reduction=CBAM_REDUCTION, rng=None):
         super().__init__()
         self.register_child("channel", ChannelAttention(channels, reduction, rng=rng))
         self.register_child("spatial", SpatialAttention(rng=rng))

@@ -2,22 +2,21 @@
 
 from __future__ import annotations
 
-from .attention import Cbam
+from .attention import CBAM_REDUCTION, Cbam
 from .config import block_plan
 from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Sequential, Swish
 
 
 class MBConv(Sequential):
-    """Expansion 1x1 -> depthwise k x k -> attention -> projection 1x1.
+    """Expansion 1x1 -> depthwise k x k -> CBAM -> projection 1x1.
 
-    Only the stages a block has are registered: the expansion stage is
-    skipped when the expand ratio is 1, the attention stage when it is
-    "none". A residual connection applies when the block keeps both
-    stride and channel count.
+    The expansion stage is registered only when the expand ratio is not
+    1. A residual connection applies when the block keeps both stride
+    and channel count.
     """
 
     def __init__(self, in_channels, out_channels, kernel, expand_ratio, stride,
-                 cbam_reduction=16, attention="cbam", rng=None):
+                 cbam_reduction=CBAM_REDUCTION, rng=None):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -34,16 +33,7 @@ class MBConv(Sequential):
         self.register_child("dw_bn", BatchNorm2d(expanded))
         self.register_child("dw_act", Swish())
 
-        if attention == "cbam":
-            self.register_child("attn", Cbam(expanded, cbam_reduction, rng=rng))
-        elif attention == "se":
-            raise ValueError(
-                "squeeze-excite attention exists only as a static count "
-                "(nn.counting); it has no trainable layer"
-            )
-        elif attention != "none":
-            raise ValueError(f"unknown attention {attention!r}")
-
+        self.register_child("attn", Cbam(expanded, cbam_reduction, rng=rng))
         self.register_child("project_conv", Conv2d(expanded, out_channels, 1, rng=rng))
         self.register_child("project_bn", BatchNorm2d(out_channels))
 
@@ -70,8 +60,7 @@ class Backbone(Sequential):
         for block in plan:
             self.register_child(block.name, MBConv(
                 block.c_in, block.c_out, block.kernel, block.expand_ratio, block.stride,
-                cbam_reduction=cfg.cbam_reduction, attention=cfg.attention, rng=rng,
-            ))
+                rng=rng))
 
         self.register_child("head_conv", Conv2d(plan[-1].c_out, cfg.head_channels, 1,
                                                 rng=rng))

@@ -22,7 +22,8 @@ from .config import ModelConfig
 from .layers import ShapeMismatch
 from .model import MultiDomainModel
 
-FORMAT_VERSION = 1
+# Version 2 keeps only the eight ModelConfig fields in the config block.
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -45,9 +45,6 @@ class BlockSpec:
     hw_out: int
 
 
-ATTENTIONS = ("cbam", "se", "none")
-
-
 # Backbone stage table shared by the full-scale presets.
 _FULL_STAGES_BASE = (
     (16, 3, 1, 1),
@@ -68,16 +65,9 @@ class ModelConfig:
     head_channels: int = 1280
     in_channels: int = 3
     input_hw: int = 224
-    cbam_reduction: int = 16
     lstm_hidden: int = 128
-    rd_linear_out: int = 128
-    fused_dim: int = 384
     num_classes: int = 6
-    dropout_p: float = 0.2
     lstm_feature_dim_rule: str = "hxc"
-    attention: str = "cbam"
-    include_classifier: bool = False
-    name: str = "custom"
 
     def __post_init__(self):
         if self.lstm_feature_dim_rule not in FEATURE_RULES:
@@ -85,19 +75,8 @@ class ModelConfig:
                 f"lstm_feature_dim_rule must be one of {FEATURE_RULES}, "
                 f"got {self.lstm_feature_dim_rule!r}"
             )
-        if self.attention not in ATTENTIONS:
-            raise ValueError(
-                f"attention must be one of {ATTENTIONS}, got {self.attention!r}"
-            )
         if not self.stages or min(s.repeats for s in self.stages) < 1:
             raise ValueError("the stage table needs at least one block per stage")
-        if self.rd_linear_out != self.lstm_hidden:
-            raise ValueError("rd head width must match the LSTM hidden size")
-        if self.fused_dim != 3 * self.lstm_hidden:
-            raise ValueError(
-                f"fused_dim must be 3 x branch width "
-                f"({3 * self.lstm_hidden}), got {self.fused_dim}"
-            )
         object.__setattr__(self, "stages", tuple(self.stages))
 
     @property
@@ -168,10 +147,8 @@ def preset(name: str, **overrides) -> ModelConfig:
     return cfg
 
 
-PRESETS["b0"] = ModelConfig(stages=_full_stages(_B0_REPEATS), name="b0")
-PRESETS["table1_literal"] = ModelConfig(
-    stages=_full_stages((1,) * 7), name="table1_literal"
-)
+PRESETS["b0"] = ModelConfig(stages=_full_stages(_B0_REPEATS))
+PRESETS["table1_literal"] = ModelConfig(stages=_full_stages((1,) * 7))
 PRESETS["toy"] = ModelConfig(
     stages=(
         StageSpec(4, 3, 1, 1),
@@ -187,7 +164,4 @@ PRESETS["toy"] = ModelConfig(
     in_channels=1,
     input_hw=32,
     lstm_hidden=16,
-    rd_linear_out=16,
-    fused_dim=48,
-    name="toy",
 )

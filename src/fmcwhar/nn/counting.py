@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .attention import SPATIAL_KERNEL, mlp_width
+from .attention import CBAM_REDUCTION, SPATIAL_KERNEL, mlp_width
 from .config import BlockSpec, ModelConfig, block_plan
 
 # Audit targets: published totals for the full-scale three-branch network
@@ -58,7 +58,7 @@ class _Tally:
         self.running += 2 * channels  # running mean, running variance
 
 
-def _mbconv_tally(cfg: ModelConfig, block: BlockSpec) -> _Tally:
+def _mbconv_tally(block: BlockSpec, se: bool) -> _Tally:
     tally = _Tally()
     expanded = block.c_in * block.expand_ratio
     if block.expand_ratio != 1:
@@ -66,51 +66,60 @@ def _mbconv_tally(cfg: ModelConfig, block: BlockSpec) -> _Tally:
         tally.batch_norm(expanded)
     tally.conv(block.kernel, 1, expanded, block.hw_out)
     tally.batch_norm(expanded)
-    if cfg.attention == "cbam":
-        # One shared MLP runs on both the average- and the max-pooled vector.
-        hidden = mlp_width(expanded, cfg.cbam_reduction)
-        tally.dense(expanded, hidden, calls=2)
-        tally.dense(hidden, expanded, calls=2)
-        tally.conv(SPATIAL_KERNEL, 2, 1, block.hw_out, bias=True)
-    elif cfg.attention == "se":
+    if se:
         squeeze = max(1, block.c_in // 4)
         tally.dense(expanded, squeeze, bias=True)
         tally.dense(squeeze, expanded, bias=True)
+    else:
+        # One shared MLP runs on both the average- and the max-pooled vector.
+        hidden = mlp_width(expanded, CBAM_REDUCTION)
+        tally.dense(expanded, hidden, calls=2)
+        tally.dense(hidden, expanded, calls=2)
+        tally.conv(SPATIAL_KERNEL, 2, 1, block.hw_out, bias=True)
     tally.conv(1, expanded, block.c_out, block.hw_out)
     tally.batch_norm(block.c_out)
     return tally
 
 
-def _backbone_tallies(cfg: ModelConfig) -> list[tuple[str, _Tally]]:
-    """(module, tally) for the stem, each block, the head and the classifier."""
+def _backbone_tallies(cfg: ModelConfig, se: bool) -> list[tuple[str, _Tally]]:
+    """(module, tally) for the stem, each CBAM (or ``se``) block and the head conv."""
     plan = block_plan(cfg)
     stem = _Tally()
     stem.conv(3, cfg.in_channels, cfg.stem_channels, plan[0].hw_in)
     stem.batch_norm(cfg.stem_channels)
     tallies = [("stem", stem)]
-    tallies += [(f"stage{block.stage}", _mbconv_tally(cfg, block)) for block in plan]
+    tallies += [(f"stage{block.stage}", _mbconv_tally(block, se)) for block in plan]
     head = _Tally()
     head.conv(1, plan[-1].c_out, cfg.head_channels, plan[-1].hw_out)
     head.batch_norm(cfg.head_channels)
     tallies.append(("head_conv", head))
-    if cfg.include_classifier:
-        classifier = _Tally()
-        classifier.dense(cfg.head_channels, 1000, bias=True)
-        tallies.append(("classifier", classifier))
     return tallies
 
 
-def count_backbone_params(cfg: ModelConfig) -> CountReport:
+def _params_report(tallies) -> CountReport:
     report = CountReport()
-    for module, tally in _backbone_tallies(cfg):
+    for module, tally in tallies:
         report.add(module, tally.trainable)
         report.non_trainable += tally.running
     return report
 
 
+def count_backbone_params(cfg: ModelConfig) -> CountReport:
+    return _params_report(_backbone_tallies(cfg, se=False))
+
+
+def count_se_baseline(cfg: ModelConfig) -> CountReport:
+    """Count-only baseline: one stock backbone with squeeze-excite blocks
+    in place of CBAM, plus its 1000-class classifier. No layer builds it.
+    """
+    classifier = _Tally()
+    classifier.dense(cfg.head_channels, 1000, bias=True)
+    return _params_report(_backbone_tallies(cfg, se=True) + [("classifier", classifier)])
+
+
 def count_backbone_flops(cfg: ModelConfig) -> CountReport:
     report = CountReport()
-    for module, tally in _backbone_tallies(cfg):
+    for module, tally in _backbone_tallies(cfg, se=False):
         report.add(module, tally.macs)
     return report
 
@@ -126,10 +135,12 @@ def count_params(cfg: ModelConfig) -> CountReport:
     for branch in ("rt", "dt", "rd"):
         report.add(f"{branch}.backbone", backbone.total)
         report.non_trainable += backbone.non_trainable
+    # The RD head and each fusion input share the LSTM hidden width.
+    hidden = cfg.lstm_hidden
     for branch in ("rt", "dt"):
-        report.add(f"{branch}.lstm", _lstm_params(cfg.lstm_feature_dim(), cfg.lstm_hidden))
-    report.add("rd.head", cfg.rd_feature_dim() * cfg.rd_linear_out + cfg.rd_linear_out)
-    report.add("fusion", cfg.fused_dim * cfg.num_classes + cfg.num_classes)
+        report.add(f"{branch}.lstm", _lstm_params(cfg.lstm_feature_dim(), hidden))
+    report.add("rd.head", cfg.rd_feature_dim() * hidden + hidden)
+    report.add("fusion", 3 * hidden * cfg.num_classes + cfg.num_classes)
     return report
 
 
@@ -144,6 +155,6 @@ def count_flops(cfg: ModelConfig) -> CountReport:
     for branch in ("rt", "dt"):
         d = cfg.lstm_feature_dim()
         report.add(f"{branch}.lstm", steps * 4 * (d * hidden + hidden * hidden))
-    report.add("rd.head", steps * cfg.rd_feature_dim() * cfg.rd_linear_out)
-    report.add("fusion", cfg.fused_dim * cfg.num_classes)
+    report.add("rd.head", steps * cfg.rd_feature_dim() * hidden)
+    report.add("fusion", 3 * hidden * cfg.num_classes)
     return report

@@ -207,7 +207,7 @@ def _case_rd_head(rng):
 
 
 def _case_fusion(rng):
-    layer = FusionClassifier(5, 6, dropout_p=0.2, rng=rng)
+    layer = FusionClassifier(5, 6, rng=rng)
     x = rng.standard_normal((2, 15))
 
     def fwd():

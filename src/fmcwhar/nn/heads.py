@@ -14,6 +14,7 @@ import numpy as np
 from .layers import Dropout, Layer, Linear, ShapeMismatch, check_tensor4
 
 FEATURE_RULES = ("hxc", "c")
+FUSION_DROPOUT = 0.2
 
 
 class SequenceReshape(Layer):
@@ -68,10 +69,10 @@ class RdHead(Layer):
 class FusionClassifier(Layer):
     """Concatenate [rt || dt || rd], dropout, then the class projection."""
 
-    def __init__(self, branch_dim, num_classes, dropout_p=0.2, rng=None):
+    def __init__(self, branch_dim, num_classes, rng=None):
         super().__init__()
         self.branch_dim = branch_dim
-        self.register_child("dropout", Dropout(dropout_p, rng=rng))
+        self.register_child("dropout", Dropout(FUSION_DROPOUT, rng=rng))
         self.register_child("linear", Linear(3 * branch_dim, num_classes, rng=rng))
 
     def forward(self, f_rt, f_dt, f_rd, train: bool = False):

@@ -280,18 +280,19 @@ class DepthwiseConv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Batch normalization with running-average tracking (momentum 0.1).
+    """Batch normalization with running-average tracking.
 
     Training mode normalizes with batch statistics and updates the
     running averages; inference mode uses the stored averages, which
     keeps the layer a fixed deterministic function.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    MOMENTUM = 0.1
+    EPS = 1e-5
+
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.register_param("gamma", np.ones(channels))
         self.register_param("beta", np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -308,12 +309,12 @@ class BatchNorm2d(Layer):
             x_hat = x - mean[:, None, None]
             n = x.size // self.channels
             var = np.einsum("bchw,bchw->c", x_hat, x_hat) / n
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var * n / max(1, n - 1) - self.running_var)
+            self.running_mean += self.MOMENTUM * (mean - self.running_mean)
+            self.running_var += self.MOMENTUM * (var * n / max(1, n - 1) - self.running_var)
         else:
             var = self.running_var
             x_hat = x - self.running_mean[:, None, None]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat *= inv_std[:, None, None]
         self._cache = (x_hat, inv_std, train)
         out = x_hat * self.gamma[:, None, None]

@@ -3,9 +3,9 @@
 Three structurally identical backbones process the Range-Time,
 Doppler-Time and Range-Doppler maps. The RT and DT branches feed an
 LSTM and keep its last hidden state; the RD branch uses a per-step
-linear map with a max over time. The three 128-wide features (branch
-width in general) concatenate, pass a dropout gate and project to class
-logits.
+linear map to the same width with a max over time. The three features,
+each ``lstm_hidden`` wide (128 at full scale), concatenate, pass a
+dropout gate and project to class logits.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ class MultiDomainModel(Layer):
         self.register_child("rd", Sequential(
             backbone=Backbone(cfg, rng=rng),
             reshape=SequenceReshape("hxc"),
-            head=RdHead(cfg.rd_feature_dim(), cfg.rd_linear_out, rng=rng),
+            head=RdHead(cfg.rd_feature_dim(), cfg.lstm_hidden, rng=rng),
         ))
         self.register_child(
-            "fusion",
-            FusionClassifier(cfg.lstm_hidden, cfg.num_classes, cfg.dropout_p, rng=rng),
-        )
+            "fusion", FusionClassifier(cfg.lstm_hidden, cfg.num_classes, rng=rng))
 
     def _check_input(self, x, name):
         x = np.asarray(x, dtype=np.float64)

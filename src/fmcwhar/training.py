@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,11 @@ class TrainConfig:
     model_preset: str = "toy"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool subclasses int, but a JSON true is no count or seed.
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise TrainingError(f"{f.name} must be an integer, got {value!r}")
         # The chained comparisons are False for NaN, so NaN is rejected too.
         if (not 0 < self.lr0 < math.inf or not 0 < self.decay_factor < math.inf
                 or self.batch_size < 1 or self.epochs < 1

@@ -13,7 +13,7 @@ from fmcwhar import domain_maps as dm
 from fmcwhar import radar_io, synth
 from fmcwhar.nn import MultiDomainModel, run_gradcheck
 from fmcwhar.nn.config import block_plan, preset
-from fmcwhar.nn.counting import count_backbone_params, count_flops, count_params
+from fmcwhar.nn.counting import count_flops, count_params, count_se_baseline
 
 from oracles import GLASGOW_PARAMS, check_scene_bins
 from test_dsp import dft_direct
@@ -117,7 +117,7 @@ def test_criterion_4_shape_contract():
 
 
 def test_criterion_5_parameter_audit():
-    se = count_backbone_params(preset("b0", attention="se", include_classifier=True))
+    se = count_se_baseline(preset("b0"))
     baseline_rel = abs(se.total - 5.29e6) / 5.29e6
     assert baseline_rel < 0.02, f"SE baseline {se.total:,} off by {baseline_rel:.2%}"
 

@@ -159,8 +159,10 @@ class TestAugment:
                          "--out", str(tmp_path / "aug.smap")]) == 2
 
     @pytest.mark.parametrize("policy", ['{"seed": 1, "var_high": 2.0}',
-                                        '{"low_threshold": "0.3"}'],
-                             ids=["unknown_key", "string_threshold"])
+                                        '{"low_threshold": "0.3"}',
+                                        '{"seed": 1.5}', '{"seed": true}'],
+                             ids=["unknown_key", "string_threshold", "float_seed",
+                                  "bool_seed"])
     def test_bad_policy(self, tmp_path, echo_file, policy):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
@@ -254,9 +256,16 @@ class TestTrainEval:
         {"decay_factor": 0},
         {"lr0": float("nan")},
         {"decay_factor": float("inf")},
+        {"epochs": 1.5},
+        {"map_size": 32.5},
+        {"batch_size": 2.5},
+        {"samples_per_class": 1.5},
+        {"seed": 1.5},
+        {"seed": True},
     ], ids=["zero_decay_period", "no_samples", "unknown_preset", "unknown_key",
             "string_epochs", "no_op_split", "negative_decay", "zero_decay", "nan_lr",
-            "infinite_decay"])
+            "infinite_decay", "float_epochs", "float_map_size", "float_batch_size",
+            "float_samples", "float_seed", "bool_seed"])
     def test_bad_config(self, tmp_path, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"samples_per_class": 5, "map_size": 32, **config}))
@@ -321,6 +330,23 @@ class TestMalformedCheckpoints:
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")
+
+    def test_version_1_manifest(self, tmp_path, toy_run, capsys):
+        # Version 1 configs also held the derived widths and fixed options.
+        def downgrade(manifest):
+            manifest["format_version"] = 1
+            manifest["config"].update(
+                cbam_reduction=16, rd_linear_out=16, fused_dim=48, dropout_p=0.2,
+                attention="cbam", include_classifier=False, name="toy")
+
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(toy_run / "checkpoint", ckpt)
+        _edit_manifest(ckpt, downgrade)
+        assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(toy_run / "dataset"),
+                         "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 1" in err
+        assert "fused_dim" not in err
 
     def test_missing_blob(self, tmp_path, toy_run, capsys):
         code, _ = self.eval_exit_code(tmp_path, toy_run,

@@ -342,10 +342,6 @@ class TestLogMagnitude:
     def test_complex_input_uses_modulus(self):
         assert log_magnitude(np.array([3 + 4j]))[0] == pytest.approx(20 * np.log10(5))
 
-    def test_floor_must_be_positive(self):
-        with pytest.raises(DspError):
-            log_magnitude(np.ones(3), floor_eps=0.0)
-
 
 class TestConcentration:
     def test_single_bin(self):

@@ -31,27 +31,19 @@ class TestMBConv:
     # Registration order is execution order, and a reordering that keeps
     # every shape valid would still pass the gradient checks, so the
     # child sequence is pinned here.
-    @pytest.mark.parametrize("expand_ratio,attention,names", [
-        (2, "cbam", ["expand_conv", "expand_bn", "expand_act", "dw_conv", "dw_bn",
-                     "dw_act", "attn", "project_conv", "project_bn"]),
-        (2, "none", ["expand_conv", "expand_bn", "expand_act", "dw_conv", "dw_bn",
-                     "dw_act", "project_conv", "project_bn"]),
-        (1, "cbam", ["dw_conv", "dw_bn", "dw_act", "attn", "project_conv", "project_bn"]),
-        (1, "none", ["dw_conv", "dw_bn", "dw_act", "project_conv", "project_bn"]),
+    @pytest.mark.parametrize("expand_ratio,names", [
+        (2, ["expand_conv", "expand_bn", "expand_act", "dw_conv", "dw_bn",
+             "dw_act", "attn", "project_conv", "project_bn"]),
+        (1, ["dw_conv", "dw_bn", "dw_act", "attn", "project_conv", "project_bn"]),
     ])
-    def test_child_order(self, expand_ratio, attention, names):
-        block = MBConv(4, 4, 3, expand_ratio, stride=1, cbam_reduction=2,
-                       attention=attention)
+    def test_child_order(self, expand_ratio, names):
+        block = MBConv(4, 4, 3, expand_ratio, stride=1, cbam_reduction=2)
         assert [name for name, _ in block._children] == names
 
     def test_no_residual_on_stride_or_channel_change(self):
         assert not MBConv(4, 8, 3, 1, stride=1).use_residual
         assert not MBConv(4, 4, 3, 1, stride=2).use_residual
         assert MBConv(4, 4, 3, 1, stride=1).use_residual
-
-    def test_squeeze_excite_is_count_only(self):
-        with pytest.raises(ValueError, match="static count"):
-            MBConv(8, 8, 3, expand_ratio=2, stride=1, attention="se")
 
     def test_gradients(self):
         for r in run_gradcheck("mbconv"):

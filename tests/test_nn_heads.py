@@ -65,7 +65,7 @@ class TestRdHead:
 
 class TestFusion:
     def test_eval_mode_dropout_identity(self):
-        fusion = FusionClassifier(4, 6, dropout_p=0.5, rng=np.random.default_rng(6))
+        fusion = FusionClassifier(4, 6, rng=np.random.default_rng(6))
         f = np.random.default_rng(7).standard_normal((3, 4))
         a = fusion.forward(f, f, f, train=False)
         b = fusion.forward(f, f, f, train=False)
@@ -83,7 +83,7 @@ class TestFusion:
         assert sum(p.size for p in fusion.params().values()) == 384 * 6 + 6 == 2310
 
     def test_concatenation_order(self):
-        fusion = FusionClassifier(2, 3, dropout_p=0.0)
+        fusion = FusionClassifier(2, 3)
         fusion.linear.w[...] = 0.0
         fusion.linear.b[...] = 0.0
         fusion.linear.w[0, 0] = 1.0  # reads rt[0]

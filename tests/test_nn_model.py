@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmcwhar.nn import MultiDomainModel, ShapeMismatch, load_checkpoint, save_checkpoint
-from fmcwhar.nn.checkpoint import CheckpointError
+from fmcwhar.nn.checkpoint import FORMAT_VERSION, CheckpointError
 from fmcwhar.nn.config import preset
 
 TOY = preset("toy")
@@ -116,8 +116,8 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     model = MultiDomainModel(TOY, seed=0)
     save_checkpoint(tmp_path / "ckpt", model)
     manifest = (tmp_path / "ckpt" / "manifest.json")
-    manifest.write_text(manifest.read_text().replace('"format_version": 1',
-                                                     '"format_version": 99'))
+    manifest.write_text(manifest.read_text().replace(
+        f'"format_version": {FORMAT_VERSION}', '"format_version": 99'))
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path / "ckpt")
 
