@@ -13,7 +13,8 @@ the dB domain the network consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -38,15 +39,23 @@ class AugmentPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        # bool subclasses int, but a JSON true is no seed.
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise AugmentError(f"seed must be an integer, got {self.seed!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool subclasses int, but a JSON true is no seed, threshold or variance.
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise AugmentError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (not isinstance(value, (int, float))
+                                      or isinstance(value, bool)):
+                raise AugmentError(f"{f.name} must be a number, got {value!r}")
         if not 0.0 < self.low_threshold < self.high_threshold < 1.0:
             raise AugmentError(
                 f"need 0 < low < high < 1, got {self.low_threshold}, {self.high_threshold}"
             )
-        if self.var_low < 0 or self.var_mid < 0:
-            raise AugmentError("variances must be >= 0")
+        # The chained comparisons are False for NaN, so NaN is rejected too.
+        if not (0 <= self.var_low < math.inf and 0 <= self.var_mid < math.inf):
+            raise AugmentError(
+                f"variances must be finite and >= 0, got {self.var_low}, {self.var_mid}"
+            )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

@@ -12,11 +12,12 @@ class MBConv(Sequential):
 
     The expansion stage is registered only when the expand ratio is not
     1. A residual connection applies when the block keeps both stride
-    and channel count.
+    and channel count. With ``groups`` G, every stage runs G independent
+    channel groups (the channel counts are totals over the groups).
     """
 
     def __init__(self, in_channels, out_channels, kernel, expand_ratio, stride,
-                 cbam_reduction=CBAM_REDUCTION, rng=None):
+                 cbam_reduction=CBAM_REDUCTION, groups=1, rng=None):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -25,7 +26,8 @@ class MBConv(Sequential):
         expanded = in_channels * expand_ratio
 
         if expand_ratio != 1:
-            self.register_child("expand_conv", Conv2d(in_channels, expanded, 1, rng=rng))
+            self.register_child("expand_conv", Conv2d(in_channels, expanded, 1, groups=groups,
+                                                       rng=rng))
             self.register_child("expand_bn", BatchNorm2d(expanded))
             self.register_child("expand_act", Swish())
 
@@ -33,8 +35,9 @@ class MBConv(Sequential):
         self.register_child("dw_bn", BatchNorm2d(expanded))
         self.register_child("dw_act", Swish())
 
-        self.register_child("attn", Cbam(expanded, cbam_reduction, rng=rng))
-        self.register_child("project_conv", Conv2d(expanded, out_channels, 1, rng=rng))
+        self.register_child("attn", Cbam(expanded, cbam_reduction, groups, rng=rng))
+        self.register_child("project_conv", Conv2d(expanded, out_channels, 1, groups=groups,
+                                                   rng=rng))
         self.register_child("project_bn", BatchNorm2d(out_channels))
 
     def forward(self, x, train: bool = False):
@@ -47,22 +50,27 @@ class MBConv(Sequential):
 
 
 class Backbone(Sequential):
-    """Stem conv -> MBConv blocks -> 1x1 head conv, per the block plan."""
+    """Stem conv -> MBConv blocks -> 1x1 head conv, per the block plan.
 
-    def __init__(self, cfg, rng=None):
+    With ``groups`` G it is G backbones side by side in one: every width
+    is G times the plan's, and group g's channels see only group g's.
+    """
+
+    def __init__(self, cfg, groups=1, rng=None):
         super().__init__()
-        self.register_child("stem_conv", Conv2d(cfg.in_channels, cfg.stem_channels, 3,
-                                                stride=2, rng=rng))
-        self.register_child("stem_bn", BatchNorm2d(cfg.stem_channels))
+        g = groups
+        self.register_child("stem_conv", Conv2d(g * cfg.in_channels, g * cfg.stem_channels, 3,
+                                                stride=2, groups=g, rng=rng))
+        self.register_child("stem_bn", BatchNorm2d(g * cfg.stem_channels))
         self.register_child("stem_act", Swish())
 
         plan = block_plan(cfg)
         for block in plan:
             self.register_child(block.name, MBConv(
-                block.c_in, block.c_out, block.kernel, block.expand_ratio, block.stride,
-                rng=rng))
+                g * block.c_in, g * block.c_out, block.kernel, block.expand_ratio,
+                block.stride, groups=g, rng=rng))
 
-        self.register_child("head_conv", Conv2d(plan[-1].c_out, cfg.head_channels, 1,
-                                                rng=rng))
-        self.register_child("head_bn", BatchNorm2d(cfg.head_channels))
+        self.register_child("head_conv", Conv2d(g * plan[-1].c_out, g * cfg.head_channels, 1,
+                                                groups=g, rng=rng))
+        self.register_child("head_bn", BatchNorm2d(g * cfg.head_channels))
         self.register_child("head_act", Swish())

@@ -124,6 +124,25 @@ def _case_conv_stride1(rng):
     return Sequential(first=first, second=second), rng.standard_normal((2, 3, 7, 6))
 
 
+def _case_conv_grouped(rng):
+    layer = Conv2d(4, 6, 3, stride=2, bias=True, groups=2, rng=rng)
+    layer.b[...] = rng.standard_normal(6)
+    return layer, _away_from_kinks(rng, (2, 4, 8, 8))
+
+
+def _case_conv_grouped_k7(rng):
+    # The spatial-attention conv of two groups: 2G -> G channels.
+    layer = Conv2d(4, 2, 7, bias=True, groups=2, rng=rng)
+    layer.b[...] = rng.standard_normal(2)
+    return layer, rng.standard_normal((2, 4, 6, 5))
+
+
+def _case_conv_grouped_pointwise(rng):
+    layer = Conv2d(4, 6, 1, bias=True, groups=2, rng=rng)
+    layer.b[...] = rng.standard_normal(6)
+    return layer, rng.standard_normal((2, 4, 5, 6))
+
+
 def _case_depthwise(rng):
     layer = DepthwiseConv2d(4, 3, stride=1, rng=rng)
     return layer, _away_from_kinks(rng, (2, 4, 6, 6))
@@ -169,6 +188,10 @@ def _case_cbam(rng):
     return Cbam(6, reduction=3, rng=rng), _away_from_kinks(rng, (2, 6, 7, 7))
 
 
+def _case_cbam_grouped(rng):
+    return Cbam(8, reduction=2, groups=2, rng=rng), _away_from_kinks(rng, (2, 8, 6, 6))
+
+
 def _case_mbconv(rng):
     layer = MBConv(4, 4, 3, expand_ratio=2, stride=1, cbam_reduction=4, rng=rng)
     x = _away_from_kinks(rng, (1, 4, 8, 8))
@@ -179,6 +202,13 @@ def _case_mbconv(rng):
 def _case_mbconv_stride2(rng):
     layer = MBConv(3, 5, 5, expand_ratio=2, stride=2, cbam_reduction=4, rng=rng)
     x = _away_from_kinks(rng, (2, 3, 8, 8))
+    _set_bn_eval_stats(layer, rng)
+    return layer, x
+
+
+def _case_mbconv_grouped(rng):
+    layer = MBConv(4, 4, 3, expand_ratio=2, stride=1, cbam_reduction=2, groups=2, rng=rng)
+    x = _away_from_kinks(rng, (1, 4, 8, 8))
     _set_bn_eval_stats(layer, rng)
     return layer, x
 
@@ -240,6 +270,9 @@ CASES = {
     "conv": _case_conv,
     "conv_pointwise": _case_conv_pointwise,
     "conv_stride1": _case_conv_stride1,
+    "conv_grouped": _case_conv_grouped,
+    "conv_grouped_k7": _case_conv_grouped_k7,
+    "conv_grouped_pointwise": _case_conv_grouped_pointwise,
     "depthwise": _case_depthwise,
     "batchnorm": _case_batchnorm,
     "batchnorm_train": _case_batchnorm_train,
@@ -249,8 +282,10 @@ CASES = {
     "cbam_channel": _case_cbam_channel,
     "cbam_spatial": _case_cbam_spatial,
     "cbam": _case_cbam,
+    "cbam_grouped": _case_cbam_grouped,
     "mbconv": _case_mbconv,
     "mbconv_stride2": _case_mbconv_stride2,
+    "mbconv_grouped": _case_mbconv_grouped,
     "lstm": _case_lstm,
     "sequence_reshape": _case_sequence_reshape,
     "sequence_reshape_pooled": _case_sequence_reshape_pooled,
@@ -261,11 +296,12 @@ CASES = {
 
 MODULE_GROUPS = {
     "all": list(CASES),
-    "conv": ["conv", "conv_pointwise", "conv_stride1", "depthwise"],
+    "conv": ["conv", "conv_pointwise", "conv_stride1", "conv_grouped", "conv_grouped_k7",
+             "conv_grouped_pointwise", "depthwise"],
     "bn": ["batchnorm", "batchnorm_train"],
     "activations": ["relu", "swish"],
-    "cbam": ["cbam_channel", "cbam_spatial", "cbam"],
-    "mbconv": ["mbconv", "mbconv_stride2"],
+    "cbam": ["cbam_channel", "cbam_spatial", "cbam", "cbam_grouped"],
+    "mbconv": ["mbconv", "mbconv_stride2", "mbconv_grouped"],
     "lstm": ["lstm"],
     "heads": ["sequence_reshape", "sequence_reshape_pooled", "rd_head", "fusion"],
     "loss": ["cross_entropy"],

@@ -10,6 +10,8 @@ flat name->array dicts, with child layers namespaced by dots.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -40,7 +42,7 @@ class Layer:
 
     def register_param(self, name: str, value: np.ndarray) -> np.ndarray:
         setattr(self, name, value)
-        setattr(self, "g_" + name, np.zeros_like(value))
+        setattr(self, "g_" + name, np.zeros(value.shape))
         self._param_names.append(name)
         return value
 
@@ -135,14 +137,25 @@ def _row_taps(h, k, s, p, h_out):
             yield i, y0, y1, s * y0 + i - p
 
 
+@functools.lru_cache(maxsize=64)
+def _band_index(k, wp, s, o, w_out):
+    """Flat band positions, shaped (k, k, O, Wo), of tap (i, j) of output
+    o at output column x: band row i*Wp + s*x + j, column o*Wo + x. They
+    depend on shapes only, so each is built once and shared read-only."""
+    i, j = np.arange(k)[:, None, None, None], np.arange(k)[:, None, None]
+    oo, xx = np.arange(o)[:, None], np.arange(w_out)
+    idx = ((i * wp + s * xx + j) * o + oo) * w_out + xx
+    idx.setflags(write=False)
+    return idx
+
+
 def _row_toeplitz(x, w4, s, p):
     """Row stack (C, B*Ho, k*Wp) of ``x`` and banded Toeplitz matrix
     (C, k*Wp, O*Wo) of the (C, O, k, k) weight ``w4``.
 
     Stack row (b, y) holds the padded input rows s*y .. s*y + k - 1 side
-    by side; tap (i, j) of output o meets output column x at band row
-    i*Wp + s*x + j, column o*Wo + x. Also returns those flat band
-    positions, shaped (k, k, O, Wo), and (Ho, Wo).
+    by side. Also returns the band's flat positions (``_band_index``)
+    and (Ho, Wo).
     """
     b, c, h, w = x.shape
     o, k = w4.shape[1], w4.shape[-1]
@@ -151,69 +164,99 @@ def _row_toeplitz(x, w4, s, p):
     cols = np.zeros((c, b, h_out, k, wp))
     for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
         cols[:, :, y0:y1, i, p: p + w] = x.transpose(1, 0, 2, 3)[:, :, r0: r0 + s * (y1 - y0): s]
-    i, j = np.arange(k)[:, None, None, None], np.arange(k)[:, None, None]
-    oo, xx = np.arange(o)[:, None], np.arange(w_out)
-    idx = ((i * wp + s * xx + j) * o + oo) * w_out + xx
+    idx = _band_index(k, wp, s, o, w_out)
     band = np.zeros((c, k * wp * o * w_out))
     band[:, idx] = w4.transpose(0, 2, 3, 1)[..., None]
     return (cols.reshape(c, b * h_out, k * wp), band.reshape(c, k * wp, o * w_out), idx,
             (h_out, w_out))
 
 
-def toeplitz_conv(x, w4, s, p, dense):
+def toeplitz_conv(x, w4, s, p, groups):
     """k x k conv of ``x`` by the (C, O, k, k) weight ``w4``, as one
     matmul of its row stack and band batched over input channels.
 
-    A dense conv sums the products over input channels into O outputs; a
-    depthwise one (O = 1) keeps the C products apart.
+    The C input channels form ``groups`` equal groups, and group g's
+    products sum into its own O outputs, channels g*O .. g*O + O - 1: a
+    dense conv is one group, a depthwise one (O = 1) is C groups.
     """
     cols, band, _, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
-    prod = cols @ band
-    if dense:
-        prod = prod.sum(axis=0, keepdims=True)
-    c, b, o = prod.shape[0], x.shape[0], w4.shape[1]
-    out = prod.reshape(c, b, h_out, o, w_out).transpose(1, 0, 3, 2, 4)
-    return out.reshape(b, c * o, h_out, w_out)
+    c, b, o, g = x.shape[1], x.shape[0], w4.shape[1], groups
+    prod = (cols @ band).reshape(g, c // g, b, h_out, o, w_out)
+    # Every output channel keeps the strides it has when its group runs
+    # alone (channel-major for O = 1, rows of (G, O, Wo) otherwise), so
+    # the reductions of later layers add in the same order either way.
+    if o == 1 or g == 1:
+        out = prod.sum(axis=1) if c > g else prod[:, 0]
+        return out.transpose(1, 0, 3, 2, 4).reshape(b, g * o, h_out, w_out)
+    out = np.empty((b, h_out, g, o, w_out))
+    np.sum(prod, axis=1, out=out.transpose(2, 0, 1, 3, 4))
+    return out.transpose(0, 2, 3, 1, 4).reshape(b, g * o, h_out, w_out)
 
 
-def toeplitz_conv_backward(x, w4, dout, s, p, dense):
+def toeplitz_conv_backward(x, w4, dout, s, p, groups):
     """(g_w4, dx) of ``toeplitz_conv``. The row stack is rebuilt from
     ``x``; g_w4 sums the band diagonals of cols^T dout, and dx folds the
     rows of dout band^T back onto the input, k row adds in all."""
     cols, band, idx, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
     b, c, h, w = x.shape
-    o, k = w4.shape[1], w4.shape[-1]
-    c_out = 1 if dense else c
-    d2 = dout.reshape(b, c_out, o, h_out, w_out).transpose(1, 0, 3, 2, 4)
-    d2 = d2.reshape(c_out, b * h_out, o * w_out)
-    g_band = (cols.transpose(0, 2, 1) @ d2).reshape(c, -1)
-    drows = (d2 @ band.transpose(0, 2, 1)).reshape(c, b, h_out, k, w + 2 * p)
+    o, k, g = w4.shape[1], w4.shape[-1], groups
+    d2 = dout.reshape(b, g, o, h_out, w_out).transpose(1, 0, 3, 2, 4)
+    d2 = d2.reshape(g, 1, b * h_out, o * w_out)
+    g_band = (cols.reshape(g, c // g, b * h_out, -1).transpose(0, 1, 3, 2) @ d2)
+    g_band = g_band.reshape(c, -1)
+    del cols  # the row stack is the largest temporary; free it before dx
+    band_t = band.reshape(g, c // g, -1, o * w_out).transpose(0, 1, 3, 2)
+    drows = (d2 @ band_t).reshape(c, b, h_out, k, w + 2 * p)
     dx = np.zeros((c, b, h, w))
     for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
         dx[:, :, r0: r0 + s * (y1 - y0): s] += drows[:, :, y0:y1, i, p: p + w]
-    return g_band[:, idx].sum(axis=-1).transpose(0, 3, 1, 2), dx.transpose(1, 0, 2, 3)
+    # take, not g_band[:, idx]: its output is C-contiguous for any C, so
+    # each diagonal sums in the same order however many channels there are.
+    g_w4 = np.take(g_band, idx, axis=1).sum(axis=-1).transpose(0, 3, 1, 2)
+    return g_w4, dx.transpose(1, 0, 2, 3)
 
 
 class Conv2d(Layer):
-    """k x k convolution, zero-padded by (k - 1) // 2 on every side."""
+    """k x k convolution, zero-padded by (k - 1) // 2 on every side.
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, bias=False, rng=None):
+    With ``groups`` G, the input and output channels split into G equal
+    groups and output group g reads input group g only; the weight is
+    (out_channels, in_channels / G, k, k), group g's filters in rows
+    g * out_channels / G onward.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel, stride=1, bias=False, groups=1,
+                 rng=None):
         super().__init__()
+        if in_channels % groups or out_channels % groups:
+            raise ValueError(
+                f"{groups} groups do not divide {in_channels} -> {out_channels} channels"
+            )
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
+        self.groups = groups
         self.padding = (kernel - 1) // 2
-        # 1x1, stride 1: one channel matmul per sample, no windows.
+        # 1x1, stride 1: one channel matmul per sample and group, no windows.
         self._pointwise = kernel == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
-        fan_in = in_channels * kernel * kernel
-        self.register_param(
-            "w", fan_in_uniform(rng, (out_channels, in_channels, kernel, kernel), fan_in)
-        )
+        fan_in = in_channels // groups * kernel * kernel
+        self.register_param("w", fan_in_uniform(
+            rng, (out_channels, in_channels // groups, kernel, kernel), fan_in))
         self.has_bias = bias
         if bias:
             self.register_param("b", np.zeros(out_channels))
+
+    def _w4(self):
+        """The weight as ``toeplitz_conv``'s (C, O / G, k, k)."""
+        g, k = self.groups, self.kernel
+        w5 = self.w.reshape(g, self.out_channels // g, -1, k, k).transpose(0, 2, 1, 3, 4)
+        return w5.reshape(self.in_channels, -1, k, k)
+
+    def _w3(self):
+        """The 1x1 weight as (G, O / G, C / G)."""
+        return self.w.reshape(self.groups, self.out_channels // self.groups, -1)
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
@@ -223,12 +266,11 @@ class Conv2d(Layer):
             )
         if self._pointwise:
             b, c, h, w = x.shape
-            x3 = x.reshape(b, c, h * w)
-            out = np.matmul(self.w[:, :, 0, 0], x3).reshape(b, self.out_channels, h, w)
-            self._cache = x3
+            x4 = x.reshape(b, self.groups, c // self.groups, h * w)
+            out = np.matmul(self._w3(), x4).reshape(b, self.out_channels, h, w)
+            self._cache = x4
         else:
-            out = toeplitz_conv(x, self.w.transpose(1, 0, 2, 3), self.stride, self.padding,
-                                dense=True)
+            out = toeplitz_conv(x, self._w4(), self.stride, self.padding, self.groups)
             self._cache = x
         if self.has_bias:
             out += self.b[:, None, None]
@@ -238,14 +280,18 @@ class Conv2d(Layer):
         if self.has_bias:
             self.g_b += dout.sum(axis=(0, 2, 3))
         if self._pointwise:
-            x3 = self._cache
+            x4 = self._cache
             b, o, h, w = dout.shape
-            d3 = dout.reshape(b, o, h * w)
-            self.g_w[:, :, 0, 0] += np.matmul(d3, x3.transpose(0, 2, 1)).sum(axis=0)
-            return np.matmul(self.w[:, :, 0, 0].T, d3).reshape(b, self.in_channels, h, w)
-        g_w4, dx = toeplitz_conv_backward(self._cache, self.w.transpose(1, 0, 2, 3), dout,
-                                          self.stride, self.padding, dense=True)
-        self.g_w += g_w4.transpose(1, 0, 2, 3)
+            d4 = dout.reshape(b, self.groups, o // self.groups, h * w)
+            self.g_w += np.matmul(d4, x4.transpose(0, 1, 3, 2)).sum(axis=0).reshape(
+                self.w.shape)
+            return np.matmul(self._w3().transpose(0, 2, 1), d4).reshape(
+                b, self.in_channels, h, w)
+        g_w4, dx = toeplitz_conv_backward(self._cache, self._w4(), dout,
+                                          self.stride, self.padding, self.groups)
+        g, k = self.groups, self.kernel
+        self.g_w += g_w4.reshape(g, -1, self.out_channels // g, k, k).transpose(
+            0, 2, 1, 3, 4).reshape(self.w.shape)
         return dx
 
 
@@ -270,11 +316,11 @@ class DepthwiseConv2d(Layer):
                 f"depthwise conv expects {self.channels} channels, got {x.shape[1]}"
             )
         self._cache = x
-        return toeplitz_conv(x, self.w[:, None], self.stride, self.padding, dense=False)
+        return toeplitz_conv(x, self.w[:, None], self.stride, self.padding, self.channels)
 
     def backward(self, dout):
         g_w4, dx = toeplitz_conv_backward(self._cache, self.w[:, None], dout,
-                                          self.stride, self.padding, dense=False)
+                                          self.stride, self.padding, self.channels)
         self.g_w += g_w4[:, 0]
         return dx
 
@@ -355,8 +401,14 @@ class Swish(Layer):
         return x * self._sig
 
     def backward(self, dout):
+        # In place into a fresh array laid out like x: the product's layout
+        # then never depends on the array size (numpy reuses a temporary
+        # operand's buffer only above a size threshold), so a grouped pass
+        # reduces downstream in the same order as one group alone.
         s = self._sig
-        return dout * (s + self._x * s * (1.0 - s))
+        dx = s + self._x * s * (1.0 - s)
+        dx *= dout
+        return dx
 
 
 def sigmoid(x):
@@ -432,8 +484,9 @@ def global_avg_pool(x):
 
 
 def global_avg_pool_backward(dout, x_shape):
+    """A read-only broadcast view: add it into a gradient, it is not one."""
     b, c, h, w = x_shape
-    return np.broadcast_to(dout[:, :, None, None], x_shape) / (h * w)
+    return np.broadcast_to((dout / (h * w))[:, :, None, None], x_shape)
 
 
 def global_max_pool(x):
@@ -451,19 +504,21 @@ def global_max_pool_backward(dout, idx, x_shape):
 
 
 def channel_avg_pool(x):
-    return x.mean(axis=1, keepdims=True)
+    """Mean over the channel axis of (..., C, H, W), kept as size 1."""
+    return x.mean(axis=-3, keepdims=True)
 
 
 def channel_avg_pool_backward(dout, x_shape):
-    return np.broadcast_to(dout, x_shape) / x_shape[1]
+    """A read-only broadcast view, like ``global_avg_pool_backward``'s."""
+    return np.broadcast_to(dout / x_shape[-3], x_shape)
 
 
 def channel_max_pool(x):
-    idx = x.argmax(axis=1)
-    return np.take_along_axis(x, idx[:, None], axis=1), idx
+    idx = x.argmax(axis=-3)[..., None, :, :]
+    return np.take_along_axis(x, idx, axis=-3), idx
 
 
 def channel_max_pool_backward(dout, idx, x_shape):
     dx = np.zeros(x_shape)
-    np.put_along_axis(dx, idx[:, None], dout, axis=1)
+    np.put_along_axis(dx, idx, dout, axis=-3)
     return dx

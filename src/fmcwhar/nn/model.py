@@ -6,6 +6,13 @@ LSTM and keep its last hidden state; the RD branch uses a per-step
 linear map to the same width with a max over time. The three features,
 each ``lstm_hidden`` wide (128 at full scale), concatenate, pass a
 dropout gate and project to class logits.
+
+The three backbones run as one pass of a grouped backbone, one channel
+group per branch (ResNeXt's grouped-convolution identity, Xie et al.,
+2017), so each layer makes one set of numpy calls per step instead of
+three. Its arrays concatenate the branch arrays along axis 0, and the
+branch layers hold views into them: names, checkpoints and in-place
+updates through ``model.rt.backbone`` reach the grouped pass.
 """
 
 from __future__ import annotations
@@ -18,6 +25,31 @@ from .config import ModelConfig
 from .heads import FusionClassifier, RdHead, SequenceReshape
 from .layers import Layer, Sequential, ShapeMismatch
 from .recurrent import Lstm
+
+BRANCHES = ("rt", "dt", "rd")
+
+
+class _Unset:
+    """Stands in for the generator of weights that are overwritten at once."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+def _grouped_backbone(cfg, branches):
+    """A backbone with one channel group per branch backbone, sharing their
+    storage: each array of it is the axis-0 concatenation of the branch
+    arrays, which are rebound as views into it."""
+    grouped = Backbone(cfg, groups=len(branches), rng=_Unset())
+    for (_, layer), *parts in zip(grouped._layers(), *(b._layers() for b in branches)):
+        names = layer._param_names + layer._buffer_names
+        for name in names + ["g_" + n for n in layer._param_names]:
+            whole = getattr(layer, name)
+            np.concatenate([getattr(part, name) for _, part in parts], out=whole)
+            for (_, part), view in zip(parts, np.split(whole, len(parts))):
+                setattr(part, name, view)
+    return grouped
 
 
 class MultiDomainModel(Layer):
@@ -39,6 +71,10 @@ class MultiDomainModel(Layer):
         ))
         self.register_child(
             "fusion", FusionClassifier(cfg.lstm_hidden, cfg.num_classes, rng=rng))
+        branches = [getattr(self, name) for name in BRANCHES]
+        self._backbone = _grouped_backbone(cfg, [branch.backbone for branch in branches])
+        # What each branch runs after its backbone: reshape, then LSTM or head.
+        self._tails = [Sequential(**dict(branch._children[1:])) for branch in branches]
 
     def _check_input(self, x, name):
         x = np.asarray(x, dtype=np.float64)
@@ -51,18 +87,20 @@ class MultiDomainModel(Layer):
         return x
 
     def forward(self, x_rt, x_dt, x_rd, train: bool = False):
-        f_rt = self.rt.forward(self._check_input(x_rt, "rt"), train)
-        f_dt = self.dt.forward(self._check_input(x_dt, "dt"), train)
-        f_rd = self.rd.forward(self._check_input(x_rd, "rd"), train)
-        return self.fusion.forward(f_rt, f_dt, f_rd, train)
+        xs = [self._check_input(x, name) for x, name in zip((x_rt, x_dt, x_rd), BRANCHES)]
+        maps = np.split(self._backbone.forward(np.concatenate(xs, axis=1), train), len(xs),
+                        axis=1)
+        feats = [tail.forward(m, train) for tail, m in zip(self._tails, maps)]
+        return self.fusion.forward(*feats, train)
 
     def backward(self, dlogits):
-        d_rt, d_dt, d_rd = self.fusion.backward(dlogits)
-        return (
-            self.rt.backward(d_rt),
-            self.dt.backward(d_dt),
-            self.rd.backward(d_rd),
-        )
+        douts = [tail.backward(d) for tail, d in zip(self._tails, self.fusion.backward(dlogits))]
+        b, c, h, w = douts[0].shape
+        # Laid out like one branch's gradient, so the backbone's reductions
+        # add in the same order as a branch run alone.
+        dmaps = np.empty_like(douts[0], shape=(b, len(douts) * c, h, w))
+        np.concatenate(douts, axis=1, out=dmaps)
+        return tuple(np.split(self._backbone.backward(dmaps), len(douts), axis=1))
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params().values())

@@ -57,9 +57,12 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # bool subclasses int, but a JSON true is no count or seed.
+            # bool subclasses int, but a JSON true is no count, seed or rate.
             if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
                 raise TrainingError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (not isinstance(value, (int, float))
+                                      or isinstance(value, bool)):
+                raise TrainingError(f"{f.name} must be a number, got {value!r}")
         # The chained comparisons are False for NaN, so NaN is rejected too.
         if (not 0 < self.lr0 < math.inf or not 0 < self.decay_factor < math.inf
                 or self.batch_size < 1 or self.epochs < 1

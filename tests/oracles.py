@@ -14,6 +14,9 @@ time, with scalar coefficients, as scipy's ``lfilter`` does.
 
 The batch-norm and Adam references are the unfused forms: one numpy
 expression per formula, each allocating its own temporaries.
+
+The per-branch model reference runs each branch's backbone on its own,
+as three passes, where the model runs them as one grouped pass.
 """
 
 import numpy as np
@@ -92,12 +95,17 @@ def check_scene_bins(r0, v, seed, params=GLASGOW_PARAMS, noise_std=0.05):
     return rtm_ok, dtm_ok, rdm_ok
 
 
-def conv_taps(x, w, dout, stride, padding):
+def conv_taps(x, w, dout, stride, padding, groups=1):
     """Tap-loop conv: (out, dx, g_w) for a dense or depthwise weight.
 
-    A dense weight is (O, C, k, k); a depthwise one is (C, k, k). ``dout``
-    is the upstream gradient, shaped like ``out``.
+    A dense weight is (O, C / groups, k, k), and each of the ``groups``
+    channel groups runs as a conv of its own; a depthwise one is (C, k, k).
+    ``dout`` is the upstream gradient, shaped like ``out``.
     """
+    if groups > 1:
+        parts = [conv_taps(xg, wg, dg, stride, padding) for xg, wg, dg in zip(
+            np.split(x, groups, axis=1), np.split(w, groups), np.split(dout, groups, axis=1))]
+        return tuple(np.concatenate(p, axis=a) for p, a in zip(zip(*parts), (1, 1, 0)))
     k, s, p = w.shape[-1], stride, padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     h_out = (xp.shape[2] - k) // s + 1
@@ -183,3 +191,18 @@ def df2t_rows(b, a, x, axis=0):
             state[-1] = b[-1] * xn - a[-1] * yn
         y[n] = yn
     return np.moveaxis(y, 0, axis)
+
+
+BRANCHES = ("rt", "dt", "rd")
+
+
+def per_branch_forward(model, xs, train):
+    """``MultiDomainModel.forward`` with every branch run alone, backbone included."""
+    feats = [getattr(model, name).forward(x, train) for name, x in zip(BRANCHES, xs)]
+    return model.fusion.forward(*feats, train)
+
+
+def per_branch_backward(model, dlogits):
+    """``MultiDomainModel.backward`` with every branch run alone."""
+    return tuple(getattr(model, name).backward(d)
+                 for name, d in zip(BRANCHES, model.fusion.backward(dlogits)))

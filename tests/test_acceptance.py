@@ -71,7 +71,8 @@ def test_criterion_3_gradient_suite():
     elapsed = time.time() - started
     required = {"conv", "conv_pointwise", "conv_stride1", "depthwise", "batchnorm",
                 "relu", "swish", "cbam_channel", "cbam_spatial", "mbconv", "lstm",
-                "rd_head", "fusion", "cross_entropy"}
+                "rd_head", "fusion", "cross_entropy", "conv_grouped", "conv_grouped_k7",
+                "conv_grouped_pointwise", "cbam_grouped", "mbconv_grouped"}
     names = {r.name for r in results}
     assert required <= names, f"missing cases: {required - names}"
     worst = max(results, key=lambda r: r.max_rel_error)

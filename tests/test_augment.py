@@ -134,6 +134,12 @@ class TestPolicy:
         with pytest.raises(AugmentError):
             AugmentPolicy(var_low=-1.0)
 
+    @pytest.mark.parametrize("text", ['{"var_low": NaN}', '{"var_mid": Infinity}',
+                                      '{"var_low": true}', '{"var_mid": false}'])
+    def test_variance_must_be_a_finite_number(self, text):
+        with pytest.raises(AugmentError):
+            AugmentPolicy.from_json(text)
+
     def test_json_round_trip(self):
         policy = AugmentPolicy(low_threshold=0.25, high_threshold=0.7,
                                var_low=0.9, var_mid=0.3, seed=42)

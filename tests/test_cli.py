@@ -160,9 +160,13 @@ class TestAugment:
 
     @pytest.mark.parametrize("policy", ['{"seed": 1, "var_high": 2.0}',
                                         '{"low_threshold": "0.3"}',
-                                        '{"seed": 1.5}', '{"seed": true}'],
+                                        '{"seed": 1.5}', '{"seed": true}',
+                                        '{"var_low": true}', '{"var_mid": false}',
+                                        '{"var_low": NaN}',
+                                        '{"var_mid": Infinity}'],
                              ids=["unknown_key", "string_threshold", "float_seed",
-                                  "bool_seed"])
+                                  "bool_seed", "bool_var_low", "bool_var_mid",
+                                  "nan_var_low", "infinite_var_mid"])
     def test_bad_policy(self, tmp_path, echo_file, policy):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
@@ -262,10 +266,12 @@ class TestTrainEval:
         {"samples_per_class": 1.5},
         {"seed": 1.5},
         {"seed": True},
+        {"lr0": True},
+        {"decay_factor": True},
     ], ids=["zero_decay_period", "no_samples", "unknown_preset", "unknown_key",
             "string_epochs", "no_op_split", "negative_decay", "zero_decay", "nan_lr",
             "infinite_decay", "float_epochs", "float_map_size", "float_batch_size",
-            "float_samples", "float_seed", "bool_seed"])
+            "float_samples", "float_seed", "bool_seed", "bool_lr", "bool_decay"])
     def test_bad_config(self, tmp_path, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"samples_per_class": 5, "map_size": 32, **config}))

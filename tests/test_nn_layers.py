@@ -54,6 +54,12 @@ class TestConv:
         with pytest.raises(ShapeMismatch):
             Conv2d(3, 4, 3).forward(np.zeros((1, 2, 8, 8)))
 
+    def test_groups_must_divide_both_widths(self):
+        with pytest.raises(ValueError, match="groups"):
+            Conv2d(3, 4, 3, groups=2)
+        with pytest.raises(ValueError, match="groups"):
+            Conv2d(4, 3, 1, groups=2)
+
     def test_gradients(self):
         suite_passes("conv")
 
@@ -69,7 +75,8 @@ def assert_matches_taps(layer, x, seed):
     dout = np.random.default_rng(seed).standard_normal(out.shape)
     layer.zero_grads()
     dx = layer.backward(dout)
-    ref_out, ref_dx, ref_gw = conv_taps(x, layer.w, dout, layer.stride, layer.padding)
+    ref_out, ref_dx, ref_gw = conv_taps(x, layer.w, dout, layer.stride, layer.padding,
+                                        getattr(layer, "groups", 1))
     pairs = [(dx, ref_dx), (layer.g_w, ref_gw)]
     if getattr(layer, "has_bias", False):
         ref_out = ref_out + layer.b[:, None, None]
@@ -92,6 +99,17 @@ class TestConvMatchesTapLoop:
         if bias:
             conv.b[...] = rng.standard_normal(4)
         assert_matches_taps(conv, rng.standard_normal((2, 3, *hw)), seed=kernel)
+
+    @pytest.mark.parametrize("groups", [2, 3])
+    @pytest.mark.parametrize("hw", SIZES)
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_grouped(self, kernel, stride, hw, groups):
+        rng = np.random.default_rng([kernel, stride, *hw, groups])
+        conv = Conv2d(2 * groups, 3 * groups, kernel, stride=stride, bias=True, groups=groups,
+                      rng=rng)
+        conv.b[...] = rng.standard_normal(3 * groups)
+        assert_matches_taps(conv, rng.standard_normal((2, 2 * groups, *hw)), seed=kernel)
 
     @pytest.mark.parametrize("hw", SIZES)
     @pytest.mark.parametrize("stride", STRIDES)
@@ -131,6 +149,14 @@ class TestConvMatchesTapLoop:
         assert (conv.in_channels, conv.out_channels, conv.kernel, conv.has_bias) == (2, 1, 7, True)
         conv.b[...] = rng.standard_normal(1)
         assert_matches_taps(conv, rng.standard_normal((8, 2, 32, 32)), seed=7)
+
+    def test_grouped_cbam_spatial_conv(self):
+        # The spatial attention conv of a three-branch pass: 6 -> 3 channels.
+        rng = np.random.default_rng(79)
+        conv = Cbam(24, groups=3, rng=rng).spatial.conv
+        assert (conv.in_channels, conv.out_channels, conv.groups) == (6, 3, 3)
+        conv.b[...] = rng.standard_normal(3)
+        assert_matches_taps(conv, rng.standard_normal((8, 6, 32, 32)), seed=7)
 
     def test_channel_major_input(self):
         # A depthwise output is channel-major in memory; the next layers

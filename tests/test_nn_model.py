@@ -2,10 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from oracles import per_branch_backward, per_branch_forward
 
-from fmcwhar.nn import MultiDomainModel, ShapeMismatch, load_checkpoint, save_checkpoint
+from fmcwhar.nn import (
+    BatchNorm2d,
+    Conv2d,
+    MultiDomainModel,
+    ShapeMismatch,
+    load_checkpoint,
+    save_checkpoint,
+)
 from fmcwhar.nn.checkpoint import FORMAT_VERSION, CheckpointError
 from fmcwhar.nn.config import preset
+from fmcwhar.training import AdamState, adam_step, cross_entropy
 
 TOY = preset("toy")
 
@@ -65,6 +74,65 @@ def test_branches_have_independent_weights():
     params = model.params()
     assert not np.array_equal(params["rt.backbone.stem_conv.w"],
                               params["dt.backbone.stem_conv.w"])
+
+
+def test_one_backbone_pass_per_forward(monkeypatch):
+    # The three branch backbones run as one grouped pass: each conv and
+    # batch norm of one backbone runs once per forward, not three times.
+    model = MultiDomainModel(TOY, seed=0)
+    per_backbone = {cls: sum(isinstance(layer, cls) for _, layer in model.rt.backbone._layers())
+                    for cls in (Conv2d, BatchNorm2d)}
+    calls = dict.fromkeys(per_backbone, 0)
+    for cls in per_backbone:
+        def counted(self, x, train=False, _cls=cls, _forward=cls.forward):
+            calls[_cls] += 1
+            return _forward(self, x, train)
+        monkeypatch.setattr(cls, "forward", counted)
+    model.forward(*toy_inputs(), train=True)
+    assert calls == per_backbone
+
+
+def test_assign_reaches_the_grouped_pass():
+    # Branch parameters are views into the grouped backbone's arrays, so a
+    # value written by name is what the next forward uses.
+    model = MultiDomainModel(TOY, seed=0)
+    x = toy_inputs(seed=3)
+    before = model.forward(*x)
+    w = model.params()["dt.backbone.stage2_block0.expand_conv.w"]
+    model.assign("dt.backbone.stage2_block0.expand_conv.w", w[::-1] * 2.0)
+    after = model.forward(*x)
+    assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(after, per_branch_forward(model, x, train=False))
+
+
+def _step(model, x, labels, forward, backward):
+    """Forward, backward and one Adam step; every array the step touched."""
+    logits = forward(x)
+    _, dlogits = cross_entropy(logits, labels)
+    model.zero_grads()
+    dx = backward(dlogits)
+    grads = {k: g.copy() for k, g in model.grads().items()}
+    adam_step(model.params(), model.grads(), AdamState(), 1, 1e-3)
+    return {"logits": logits, **{f"dx{i}": d for i, d in enumerate(dx)},
+            **{"grad " + k: g for k, g in grads.items()},
+            **{"param " + k: p for k, p in model.params().items()},
+            **{"buffer " + k: b for k, b in model.buffers().items()}}
+
+
+@pytest.mark.parametrize("rule,batch", [("hxc", 8), ("c", 3)])
+def test_grouped_pass_matches_per_branch_reference(rule, batch):
+    cfg = preset("toy", input_hw=64, in_channels=1, lstm_feature_dim_rule=rule)
+    rng = np.random.default_rng(21)
+    x = tuple(rng.random((batch, 1, 64, 64)) for _ in range(3))
+    labels = rng.integers(0, cfg.num_classes, batch)
+    grouped, alone = MultiDomainModel(cfg, seed=4), MultiDomainModel(cfg, seed=4)
+    got = _step(grouped, x, labels, lambda x: grouped.forward(*x, train=True), grouped.backward)
+    want = _step(alone, x, labels, lambda x: per_branch_forward(alone, x, train=True),
+                 lambda d: per_branch_backward(alone, d))
+    assert got.keys() == want.keys()
+    # Bit for bit, sign of zero included.
+    differ = [k for k in got if np.asarray(got[k]).tobytes() != np.asarray(want[k]).tobytes()]
+    assert differ == []
 
 
 def test_branch_child_order():
