@@ -8,6 +8,11 @@ planes and gates positions through a padded 7x7 convolution with bias.
 Both gates multiply the input sequentially: channels first, space second.
 With ``groups`` G the channels form G groups, each gated as if it ran
 alone; the model's three branches run that way as one pass.
+
+In backward, ``Cbam`` passes its own gradient buffers to both gates, so
+every pool gradient is added in place: one broadcast add per average
+pool and a masked or indexed add at the max positions, no scatter into
+zeros.
 """
 
 from __future__ import annotations
@@ -15,15 +20,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .layers import (
     Conv2d,
     Layer,
     ShapeMismatch,
-    channel_avg_pool,
-    channel_avg_pool_backward,
-    channel_max_pool,
-    channel_max_pool_backward,
     check_tensor4,
     fan_in_uniform,
     global_avg_pool,
@@ -31,6 +33,7 @@ from .layers import (
     global_max_pool,
     global_max_pool_backward,
     sigmoid,
+    toeplitz_band,
 )
 
 SPATIAL_KERNEL = 7
@@ -90,14 +93,16 @@ class ChannelAttention(Layer):
         self._cache = (x.shape, mx_idx, cache_avg, cache_max, gate)
         return gate[:, :, None, None]
 
-    def backward(self, dout):
+    def backward(self, dout, dx=None):
+        """The input gradient, added in place into ``dx`` when given."""
         x_shape, mx_idx, cache_avg, cache_max, gate = self._cache
         dgate = dout[:, :, 0, 0] * gate * (1.0 - gate)
         davg = self._mlp_backward(dgate, cache_avg)
         dmax = self._mlp_backward(dgate, cache_max)
-        dx = global_max_pool_backward(dmax, mx_idx, x_shape)
+        if dx is None:
+            dx = np.zeros(x_shape)
         dx += global_avg_pool_backward(davg, x_shape)
-        return dx
+        return global_max_pool_backward(dmax, mx_idx, dx)
 
 
 def _ungroup(a):
@@ -113,7 +118,16 @@ def _split_groups(x, groups):
 
 class SpatialAttention(Layer):
     """CBAM spatial gate: (B, G, H, W), one plane per channel group, from
-    each group's average and max planes through a 2G -> G grouped conv."""
+    each group's average and max planes through a 2G -> G grouped k7 conv.
+
+    The planes go straight into one zero-padded buffer (G, B, Hp, 2, Wp):
+    padded row r of sample b holds its average row and its max row side
+    by side. The conv is k row taps over the flat (G, B*Hp, 2*Wp) view:
+    tap i multiplies rows i .. i + n by the band's kernel row i block
+    (``toeplitz_band``), so no row stack is built. Output rows that
+    straddle two samples are computed and dropped. ``conv`` holds the
+    weights; its own forward does not run here.
+    """
 
     def __init__(self, groups=1, rng=None):
         super().__init__()
@@ -121,27 +135,80 @@ class SpatialAttention(Layer):
         self.conv = self.register_child("conv", Conv2d(
             2 * groups, groups, SPATIAL_KERNEL, bias=True, groups=groups, rng=rng))
 
+    def _taps(self, wp, w):
+        """Band blocks (G, k, 2*Wp, W): tap i of group g is kernel row i's
+        block for the average plane above the one for the max plane."""
+        g, k = self.groups, SPATIAL_KERNEL
+        band, idx = toeplitz_band(self.conv._w4(), wp, 1, w)
+        taps = np.ascontiguousarray(band.reshape(g, 2, k, wp, w).transpose(0, 2, 1, 3, 4))
+        # Every tap's block holds its diagonals where tap 0's block does.
+        return taps.reshape(g, k, 2 * wp, w), idx[0]
+
     def forward(self, x, train: bool = False):
         x5 = _split_groups(check_tensor4(x), self.groups)
-        b, g, _, h, w = x5.shape
-        avg = channel_avg_pool(x5)
-        mx, mx_idx = channel_max_pool(x5)
-        stacked = np.concatenate([avg, mx], axis=2).reshape(b, 2 * g, h, w)
-        pre = self.conv.forward(stacked)
+        b, g, c, h, w = x5.shape
+        k, p = SPATIAL_KERNEL, self.conv.padding
+        hp, wp = h + 2 * p, w + 2 * p
+        planes = np.zeros((g, b, hp, 2, wp))
+        avg, mx = (planes[:, :, p: p + h, i, p: p + w].transpose(1, 0, 2, 3) for i in (0, 1))
+        np.mean(x5, axis=2, out=avg)
+        np.max(x5, axis=2, out=mx)
+        taps, diag = self._taps(wp, w)
+        rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
+        pre = np.empty((g, b * hp, w))
+        np.matmul(rows[:, :n], taps[:, 0], out=pre[:, :n])
+        part = np.empty((g, n, w))
+        for i in range(1, k):
+            pre[:, :n] += np.matmul(rows[:, i: i + n], taps[:, i], out=part)
+        pre = pre.reshape(g, b, hp, w)[:, :, :h] + self.conv.b[:, None, None, None]
         gate = sigmoid(pre)
-        self._cache = (x5.shape, mx_idx, gate)
-        return gate
+        self._cache = (x5, planes, taps, diag, gate)
+        return gate.transpose(1, 0, 2, 3)
 
-    def backward(self, dout):
-        x5_shape, mx_idx, gate = self._cache
-        # Laid out like the gate, as in Swish.backward.
-        dpre = np.multiply(dout, gate, out=np.empty_like(gate))
-        dpre *= 1.0 - gate
-        b, g, c, h, w = x5_shape
-        dstacked = self.conv.backward(dpre).reshape(b, g, 2, h, w)
-        dx = channel_max_pool_backward(dstacked[:, :, 1:], mx_idx, x5_shape)
-        dx += channel_avg_pool_backward(dstacked[:, :, :1], x5_shape)
-        return dx.reshape(b, g * c, h, w)
+    def backward(self, dout, dx=None):
+        """The input gradient, added in place into ``dx`` when given."""
+        x5, planes, taps, diag, gate = self._cache
+        b, g, c, h, w = x5.shape
+        k, p = SPATIAL_KERNEL, self.conv.padding
+        hp, wp = h + 2 * p, w + 2 * p
+        rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
+        # dpre in the rows of its padded sample blocks; the rest stays 0.
+        dpre = np.zeros((g, b * hp, w))
+        d = dpre.reshape(g, b, hp, w)[:, :, :h]
+        np.multiply(dout.transpose(1, 0, 2, 3), gate, out=d)
+        d *= 1.0 - gate
+        self.conv.g_b += d.sum(axis=(1, 2, 3))
+        # Tap i's band gradient is rows i .. i + n, transposed, times dpre:
+        # one matmul over a window view of the rows for all k taps.
+        g_taps = np.matmul(sliding_window_view(rows, n, axis=1), dpre[:, None, :n])
+        g_w = np.take(g_taps.reshape(g, k, 2, -1), diag, axis=3).sum(axis=-1)[..., 0]
+        self.conv.g_w += g_w.transpose(0, 2, 1, 3)
+        # Only the band rows of interior columns: the padding takes no gradient.
+        taps_t = taps.reshape(g, k, 2, wp, w)[:, :, :, p: p + w].transpose(0, 1, 4, 2, 3)
+        taps_t = np.ascontiguousarray(taps_t).reshape(g, k, w, 2 * w)
+        drows = np.zeros((g, b * hp, 2 * w))
+        part = np.empty((g, n, 2 * w))
+        for i in range(k):
+            drows[:, i: i + n] += np.matmul(dpre[:, :n], taps_t[:, i], out=part)
+        dplanes = drows.reshape(g, b, hp, 2, w)[:, :, p: p + h]
+        davg, dmax = (dplanes[:, :, :, i].transpose(1, 0, 2, 3) for i in (0, 1))
+        if dx is None:
+            dx = np.zeros((b, g * c, h, w))
+        dx5 = _split_groups(dx, g)
+        dx5 += (davg / c)[:, :, None]
+        # The first channel that attains the max takes its gradient, as
+        # argmax picks it. For finite inputs every position has one hit
+        # unless channels tie there; only then does the first-hit walk run.
+        mx = planes[:, :, p: p + h, 1, p: p + w].transpose(1, 0, 2, 3)
+        hit = x5 == mx[:, :, None]
+        if np.count_nonzero(hit) != mx.size:
+            open_ = ~hit[:, :, 0]
+            for j in range(1, c):
+                hit[:, :, j] &= open_
+                open_ ^= hit[:, :, j]
+        # A mask multiply and an add: cheaper than a masked add.
+        dx5 += hit * dmax[:, :, None]
+        return dx
 
 
 class Cbam(Layer):
@@ -169,8 +236,7 @@ class Cbam(Layer):
         dout5 = _split_groups(dout, self.groups)
         dgated = (dout5 * m_s[:, :, None]).reshape(x.shape)
         dm_s = (dout5 * _split_groups(gated, self.groups)).sum(axis=2)
-        dgated += self.spatial.backward(dm_s)
+        self.spatial.backward(dm_s, dgated)
         dx = dgated * m_c
         dm_c = (dgated * x).sum(axis=(2, 3), keepdims=True)
-        dx += self.channel.backward(dm_c)
-        return dx
+        return self.channel.backward(dm_c, dx)

@@ -149,26 +149,35 @@ def _band_index(k, wp, s, o, w_out):
     return idx
 
 
+def toeplitz_band(w4, wp, s, w_out):
+    """Banded Toeplitz matrix (C, k*Wp, O*Wo) of the (C, O, k, k) weight
+    ``w4`` for padded rows Wp wide, and its flat positions (``_band_index``).
+
+    Rows i*Wp .. (i+1)*Wp - 1 are kernel row i's block: a padded input
+    row times that block is the row's share of one output row.
+    """
+    c, o, k = w4.shape[0], w4.shape[1], w4.shape[-1]
+    idx = _band_index(k, wp, s, o, w_out)
+    band = np.zeros((c, k * wp * o * w_out))
+    band[:, idx] = w4.transpose(0, 2, 3, 1)[..., None]
+    return band.reshape(c, k * wp, o * w_out), idx
+
+
 def _row_toeplitz(x, w4, s, p):
-    """Row stack (C, B*Ho, k*Wp) of ``x`` and banded Toeplitz matrix
-    (C, k*Wp, O*Wo) of the (C, O, k, k) weight ``w4``.
+    """Row stack (C, B*Ho, k*Wp) of ``x`` and ``toeplitz_band`` of ``w4``.
 
     Stack row (b, y) holds the padded input rows s*y .. s*y + k - 1 side
-    by side. Also returns the band's flat positions (``_band_index``)
-    and (Ho, Wo).
+    by side. Also returns the band's flat positions and (Ho, Wo).
     """
     b, c, h, w = x.shape
-    o, k = w4.shape[1], w4.shape[-1]
+    k = w4.shape[-1]
     wp = w + 2 * p
     h_out, w_out = (h + 2 * p - k) // s + 1, (wp - k) // s + 1
     cols = np.zeros((c, b, h_out, k, wp))
     for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
         cols[:, :, y0:y1, i, p: p + w] = x.transpose(1, 0, 2, 3)[:, :, r0: r0 + s * (y1 - y0): s]
-    idx = _band_index(k, wp, s, o, w_out)
-    band = np.zeros((c, k * wp * o * w_out))
-    band[:, idx] = w4.transpose(0, 2, 3, 1)[..., None]
-    return (cols.reshape(c, b * h_out, k * wp), band.reshape(c, k * wp, o * w_out), idx,
-            (h_out, w_out))
+    band, idx = toeplitz_band(w4, wp, s, w_out)
+    return cols.reshape(c, b * h_out, k * wp), band, idx, (h_out, w_out)
 
 
 def toeplitz_conv(x, w4, s, p, groups):
@@ -193,10 +202,11 @@ def toeplitz_conv(x, w4, s, p, groups):
     return out.transpose(0, 2, 3, 1, 4).reshape(b, g * o, h_out, w_out)
 
 
-def toeplitz_conv_backward(x, w4, dout, s, p, groups):
+def toeplitz_conv_backward(x, w4, dout, s, p, groups, input_grad=True):
     """(g_w4, dx) of ``toeplitz_conv``. The row stack is rebuilt from
     ``x``; g_w4 sums the band diagonals of cols^T dout, and dx folds the
-    rows of dout band^T back onto the input, k row adds in all."""
+    rows of dout band^T back onto the input, k row adds in all. Without
+    ``input_grad``, dx is None and neither product nor fold runs."""
     cols, band, idx, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
     b, c, h, w = x.shape
     o, k, g = w4.shape[1], w4.shape[-1], groups
@@ -205,14 +215,16 @@ def toeplitz_conv_backward(x, w4, dout, s, p, groups):
     g_band = (cols.reshape(g, c // g, b * h_out, -1).transpose(0, 1, 3, 2) @ d2)
     g_band = g_band.reshape(c, -1)
     del cols  # the row stack is the largest temporary; free it before dx
+    # take, not g_band[:, idx]: its output is C-contiguous for any C, so
+    # each diagonal sums in the same order however many channels there are.
+    g_w4 = np.take(g_band, idx, axis=1).sum(axis=-1).transpose(0, 3, 1, 2)
+    if not input_grad:
+        return g_w4, None
     band_t = band.reshape(g, c // g, -1, o * w_out).transpose(0, 1, 3, 2)
     drows = (d2 @ band_t).reshape(c, b, h_out, k, w + 2 * p)
     dx = np.zeros((c, b, h, w))
     for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
         dx[:, :, r0: r0 + s * (y1 - y0): s] += drows[:, :, y0:y1, i, p: p + w]
-    # take, not g_band[:, idx]: its output is C-contiguous for any C, so
-    # each diagonal sums in the same order however many channels there are.
-    g_w4 = np.take(g_band, idx, axis=1).sum(axis=-1).transpose(0, 3, 1, 2)
     return g_w4, dx.transpose(1, 0, 2, 3)
 
 
@@ -222,7 +234,8 @@ class Conv2d(Layer):
     With ``groups`` G, the input and output channels split into G equal
     groups and output group g reads input group g only; the weight is
     (out_channels, in_channels / G, k, k), group g's filters in rows
-    g * out_channels / G onward.
+    g * out_channels / G onward. With ``input_grad`` cleared, backward
+    accumulates the weight gradients only and returns None.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, bias=False, groups=1,
@@ -238,6 +251,7 @@ class Conv2d(Layer):
         self.stride = stride
         self.groups = groups
         self.padding = (kernel - 1) // 2
+        self.input_grad = True
         # 1x1, stride 1: one channel matmul per sample and group, no windows.
         self._pointwise = kernel == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
@@ -285,10 +299,12 @@ class Conv2d(Layer):
             d4 = dout.reshape(b, self.groups, o // self.groups, h * w)
             self.g_w += np.matmul(d4, x4.transpose(0, 1, 3, 2)).sum(axis=0).reshape(
                 self.w.shape)
+            if not self.input_grad:
+                return None
             return np.matmul(self._w3().transpose(0, 2, 1), d4).reshape(
                 b, self.in_channels, h, w)
-        g_w4, dx = toeplitz_conv_backward(self._cache, self._w4(), dout,
-                                          self.stride, self.padding, self.groups)
+        g_w4, dx = toeplitz_conv_backward(self._cache, self._w4(), dout, self.stride,
+                                          self.padding, self.groups, self.input_grad)
         g, k = self.groups, self.kernel
         self.g_w += g_w4.reshape(g, -1, self.out_channels // g, k, k).transpose(
             0, 2, 1, 3, 4).reshape(self.w.shape)
@@ -396,17 +412,21 @@ class Swish(Layer):
     """x * sigmoid(x), the EfficientNet backbone activation."""
 
     def forward(self, x, train: bool = False):
-        self._x = x
         self._sig = sigmoid(x)
-        return x * self._sig
+        self._y = x * self._sig
+        return self._y
 
     def backward(self, dout):
-        # In place into a fresh array laid out like x: the product's layout
-        # then never depends on the array size (numpy reuses a temporary
-        # operand's buffer only above a size threshold), so a grouped pass
-        # reduces downstream in the same order as one group alone.
+        # s + x s (1 - s) written as (1 - s) y + s with y = x s, so the
+        # input need not be kept. In place into a fresh array laid out like
+        # s, and so like x: the product's layout then never depends on the
+        # array size (numpy reuses a temporary operand's buffer only above
+        # a size threshold), so a grouped pass reduces downstream in the
+        # same order as one group alone.
         s = self._sig
-        dx = s + self._x * s * (1.0 - s)
+        dx = np.subtract(1.0, s, out=np.empty_like(s))
+        dx *= self._y
+        dx += s
         dx *= dout
         return dx
 
@@ -496,29 +516,9 @@ def global_max_pool(x):
     return flat[np.arange(b)[:, None], np.arange(c)[None, :], idx], idx
 
 
-def global_max_pool_backward(dout, idx, x_shape):
-    b, c, h, w = x_shape
-    dflat = np.zeros((b, c, h * w))
-    dflat[np.arange(b)[:, None], np.arange(c)[None, :], idx] = dout
-    return dflat.reshape(x_shape)
-
-
-def channel_avg_pool(x):
-    """Mean over the channel axis of (..., C, H, W), kept as size 1."""
-    return x.mean(axis=-3, keepdims=True)
-
-
-def channel_avg_pool_backward(dout, x_shape):
-    """A read-only broadcast view, like ``global_avg_pool_backward``'s."""
-    return np.broadcast_to(dout / x_shape[-3], x_shape)
-
-
-def channel_max_pool(x):
-    idx = x.argmax(axis=-3)[..., None, :, :]
-    return np.take_along_axis(x, idx, axis=-3), idx
-
-
-def channel_max_pool_backward(dout, idx, x_shape):
-    dx = np.zeros(x_shape)
-    np.put_along_axis(dx, idx, dout, axis=-3)
+def global_max_pool_backward(dout, idx, dx):
+    """Adds ``dout`` into ``dx`` in place at each channel's max position."""
+    b, c, h, w = dx.shape
+    rows, cols = np.divmod(idx, w)
+    dx[np.arange(b)[:, None], np.arange(c), rows, cols] += dout
     return dx

@@ -73,6 +73,8 @@ class MultiDomainModel(Layer):
             "fusion", FusionClassifier(cfg.lstm_hidden, cfg.num_classes, rng=rng))
         branches = [getattr(self, name) for name in BRANCHES]
         self._backbone = _grouped_backbone(cfg, [branch.backbone for branch in branches])
+        # Nothing reads the gradient of the input maps.
+        self._backbone.stem_conv.input_grad = False
         # What each branch runs after its backbone: reshape, then LSTM or head.
         self._tails = [Sequential(**dict(branch._children[1:])) for branch in branches]
 
@@ -94,13 +96,15 @@ class MultiDomainModel(Layer):
         return self.fusion.forward(*feats, train)
 
     def backward(self, dlogits):
+        """Accumulates every parameter gradient; returns None, because the
+        gradient of the input maps is not computed."""
         douts = [tail.backward(d) for tail, d in zip(self._tails, self.fusion.backward(dlogits))]
         b, c, h, w = douts[0].shape
         # Laid out like one branch's gradient, so the backbone's reductions
         # add in the same order as a branch run alone.
         dmaps = np.empty_like(douts[0], shape=(b, len(douts) * c, h, w))
         np.concatenate(douts, axis=1, out=dmaps)
-        return tuple(np.split(self._backbone.backward(dmaps), len(douts), axis=1))
+        self._backbone.backward(dmaps)
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params().values())

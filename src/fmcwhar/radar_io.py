@@ -13,6 +13,7 @@ Two codecs are supported, selected by file extension:
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -145,16 +146,16 @@ def _format_complex(value: complex) -> str:
 
 def _entries_from_ascii(raw: bytes) -> tuple[list[complex], np.ndarray]:
     try:
-        text = raw.decode("ascii")
+        lines = raw.decode("ascii").splitlines()  # the decoded text is dropped here
     except UnicodeDecodeError as exc:
         raise RadarIoError(f"not an ASCII recording: {exc}") from exc
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            entries.append(_parse_complex_token(line, lineno))
-    if len(entries) < 4:
-        raise TruncatedHeader(f"stream holds {len(entries)} entries, header needs 4")
-    return entries[:4], np.asarray(entries[4:], dtype=np.complex128)
+    # Streamed into the payload array: no list of Python complex objects.
+    entries = (_parse_complex_token(line, lineno)
+               for lineno, line in enumerate(lines, start=1) if line.strip())
+    header = list(itertools.islice(entries, 4))
+    if len(header) < 4:
+        raise TruncatedHeader(f"stream holds {len(header)} entries, header needs 4")
+    return header, np.fromiter(entries, dtype=np.complex128)
 
 
 def _entries_from_binary(raw: bytes) -> tuple[list[complex], np.ndarray]:

@@ -17,12 +17,20 @@ expression per formula, each allocating its own temporaries.
 
 The per-branch model reference runs each branch's backbone on its own,
 as three passes, where the model runs them as one grouped pass.
+
+The CBAM reference is the gate as it ran before the fused pass: each max
+pool keeps its argmax index, every pool gradient is scattered into a
+tensor of zeros and summed, and the spatial conv is a ``Conv2d`` run
+through its own forward and backward.
 """
 
 import numpy as np
 
 from fmcwhar import domain_maps as dm
 from fmcwhar import synth
+from fmcwhar.nn import ChannelAttention, Conv2d, Layer
+from fmcwhar.nn.attention import CBAM_REDUCTION, SPATIAL_KERNEL
+from fmcwhar.nn.layers import sigmoid
 from fmcwhar.radar_io import RadarParams, SPEED_OF_LIGHT
 
 GLASGOW_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
@@ -206,3 +214,84 @@ def per_branch_backward(model, dlogits):
     """``MultiDomainModel.backward`` with every branch run alone."""
     return tuple(getattr(model, name).backward(d)
                  for name, d in zip(BRANCHES, model.fusion.backward(dlogits)))
+
+
+class _ChannelAttentionReference(ChannelAttention):
+    """The channel gate with its pool gradients scattered into zeros."""
+
+    def backward(self, dout):
+        x_shape, mx_idx, cache_avg, cache_max, gate = self._cache
+        dgate = dout[:, :, 0, 0] * gate * (1.0 - gate)
+        davg = self._mlp_backward(dgate, cache_avg)
+        dmax = self._mlp_backward(dgate, cache_max)
+        b, c, h, w = x_shape
+        dflat = np.zeros((b, c, h * w))
+        dflat[np.arange(b)[:, None], np.arange(c)[None, :], mx_idx] = dmax
+        dx = dflat.reshape(x_shape)
+        dx += (davg / (h * w))[:, :, None, None]
+        return dx
+
+
+class _SpatialAttentionReference(Layer):
+    """The spatial gate with argmax channel pooling and a ``Conv2d``."""
+
+    def __init__(self, groups):
+        super().__init__()
+        self.groups = groups
+        self.conv = self.register_child("conv", Conv2d(
+            2 * groups, groups, SPATIAL_KERNEL, bias=True, groups=groups))
+
+    def forward(self, x, train=False):
+        b, c, h, w = x.shape
+        x5 = x.reshape(b, self.groups, c // self.groups, h, w)
+        avg = x5.mean(axis=2, keepdims=True)
+        mx_idx = x5.argmax(axis=2)[:, :, None]
+        mx = np.take_along_axis(x5, mx_idx, axis=2)
+        stacked = np.concatenate([avg, mx], axis=2).reshape(b, 2 * self.groups, h, w)
+        gate = sigmoid(self.conv.forward(stacked))
+        self._cache = (x5.shape, mx_idx, gate)
+        return gate
+
+    def backward(self, dout):
+        x5_shape, mx_idx, gate = self._cache
+        b, g, c, h, w = x5_shape
+        dstacked = self.conv.backward(dout * gate * (1.0 - gate)).reshape(b, g, 2, h, w)
+        dx = np.zeros(x5_shape)
+        np.put_along_axis(dx, mx_idx, dstacked[:, :, 1:], axis=2)
+        dx += dstacked[:, :, :1] / c
+        return dx.reshape(b, g * c, h, w)
+
+
+class CbamReference(Layer):
+    """``Cbam`` as it ran before the fused gate, with the same parameter
+    names; ``load`` copies another gate's weights into it."""
+
+    def __init__(self, channels, reduction=CBAM_REDUCTION, groups=1):
+        super().__init__()
+        self.groups = groups
+        self.register_child("channel", _ChannelAttentionReference(channels, reduction, groups))
+        self.register_child("spatial", _SpatialAttentionReference(groups))
+
+    def load(self, other):
+        for name, value in other.params().items():
+            self.assign(name, value)
+        return self
+
+    def forward(self, x, train=False):
+        b, c, h, w = x.shape
+        m_c = self.channel.forward(x, train)
+        gated = m_c * x
+        m_s = self.spatial.forward(gated, train)
+        self._cache = (x, m_c, gated, m_s)
+        return (gated.reshape(b, self.groups, -1, h, w) * m_s[:, :, None]).reshape(x.shape)
+
+    def backward(self, dout):
+        x, m_c, gated, m_s = self._cache
+        b, c, h, w = x.shape
+        dout5 = dout.reshape(b, self.groups, -1, h, w)
+        dgated = (dout5 * m_s[:, :, None]).reshape(x.shape)
+        dm_s = (dout5 * gated.reshape(dout5.shape)).sum(axis=2)
+        dgated += self.spatial.backward(dm_s)
+        dx = dgated * m_c
+        dx += self.channel.backward((dgated * x).sum(axis=(2, 3), keepdims=True))
+        return dx

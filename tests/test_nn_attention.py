@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from oracles import CbamReference
 
 import fmcwhar
 from fmcwhar.nn import Cbam, ChannelAttention, SpatialAttention
@@ -55,14 +57,29 @@ class TestSpatialAttention:
         np.testing.assert_allclose(gate, 0.5, atol=0)
 
     def test_channel_constant_input_pools_equal(self):
+        # Equal channels make the average and max planes equal, so swapping
+        # the conv's average and max weights leaves the gate unchanged.
         x = np.broadcast_to(
             np.random.default_rng(5).standard_normal((1, 1, 6, 6)), (1, 4, 6, 6)
         ).copy()
-        from fmcwhar.nn.layers import channel_avg_pool, channel_max_pool
+        attn = SpatialAttention(rng=np.random.default_rng(13))
+        gate = attn.forward(x)
+        attn.conv.w[...] = attn.conv.w[:, ::-1].copy()
+        np.testing.assert_allclose(attn.forward(x), gate, rtol=0, atol=1e-12)
 
-        avg = channel_avg_pool(x)
-        mx, _ = channel_max_pool(x)
-        np.testing.assert_allclose(avg, mx, atol=1e-12)
+    def test_first_tied_channel_takes_max_gradient(self):
+        # Every channel of a group holds the same map, so all tie for the
+        # max. The first takes the max plane's gradient, as argmax picks it;
+        # the others take only their share of the average plane's.
+        rng = np.random.default_rng(14)
+        attn = SpatialAttention(groups=2, rng=rng)
+        plane = rng.standard_normal((3, 2, 1, 6, 5))
+        x = np.broadcast_to(plane, (3, 2, 4, 6, 5)).reshape(3, 8, 6, 5).copy()
+        attn.forward(x)
+        dx = attn.backward(rng.standard_normal((3, 2, 6, 5))).reshape(3, 2, 4, 6, 5)
+        for j in (2, 3):
+            np.testing.assert_array_equal(dx[:, :, j], dx[:, :, 1])
+        assert np.all(dx[:, :, 0] != dx[:, :, 1])
 
     def test_spatial_size_preserved(self):
         attn = SpatialAttention(rng=np.random.default_rng(6))
@@ -119,8 +136,51 @@ class TestCbam:
     def test_attention_maps_open_interval(self):
         cbam = Cbam(5, rng=np.random.default_rng(10))
         x = np.random.default_rng(11).standard_normal((2, 5, 8, 8)) * 3
-        cbam.forward(x)
-        _, m_c, _, m_s = cbam._cache
+        m_c = cbam.channel.forward(x)
+        m_s = cbam.spatial.forward(m_c * x)
         for gate in (m_c, m_s):
             assert np.all(gate > 0) and np.all(gate < 1)
+
+
+def _channel_major(x):
+    """``x`` laid out channel by channel, as a depthwise conv writes it."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _assert_matches_reference(cbam, x, dout, ref):
+    got = cbam.forward(x, train=True), cbam.backward(dout)
+    want = ref.forward(x, train=True), ref.backward(dout)
+    for name, g, w in zip(("out", "dx"), got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+    for name, g in cbam.grads().items():
+        np.testing.assert_allclose(g, ref.grads()[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestCbamMatchesReference:
+    """The fused gate against the pre-fusion ``Cbam`` in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (13, 6), (32, 32)])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_matches(self, groups, batch, hw):
+        rng = np.random.default_rng([groups, batch, *hw])
+        channels = 5 * groups
+        cbam = Cbam(channels, reduction=2, groups=groups, rng=rng)
+        cbam.spatial.conv.b[...] = rng.standard_normal(groups)
+        ref = CbamReference(channels, reduction=2, groups=groups).load(cbam)
+        x = rng.standard_normal((batch, channels, *hw))
+        if batch > 1:
+            x = _channel_major(x)
+        _assert_matches_reference(cbam, x, rng.standard_normal(x.shape), ref)
+
+    def test_tied_channels(self):
+        # A zero channel MLP gates every channel by 1/2, so the spatial
+        # gate sees each group's channels tie everywhere.
+        rng = np.random.default_rng(15)
+        cbam = Cbam(12, reduction=2, groups=3, rng=rng)
+        cbam.channel.w1[...] = 0.0
+        ref = CbamReference(12, reduction=2, groups=3).load(cbam)
+        x = np.broadcast_to(rng.standard_normal((4, 3, 1, 7, 9)), (4, 3, 4, 7, 9))
+        x = x.reshape(4, 12, 7, 9).copy()
+        _assert_matches_reference(cbam, x, rng.standard_normal(x.shape), ref)
 

@@ -158,6 +158,21 @@ class TestConvMatchesTapLoop:
         conv.b[...] = rng.standard_normal(3)
         assert_matches_taps(conv, rng.standard_normal((8, 6, 32, 32)), seed=7)
 
+    @pytest.mark.parametrize("kernel,stride", [(3, 2), (1, 1)])
+    def test_input_grad_off_keeps_weight_gradients(self, kernel, stride):
+        # The model's stem conv skips the gradient of the input maps.
+        rng = np.random.default_rng([kernel, 3])
+        conv = Conv2d(3, 6, kernel, stride=stride, groups=3, rng=rng)
+        x = rng.standard_normal((2, 3, 9, 8))
+        dout = rng.standard_normal(conv.forward(x).shape)
+        assert conv.backward(dout).shape == x.shape
+        g_w = conv.g_w.copy()
+        conv.zero_grads()
+        conv.input_grad = False
+        conv.forward(x)
+        assert conv.backward(dout) is None
+        np.testing.assert_array_equal(conv.g_w, g_w)
+
     def test_channel_major_input(self):
         # A depthwise output is channel-major in memory; the next layers
         # read it through a transposed view.
@@ -255,6 +270,26 @@ class TestActivations:
     def test_swish_values(self):
         x = np.array([0.0, 1.0, -1.0])
         np.testing.assert_allclose(Swish().forward(x), x * sigmoid(x), atol=0)
+
+    @pytest.mark.parametrize("channel_major", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (8, 24, 32, 32)])
+    def test_swish_backward_matches_input_form(self, shape, channel_major):
+        # Backward works from the cached output, (1 - s) y + s; it gives
+        # the bits and the strides of s + x s (1 - s) from the input. The
+        # larger shape is past numpy's temporary-reuse threshold.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(shape) * 4
+        if channel_major:
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        dout = rng.standard_normal(shape)
+        layer = Swish()
+        layer.forward(x, train=True)
+        got = layer.backward(dout)
+        s = sigmoid(x)
+        want = s + x * s * (1.0 - s)
+        want *= dout
+        assert got.strides == want.strides
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_relu(self):
         x = np.array([-2.0, 0.0, 3.0])

@@ -56,6 +56,22 @@ def test_glasgow_header_derived_constants():
 def test_truncated_header():
     with pytest.raises(TruncatedHeader):
         parse_dat(b"5.8e9\n1e-3\n128\n")
+    with pytest.raises(TruncatedHeader, match="3 entries"):
+        parse_dat(b"5.8e9\n\n1e-3\n  \n128\n\n")
+
+
+def test_ascii_errors_name_their_line():
+    # Blank lines count toward the line number but hold no entry.
+    raw = b"5.8e9\n0.001\n\n2\n4e8\n1+2i\n3-4x\n"
+    with pytest.raises(radar_io.RadarIoError, match="line 7: cannot parse entry '3-4x'"):
+        parse_dat(raw)
+    with pytest.raises(radar_io.RadarIoError, match="line 3: cannot parse"):
+        parse_dat(b"5.8e9\n0.001\nabc\n4e8\n")
+
+
+def test_ascii_non_finite_sample():
+    with pytest.raises(radar_io.NonFiniteSample, match="payload entry 2"):
+        parse_dat(b"5.8e9\n0.001\n2\n4e8\n1+2i\nnan\n")
 
 
 def test_nonpositive_param():
