@@ -378,8 +378,13 @@ def _resize_bilinear_array(values: np.ndarray, out_h: int, out_w: int) -> np.nda
 
     r_lo, r_hi, r_f = sample_coords(in_h, out_h)
     c_lo, c_hi, c_f = sample_coords(in_w, out_w)
-    top = values[r_lo][:, c_lo] * (1 - c_f) + values[r_lo][:, c_hi] * c_f
-    bot = values[r_hi][:, c_lo] * (1 - c_f) + values[r_hi][:, c_hi] * c_f
+    # np.ix_ gathers only the sampled points, never whole rows: the RD
+    # map arrives as a transposed view, where a row is a strided gather.
+    def at(rows, cols):
+        return values[np.ix_(rows, cols)]
+
+    top = at(r_lo, c_lo) * (1 - c_f) + at(r_lo, c_hi) * c_f
+    bot = at(r_hi, c_lo) * (1 - c_f) + at(r_hi, c_hi) * c_f
     return top * (1 - r_f[:, None]) + bot * r_f[:, None]
 
 

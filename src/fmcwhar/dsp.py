@@ -17,6 +17,8 @@ import numpy as np
 
 LOG_FLOOR_EPS = 1e-12  # -240 dB
 CONCENTRATION_EPS = 1e-12
+# Samples per chunk of the DF2T loop: one b*x multiply covers a chunk.
+DF2T_CHUNK = 32
 
 
 class DspError(ValueError):
@@ -185,6 +187,10 @@ def iir_filter(coeffs: IirCoeffs, x, axis: int = 0, out=None):
     ``x`` any other way raises ``DspError``.
     """
     x = np.asarray(x)
+    if x.ndim == 0:
+        raise DspError("input must have at least one axis")
+    if not -x.ndim <= axis < x.ndim:
+        raise DspError(f"axis {axis} is out of range for a {x.ndim}-D input")
     if x.shape[axis] < 1:
         raise DspError("input must hold at least one sample")
     out_dtype = np.result_type(x.dtype, np.float64)
@@ -206,14 +212,25 @@ def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     """Direct form II transposed along axis 0 into ``y``; lanes on the
     remaining axes.
 
-    Each step makes five numpy calls over all lanes, into buffers
-    allocated once. The state carries one extra row held at -0.0, the
-    additive identity, so the last row updates in the same broadcast as
-    the others: every element sees the same IEEE operations in the same
-    order as scipy's DF2T, so with two or more taps the output matches
-    scipy's ``lfilter`` bit for bit.
-    ``y[n]`` is written only after the last read of ``x[n]``, so ``y``
-    may be ``x``.
+    Samples run in chunks of ``DF2T_CHUNK``. One multiply per chunk takes
+    every ``b[j] * x[n]`` product into ``tb``. The state has no array of
+    its own: it is a window ``w = buf[i:i+p+1]`` sliding down one chunk
+    buffer, so each step makes three numpy calls over all lanes:
+
+        w += tb[:, i]         # w[0] is y[n]; w[j] is s[j] + b[j] x[n]
+        t_a = a[1:] * w[0]
+        w[1:] -= t_a          # the next state, one row further down
+
+    The window's last row holds -0.0, the additive identity, so the last
+    state row updates in the same broadcast as the others. At the end of
+    a chunk its outputs ``buf[:n]`` go to ``y`` and its last ``p`` state
+    rows move to the top. Coefficient rows are stored in the lane dtype,
+    which is the cast numpy applies to a real coefficient anyway, and
+    IEEE addition commutes, signed zeros included: every element sees
+    the same operations as scipy's DF2T, so with two or more taps the
+    output matches scipy's ``lfilter`` bit for bit. A chunk writes its
+    ``y`` rows only after its multiply has read all its ``x`` rows, so
+    ``y`` may be ``x``.
     """
     if x.ndim == 1:
         x, y = x[:, None], y[:, None]
@@ -221,22 +238,31 @@ def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     if p == 0:
         np.multiply(b[0], x, out=y)
         return
-    col = (-1,) + (1,) * (x.ndim - 1)
-    b_col, a_col = b.reshape(col), a[1:].reshape(col)
-    lanes = x.shape[1:]
-    s = np.zeros((p + 1,) + lanes, dtype=y.dtype)
+    lanes, dtype = x.shape[1:], y.dtype
+    col = (-1,) + (1,) * len(lanes)
+    b_rows = np.full((p + 1, 1) + lanes, b.reshape(col)[:, None], dtype=dtype)
+    a_rows = np.full((p,) + lanes, a[1:].reshape(col), dtype=dtype)
     # -0.0 in every part: a plain -0.0 would leave +0.0 in a complex
     # row's imaginary part, and x + (+0.0) turns x = -0.0 into +0.0.
-    np.negative(s[p], out=s[p])
-    t_b = np.empty((p + 1,) + lanes, dtype=y.dtype)
-    t_a = np.empty((p,) + lanes, dtype=y.dtype)
-    t_b0, t_b1, s0, s1, s_head = t_b[0], t_b[1:], s[0], s[1:], s[:p]
-    for xn, yn in zip(x, y):
-        np.multiply(b_col, xn, out=t_b)
-        np.add(t_b0, s0, out=yn)
-        np.add(t_b1, s1, out=t_b1)
-        np.multiply(a_col, yn, out=t_a)
-        np.subtract(t_b1, t_a, out=s_head)
+    neg_zero = np.negative(np.zeros(lanes, dtype=dtype))
+    buf = np.empty((DF2T_CHUNK + p + 1,) + lanes, dtype=dtype)
+    buf[:p] = 0.0
+    buf[p:] = neg_zero
+    tb = np.empty((p + 1, DF2T_CHUNK) + lanes, dtype=dtype)
+    t_a = np.empty((p,) + lanes, dtype=dtype)
+    steps = [(buf[i:i + p + 1], tb[:, i], buf[i], buf[i + 1:i + p + 1])
+             for i in range(DF2T_CHUNK)]
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    for c0 in range(0, x.shape[0], DF2T_CHUNK):
+        n = min(DF2T_CHUNK, x.shape[0] - c0)
+        multiply(b_rows, x[c0:c0 + n], out=tb[:, :n])
+        for w, tb_i, w0, w_tail in steps[:n]:
+            add(w, tb_i, out=w)
+            multiply(a_rows, w0, out=t_a)
+            subtract(w_tail, t_a, out=w_tail)
+        y[c0:c0 + n] = buf[:n]
+        buf[:p] = buf[n:n + p]
+        buf[p:] = neg_zero
 
 
 def log_magnitude(x) -> np.ndarray:

@@ -5,7 +5,7 @@ from fmcwhar import domain_maps as dm
 from fmcwhar import dsp, synth, training
 from fmcwhar.radar_io import EchoMatrix, RadarParams, SPEED_OF_LIGHT
 
-from oracles import check_scene_bins
+from oracles import check_scene_bins, df2t_rows
 
 PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 
@@ -213,6 +213,22 @@ class TestSharedFrontEnd:
             assert_same_map(dt_shared, dt)
             assert_same_map(rd_shared, rd)
 
+    @pytest.mark.parametrize("n_s", [128, 37])
+    @pytest.mark.parametrize("kind", [k.value for k in synth.ActivityKind])
+    def test_maps_match_row_loop_filter(self, kind, n_s, monkeypatch):
+        params = RadarParams(5.8e9, 1e-3, n_s, 4e8)
+        full = synth.generate(synth.activity_template(kind, seed=4), params)
+        echo = EchoMatrix(params=params, data=full.data[:512])
+        production = {mti: list(dm.domain_maps(echo, mti=mti)) for mti in (True, False)}
+
+        def row_loop(b, a, x, y):
+            y[...] = df2t_rows(b, a, x)
+        monkeypatch.setattr(dsp, "_lfilter_df2t", row_loop)
+        for mti in (True, False):
+            for got, want in zip(dm.domain_maps(echo, mti=mti), production[mti]):
+                assert_same_map(got, want)
+                assert got.values.tobytes() == want.values.tobytes()
+
     def test_requested_domains_in_requested_order(self):
         echo = single_target(3.0, 1.0, duration=0.256)
         maps = list(dm.domain_maps(echo, mti=False, domains=["rd", "rt"]))
@@ -315,6 +331,13 @@ class TestResize:
         out = dm.resize_bilinear(self.make_map(values), 23, 5)
         assert out.values.min() >= values.min() - 1e-12
         assert out.values.max() <= values.max() + 1e-12
+
+    def test_transposed_view_matches_contiguous_copy(self):
+        values = np.random.default_rng(2).standard_normal((40, 9)).T
+        copy = np.ascontiguousarray(values)
+        for shape in ((4, 16), (9, 40), (23, 5)):
+            assert (dm.resize_bilinear(self.make_map(values), *shape).values.tobytes()
+                    == dm.resize_bilinear(self.make_map(copy), *shape).values.tobytes())
 
     def test_axis_rescaling(self):
         spectro = self.make_map(np.zeros((8, 8)))

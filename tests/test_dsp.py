@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmcwhar.dsp import (
+    DF2T_CHUNK,
     DspError,
     InvalidCutoff,
     IirCoeffs,
@@ -239,6 +240,15 @@ class TestIirFilter:
         with pytest.raises(DspError):
             iir_filter(c, x, out=np.empty((8, 3), dtype=np.complex128))
 
+    def test_zero_d_input_is_rejected(self):
+        with pytest.raises(DspError, match="at least one axis"):
+            iir_filter(butterworth_highpass(4, 0.0075), 3.0)
+
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_axis_out_of_range_is_rejected(self, axis):
+        with pytest.raises(DspError, match="out of range"):
+            iir_filter(butterworth_highpass(4, 0.0075), np.ones((8, 3)), axis=axis)
+
     @pytest.mark.parametrize("overlap", ["out_ahead", "out_behind", "out_transposed"])
     def test_out_overlapping_x_is_rejected(self, overlap):
         c = butterworth_highpass(4, 0.0075)
@@ -255,8 +265,11 @@ class TestIirFilter:
 
 
 # One design per tap count; a[0] != 1 on the one- and three-tap designs.
+# The two-pulse canceller's zero feedback tap lets a signed zero in the
+# state reach the output.
 DESIGNS = {
     "1tap": IirCoeffs(b=[1.5], a=[2.0]),
+    "2pulse": IirCoeffs(b=[1.0, -1.0], a=[1.0, 0.0]),
     "2tap": butterworth_highpass(1, 0.1),
     "3tap": IirCoeffs(b=[0.2, -0.3, 0.1], a=[1.6, -0.4, 0.25]),
     "mti": butterworth_highpass(4, 0.0075),
@@ -297,8 +310,29 @@ class TestDf2tMatchesRowLoop:
             iir_filter(c, x, axis=axis, out=transposed)
             assert transposed.tobytes() == expected, where
 
+    @pytest.mark.parametrize("in_place", [False, True])
     @pytest.mark.parametrize("complex_lanes", [False, True])
-    @pytest.mark.parametrize("design", ["2tap", "3tap", "mti"])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("n", [1, DF2T_CHUNK - 1, DF2T_CHUNK, DF2T_CHUNK + 1,
+                                   2 * DF2T_CHUNK + 3])
+    def test_chunk_boundaries(self, n, design, complex_lanes, in_place):
+        c = DESIGNS[design]
+        x = _lanes(np.random.default_rng(n), (n, 3), complex_lanes)
+        x[::4, 1] = -0.0
+        expected = df2t_rows(c.b, c.a, x).tobytes()
+        out = x if in_place else None
+        assert iir_filter(c, x, out=out).tobytes() == expected
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_no_lanes(self, design):
+        c = DESIGNS[design]
+        x = np.empty((2 * DF2T_CHUNK + 3, 0))
+        y = iir_filter(c, x)
+        assert y.shape == x.shape and y.dtype == np.float64
+        assert y.tobytes() == df2t_rows(c.b, c.a, x).tobytes()
+
+    @pytest.mark.parametrize("complex_lanes", [False, True])
+    @pytest.mark.parametrize("design", ["2pulse", "2tap", "3tap", "mti"])
     def test_multi_tap_matches_scipy_bit_for_bit(self, design, complex_lanes):
         scipy_signal = pytest.importorskip("scipy.signal")
         c = DESIGNS[design]
