@@ -29,6 +29,7 @@ All map values are stored in dB so every domain shares one value scale.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -75,6 +76,9 @@ class Axis:
     step: float
 
     def __post_init__(self):
+        for value in (self.start, self.step):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainMapError(f"axis start and step must be numbers, got {value!r}")
         if not self.step > 0:
             raise DomainMapError(f"axis step must be > 0, got {self.step}")
 
@@ -121,10 +125,7 @@ class AstftConfig:
         lengths = {w.length for w in bank}
         if len(lengths) != 1:
             raise DomainMapError(f"bank windows must share one length, got {sorted(lengths)}")
-        alphas = [w.alpha for w in bank if w.kind is dsp.WindowKind.GAUSSIAN]
-        if len(alphas) == len(bank) and any(
-            a >= b for a, b in zip(alphas, alphas[1:])
-        ):
+        if any(a.alpha >= b.alpha for a, b in zip(bank, bank[1:])):
             raise DomainMapError("bank alpha values must be strictly increasing")
         if self.hop < 1:
             raise DomainMapError(f"hop must be >= 1, got {self.hop}")
@@ -141,7 +142,7 @@ class AstftConfig:
     @classmethod
     def default_for(cls, params: RadarParams, n_chirps: int) -> "AstftConfig":
         length = min(DEFAULT_ASTFT_LENGTH, n_chirps)
-        bank = tuple(dsp.WindowSpec.gaussian(length, a) for a in DEFAULT_ASTFT_ALPHAS)
+        bank = tuple(dsp.WindowSpec(length, a) for a in DEFAULT_ASTFT_ALPHAS)
         lo_m, hi_m = DEFAULT_RANGE_INTERVAL_M
         r1 = max(0, int(np.ceil(lo_m / params.range_bin_m)))
         r2 = min(params.samples_per_chirp - 1, int(np.floor(hi_m / params.range_bin_m)))
@@ -160,7 +161,7 @@ class AstftConfig:
 
 
 def range_profiles(echo: EchoMatrix, out: np.ndarray | None = None) -> np.ndarray:
-    """Complex range profiles: rectangular-window fast-time DFT per chirp.
+    """Complex range profiles: unwindowed fast-time DFT per chirp.
 
     ``out``, as in numpy, receives the (n_chirps, N) result.
     """
@@ -169,11 +170,6 @@ def range_profiles(echo: EchoMatrix, out: np.ndarray | None = None) -> np.ndarra
 
 def _mti_coeffs() -> dsp.IirCoeffs:
     return dsp.butterworth_highpass(order=MTI_ORDER, cutoff_norm=MTI_CUTOFF_NORM)
-
-
-def mti_filter_complex(profiles: np.ndarray) -> np.ndarray:
-    """Slow-time MTI high-pass on complex profiles (per quadrature)."""
-    return dsp.iir_filter(_mti_coeffs(), profiles, axis=0)
 
 
 def _front_end(echo: EchoMatrix, rt: bool, doppler: bool, rt_mti: bool = True):
@@ -249,10 +245,7 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
         segments = _frame_segments(profiles[:, r], length, cfg.hop)  # (n_frames, L)
         spectra = np.fft.fft(segments[None, :, :] * windows[:, None, :], axis=2)
         mags = np.abs(spectra)  # (n_alpha, n_frames, L)
-        s1 = mags.sum(axis=2)
-        s2 = np.square(mags).sum(axis=2)
-        conc = s1 * s1 / (s2 + dsp.CONCENTRATION_EPS)  # dsp.concentration per frame
-        chosen = np.argmin(conc, axis=0)  # first minimum wins ties
+        chosen = np.argmin(dsp.concentration(mags), axis=0)  # first minimum wins ties
         selected = mags[chosen, np.arange(mags.shape[1]), :]  # (n_frames, L)
         del spectra, mags  # free before the next bin's FFT
         accum = selected if accum is None else accum + selected
@@ -415,23 +408,27 @@ def load_spectro_map(path) -> SpectroMap:
         meta = json.load(fh)
     try:
         domain = Domain(meta["domain"])
-    except ValueError:
+        rows, cols = meta["shape"]
+        row_axis, col_axis = (Axis(d["name"], d["unit"], d["start"], d["step"])
+                              for d in (meta["row_axis"], meta["col_axis"]))
+        params = RadarParams(**meta["params"])
+    except (TypeError, ValueError, KeyError) as exc:
         raise DomainMapError(
-            f"{path}: unknown domain {meta['domain']!r} in sidecar") from None
-    shape = tuple(meta["shape"])
+            f"{path}: malformed sidecar ({type(exc).__name__}: {exc})") from exc
+    if not all(type(n) is int and n > 0 for n in (rows, cols)):
+        raise DomainMapError(
+            f"{path}: sidecar shape {meta['shape']!r} is not two positive integers")
     values = np.fromfile(path, dtype="<f4")
-    if values.size != shape[0] * shape[1]:
+    if values.size != rows * cols:
         raise DomainMapError(
-            f"{path}: payload holds {values.size} values, sidecar says {shape}"
+            f"{path}: payload holds {values.size} values, sidecar says {(rows, cols)}"
         )
-    def axis(d):
-        return Axis(d["name"], d["unit"], d["start"], d["step"])
     return SpectroMap(
         domain=domain,
-        values=values.astype(np.float64).reshape(shape),
-        row_axis=axis(meta["row_axis"]),
-        col_axis=axis(meta["col_axis"]),
-        params=RadarParams(**meta["params"]),
+        values=values.astype(np.float64).reshape(rows, cols),
+        row_axis=row_axis,
+        col_axis=col_axis,
+        params=params,
     )
 
 

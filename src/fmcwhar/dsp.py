@@ -1,4 +1,6 @@
-"""Reusable numeric kernels: DFT, windows, Butterworth high-pass, log magnitude.
+"""Numeric kernels of the map chain: the Gaussian window and the spectral
+concentration factor of the adaptive short-time transform, the Butterworth
+high-pass and its IIR filter for MTI, and log magnitude.
 
 Every function here keeps no state and leaves its arguments unchanged,
 except that ``iir_filter`` writes into ``out`` (which may be its input).
@@ -10,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,86 +26,33 @@ class DspError(ValueError):
     pass
 
 
-class LengthMismatch(DspError):
-    pass
-
-
 class InvalidCutoff(DspError):
     pass
 
 
-class WindowKind(Enum):
-    RECTANGULAR = "rectangular"
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class WindowSpec:
-    """Analysis window: rectangular, or Gaussian with shape parameter alpha.
+    """Gaussian analysis window of ``length`` samples and shape ``alpha``.
 
-    The Gaussian is w[k] = exp(-alpha * ((k - (L-1)/2) / ((L-1)/2))**2);
-    larger alpha means a narrower effective window.
+    w[k] = exp(-alpha * ((k - (L-1)/2) / ((L-1)/2))**2); larger alpha
+    means a narrower effective window.
     """
 
-    kind: WindowKind
     length: int
-    alpha: float | None = None
+    alpha: float
 
     def __post_init__(self):
         if self.length < 1:
             raise DspError(f"window length must be >= 1, got {self.length}")
-        if self.kind is WindowKind.GAUSSIAN:
-            if self.alpha is None or not self.alpha > 0:
-                raise DspError(f"Gaussian window needs alpha > 0, got {self.alpha}")
-        elif self.alpha is not None:
-            raise DspError("alpha only applies to Gaussian windows")
-
-    @classmethod
-    def rectangular(cls, length: int) -> "WindowSpec":
-        return cls(WindowKind.RECTANGULAR, length)
-
-    @classmethod
-    def gaussian(cls, length: int, alpha: float) -> "WindowSpec":
-        return cls(WindowKind.GAUSSIAN, length, alpha)
+        if not self.alpha > 0:
+            raise DspError(f"Gaussian window needs alpha > 0, got {self.alpha}")
 
     def values(self) -> np.ndarray:
-        if self.kind is WindowKind.RECTANGULAR:
-            return np.ones(self.length)
         if self.length == 1:
             return np.ones(1)
         half = (self.length - 1) / 2.0
         k = np.arange(self.length)
         return np.exp(-self.alpha * ((k - half) / half) ** 2)
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """DFT output bins plus the frequency step between them (0 if unknown)."""
-
-    bins: np.ndarray
-    bin_resolution_hz: float = 0.0
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 1 or bins.size < 1:
-            raise DspError("spectrum must be a non-empty 1-D vector")
-        object.__setattr__(self, "bins", bins)
-
-
-def dft(signal, window: WindowSpec, sample_rate_hz: float | None = None) -> ComplexSpectrum:
-    """Windowed DFT: bins[r] = sum_m signal[m] w[m] exp(-j 2 pi r m / N).
-
-    Computed with the FFT; matches the direct O(N^2) sum to better than
-    1e-9 relative error for N <= 256.
-    """
-    x = np.asarray(signal, dtype=np.complex128)
-    if x.ndim != 1:
-        raise LengthMismatch("signal must be a 1-D vector")
-    if window.length != x.size:
-        raise LengthMismatch(f"window length {window.length} != signal length {x.size}")
-    bins = np.fft.fft(x * window.values())
-    res = (sample_rate_hz / x.size) if sample_rate_hz else 0.0
-    return ComplexSpectrum(bins=bins, bin_resolution_hz=res)
 
 
 @dataclass(frozen=True)
@@ -129,9 +77,6 @@ class IirCoeffs:
 
     def poles(self) -> np.ndarray:
         return np.roots(self.a)
-
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles()) < 1.0))
 
     def gain_at(self, freq_norm: float) -> complex:
         """Frequency response H(e^{j pi f}) with f as a fraction of Nyquist."""
@@ -266,10 +211,9 @@ def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) ->
 
 
 def log_magnitude(x) -> np.ndarray:
-    """Elementwise 20 log10(max(|x|, LOG_FLOOR_EPS)); the floor keeps zeros finite."""
+    """Elementwise 20 log10(max(|x|, LOG_FLOOR_EPS)) of a float or complex
+    array; the floor keeps zeros finite."""
     mag = np.abs(x)
-    if not isinstance(mag, np.ndarray) or mag.dtype.kind != "f":
-        mag = np.array(mag, dtype=np.float64)
     # In place on the one fresh array: no further full-size temporaries.
     np.maximum(mag, LOG_FLOOR_EPS, out=mag)
     np.log10(mag, out=mag)
@@ -277,16 +221,16 @@ def log_magnitude(x) -> np.ndarray:
     return mag
 
 
-def concentration(spectrum_mag) -> float:
-    """Spectral concentration factor (sum|X|)^2 / (sum|X|^2 + CONCENTRATION_EPS).
+def concentration(mag: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Spectral concentration factor (sum|X|)^2 / (sum|X|^2 + CONCENTRATION_EPS)
+    of the magnitude spectra along ``axis``.
 
     Small values mean energy packed into few bins; a single occupied bin
     gives ~1, N equal bins give ~N. Minimizing this over a window bank
     picks the window with the most concentrated spectrum.
     """
-    mag = np.asarray(spectrum_mag, dtype=np.float64)
     if np.any(mag < 0):
         raise DspError("spectrum magnitudes must be non-negative")
-    s1 = float(mag.sum())
-    s2 = float(np.square(mag).sum())
+    s1 = mag.sum(axis=axis)
+    s2 = np.square(mag).sum(axis=axis)
     return s1 * s1 / (s2 + CONCENTRATION_EPS)

@@ -74,6 +74,8 @@ def load_checkpoint(directory) -> MultiDomainModel:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
     for section, expected in (("params", model.params()), ("buffers", model.buffers())):
         entries = manifest.get(section, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise CheckpointError(f"{directory}: manifest {section} must be a list of objects")
         missing = sorted(set(expected) - {entry["name"] for entry in entries})
         if missing:
             raise CheckpointError(

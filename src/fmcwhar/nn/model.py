@@ -105,6 +105,3 @@ class MultiDomainModel(Layer):
         dmaps = np.empty_like(douts[0], shape=(b, len(douts) * c, h, w))
         np.concatenate(douts, axis=1, out=dmaps)
         self._backbone.backward(dmaps)
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())

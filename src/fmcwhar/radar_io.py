@@ -14,6 +14,7 @@ Two codecs are supported, selected by file extension:
 from __future__ import annotations
 
 import itertools
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,7 +37,7 @@ class TruncatedHeader(RadarIoError):
 
 
 class NonPositiveParam(RadarIoError):
-    """A header parameter was zero or negative."""
+    """A header parameter was not a positive finite number."""
 
 
 class EmptyPayload(RadarIoError):
@@ -63,6 +64,9 @@ class RadarParams:
     def __post_init__(self):
         for name in ("carrier_freq_hz", "chirp_duration_s", "samples_per_chirp", "bandwidth_hz"):
             value = getattr(self, name)
+            # bool subclasses int, but a JSON true is no radar parameter.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise NonPositiveParam(f"{name} must be a number, got {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise NonPositiveParam(f"{name} must be finite and > 0, got {value!r}")
         if int(self.samples_per_chirp) != self.samples_per_chirp:

@@ -131,6 +131,12 @@ def adam_step(params, grads, state: AdamState, t: int, lr: float):
     return params, state
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise ``LabelOutOfRange`` unless every label lies in [0, num_classes)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise LabelOutOfRange(f"labels must lie in [0, {num_classes}), got {labels}")
+
+
 def cross_entropy(logits, labels):
     """Mean negative log softmax likelihood and its gradient.
 
@@ -139,8 +145,7 @@ def cross_entropy(logits, labels):
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     batch, k = logits.shape
-    if labels.min() < 0 or labels.max() >= k:
-        raise LabelOutOfRange(f"labels must lie in [0, {k}), got {labels}")
+    _check_labels(labels, k)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
@@ -176,6 +181,7 @@ class MetricsReport:
 
     @classmethod
     def from_predictions(cls, labels, predicted, num_classes) -> "MetricsReport":
+        _check_labels(np.asarray(labels), num_classes)
         confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
         for truth, pred in zip(labels, predicted):
             confusion[truth, pred] += 1
@@ -255,7 +261,8 @@ def load_dataset(directory):
     """Load a saved dataset directory as (x_rt, x_dt, x_rd, labels).
 
     Map tensors have shape (N, 1, map_size, map_size), each map min-max
-    normalized to [0, 1]; labels index the activity kinds.
+    normalized to [0, 1]; labels index the activity kinds and must be
+    integers (``evaluate`` checks their range against the model).
     """
     directory = Path(directory)
     with open(directory / "index.json") as fh:
@@ -263,10 +270,13 @@ def load_dataset(directory):
     stacks = {key: [] for key in DOMAIN_KEYS}
     labels = []
     for entry in index["samples"]:
+        label = entry["label"]
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise LabelOutOfRange(f"{directory}: label {label!r} is not an integer")
+        labels.append(label)
         for key in DOMAIN_KEYS:
             spectro = dm.load_spectro_map(directory / entry[key])
             stacks[key].append(min_max_normalize(spectro.values)[None])
-        labels.append(entry["label"])
     return (np.stack(stacks["rt"]), np.stack(stacks["dt"]), np.stack(stacks["rd"]),
             np.array(labels, dtype=np.int64))
 

@@ -10,7 +10,9 @@ is a strided slice of the padded input, so forward, input gradient and
 weight gradient are each a sum of k*k small contractions.
 
 The filter reference runs direct form II transposed one state row at a
-time, with scalar coefficients, as scipy's ``lfilter`` does.
+time, with scalar coefficients, as scipy's ``lfilter`` does. The MTI
+profiles come from the public range DFT and filter kernels, outside the
+shared front end.
 
 The batch-norm and Adam references are the unfused forms: one numpy
 expression per formula, each allocating its own temporaries.
@@ -27,7 +29,7 @@ through its own forward and backward.
 import numpy as np
 
 from fmcwhar import domain_maps as dm
-from fmcwhar import synth
+from fmcwhar import dsp, synth
 from fmcwhar.nn import ChannelAttention, Conv2d, Layer
 from fmcwhar.nn.attention import CBAM_REDUCTION, SPATIAL_KERNEL
 from fmcwhar.nn.layers import sigmoid
@@ -101,6 +103,12 @@ def check_scene_bins(r0, v, seed, params=GLASGOW_PARAMS, noise_std=0.05):
         ) <= 1.5 * rdm.col_axis.step
     )
     return rtm_ok, dtm_ok, rdm_ok
+
+
+def mti_profiles(echo):
+    """MTI-filtered complex range profiles: the order-4 high-pass along slow time."""
+    coeffs = dsp.butterworth_highpass(dm.MTI_ORDER, dm.MTI_CUTOFF_NORM)
+    return dsp.iir_filter(coeffs, dm.range_profiles(echo), axis=0)
 
 
 def conv_taps(x, w, dout, stride, padding, groups=1):

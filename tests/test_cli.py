@@ -178,15 +178,28 @@ class TestAugment:
                          "--out", str(out)]) == 2
         assert not out.parent.exists()
 
-    def test_unknown_sidecar_domain(self, tmp_path, echo_file):
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(domain="xt"),
+        lambda meta: meta["params"].update(antenna_gain_db=3.0),
+        lambda meta: meta.update(shape="64x64"),
+        lambda meta: meta["row_axis"].update(step="0.016"),
+        lambda meta: meta["row_axis"].update(start="zero"),
+        lambda meta: meta["col_axis"].update(step=True),
+        lambda meta: [meta],
+        lambda meta: meta["params"].update(samples_per_chirp=True),
+    ], ids=["unknown_domain", "unknown_param", "string_shape", "string_step",
+            "string_start", "bool_step", "list_sidecar", "bool_samples"])
+    def test_malformed_sidecar(self, tmp_path, echo_file, edit, capsys):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
                          "--out", str(maps_dir)]) == 0
         sidecar = maps_dir / "dt.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "domain": "xt"}))
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(edit(meta) or meta))
         out = tmp_path / "aug" / "aug.smap"
         assert cli.main(["augment", str(maps_dir / "dt.smap"), "--seed", "5",
-                         "--out", str(out)]) == 2
+                         "--out", str(out), "--json"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainMapError"
         assert not out.parent.exists()
 
 
@@ -331,8 +344,9 @@ class TestMalformedCheckpoints:
         lambda ckpt: _edit_manifest(ckpt, lambda m: _omit(m, "params", "fusion.linear.w")),
         lambda ckpt: _edit_manifest(
             ckpt, lambda m: _omit(m, "buffers", "rt.backbone.stem_bn.running_mean")),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(params=5)),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
-            "omitted_param", "omitted_buffer"])
+            "omitted_param", "omitted_buffer", "params_not_a_list"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")
@@ -358,6 +372,19 @@ class TestMalformedCheckpoints:
         code, _ = self.eval_exit_code(tmp_path, toy_run,
                                       lambda ckpt: (ckpt / BLOB).unlink(), capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("label", [-1, 6, 9, 1.5, True],
+                         ids=["negative", "num_classes", "nine", "fraction", "bool"])
+def test_eval_rejects_bad_label(tmp_path, toy_run, label, capsys):
+    data = tmp_path / "dataset"
+    shutil.copytree(toy_run / "dataset", data)
+    index = json.loads((data / "index.json").read_text())
+    index["samples"][2]["label"] = label
+    (data / "index.json").write_text(json.dumps(index))
+    code = cli.main(["eval", "--ckpt", str(toy_run / "checkpoint"), "--data", str(data),
+                     "--out", str(tmp_path / "eval"), "--json"])
+    assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "LabelOutOfRange")
 
 
 SMALL = radar_io.RadarParams(5.8e9, 1e-3, 8, 4e8)

@@ -5,7 +5,7 @@ from fmcwhar import domain_maps as dm
 from fmcwhar import dsp, synth, training
 from fmcwhar.radar_io import EchoMatrix, RadarParams, SPEED_OF_LIGHT
 
-from oracles import check_scene_bins, df2t_rows
+from oracles import check_scene_bins, df2t_rows, mti_profiles
 
 PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 
@@ -79,13 +79,13 @@ class TestDopplerTimeMap:
 
     def test_single_member_bank_equals_fixed_stft(self):
         echo = single_target(3.0, 1.2, duration=0.512)
-        window = dsp.WindowSpec.gaussian(128, 4.0)
+        window = dsp.WindowSpec(128, 4.0)
         cfg = dm.AstftConfig(window_bank=(window,), hop=16, range_bin_lo=2,
                              range_bin_hi=13)
         adaptive = dm.doppler_time_map(echo, cfg)
 
         # Independent fixed-window STFT of the same pipeline stages.
-        profiles = dm.mti_filter_complex(dm.range_profiles(echo))
+        profiles = mti_profiles(echo)
         w = window.values()
         accum = None
         for r in range(2, 14):
@@ -109,7 +109,7 @@ class TestDopplerTimeMap:
         cfg = dm.AstftConfig.default_for(PARAMS, echo.n_chirps)
         _, selection = dm.doppler_time_map(echo, cfg, return_selection=True)
 
-        profiles = dm.mti_filter_complex(dm.range_profiles(echo))
+        profiles = mti_profiles(echo)
         n_bins = cfg.range_bin_hi - cfg.range_bin_lo + 1
         assert selection.shape[0] == n_bins
         for i, r in enumerate(range(cfg.range_bin_lo, cfg.range_bin_hi + 1)):
@@ -136,14 +136,14 @@ class TestDopplerTimeMap:
             dm.AstftConfig(window_bank=(), hop=16, range_bin_lo=0, range_bin_hi=4)
         with pytest.raises(dm.RangeIntervalOutOfBounds):
             dm.AstftConfig(
-                window_bank=(dsp.WindowSpec.gaussian(64, 1.0),),
+                window_bank=(dsp.WindowSpec(64, 1.0),),
                 hop=16, range_bin_lo=5, range_bin_hi=3,
             )
         with pytest.raises(dm.DomainMapError):
             dm.AstftConfig(
                 window_bank=(
-                    dsp.WindowSpec.gaussian(64, 2.0),
-                    dsp.WindowSpec.gaussian(64, 1.0),
+                    dsp.WindowSpec(64, 2.0),
+                    dsp.WindowSpec(64, 1.0),
                 ),
                 hop=16, range_bin_lo=0, range_bin_hi=4,
             )
@@ -151,7 +151,7 @@ class TestDopplerTimeMap:
     def test_range_interval_checked_against_echo(self):
         echo = single_target(3.0, 1.0, duration=0.256)
         cfg = dm.AstftConfig(
-            window_bank=(dsp.WindowSpec.gaussian(64, 1.0),),
+            window_bank=(dsp.WindowSpec(64, 1.0),),
             hop=16, range_bin_lo=0, range_bin_hi=128,
         )
         with pytest.raises(dm.RangeIntervalOutOfBounds):

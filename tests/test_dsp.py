@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmcwhar import domain_maps as dm
 from fmcwhar.dsp import (
     DF2T_CHUNK,
     DspError,
     InvalidCutoff,
     IirCoeffs,
-    LengthMismatch,
-    WindowKind,
     WindowSpec,
     butterworth_highpass,
     concentration,
-    dft,
     iir_filter,
     log_magnitude,
 )
+from fmcwhar.radar_io import EchoMatrix, RadarParams
 
 from oracles import df2t_rows
 
@@ -41,13 +40,16 @@ def dft_direct(signal, window_values):
     return kernel @ x
 
 
-class TestWindows:
-    def test_rectangular_is_all_ones(self):
-        w = WindowSpec.rectangular(16).values()
-        np.testing.assert_array_equal(w, np.ones(16))
+def range_dft(chirps):
+    """The chain's range DFT (``range_profiles``) of one chirp or a (n_chirps, N) stack."""
+    rows = np.atleast_2d(chirps)
+    params = RadarParams(5.8e9, 1e-3, rows.shape[1], 4e8)
+    return dm.range_profiles(EchoMatrix(params=params, data=rows)).reshape(np.shape(chirps))
 
+
+class TestWindows:
     def test_gaussian_peak_and_range(self):
-        w = WindowSpec.gaussian(33, alpha=4.0).values()
+        w = WindowSpec(33, alpha=4.0).values()
         assert w.max() == 1.0
         assert np.argmax(w) == 16
         assert np.all(w > 0) and np.all(w <= 1)
@@ -58,48 +60,44 @@ class TestWindows:
     )
     @settings(max_examples=50, deadline=None)
     def test_gaussian_symmetry(self, length, alpha):
-        w = WindowSpec.gaussian(length, alpha).values()
+        w = WindowSpec(length, alpha).values()
         np.testing.assert_allclose(w, w[::-1], rtol=0, atol=0)
 
     def test_invalid_alpha(self):
         with pytest.raises(DspError):
-            WindowSpec.gaussian(8, alpha=0.0)
+            WindowSpec(8, alpha=0.0)
         with pytest.raises(DspError):
-            WindowSpec(WindowKind.RECTANGULAR, 8, alpha=1.0)
+            WindowSpec(0, alpha=1.0)
 
 
 class TestDft:
+    """``range_profiles``, the chain's range DFT, against the direct sum."""
+
     def test_dc_case(self):
-        spec = dft(np.ones(8, dtype=complex), WindowSpec.rectangular(8))
-        assert abs(spec.bins[0] - 8.0) < 1e-12
-        assert np.all(np.abs(spec.bins[1:]) < 1e-12)
+        bins = range_dft(np.ones(8, dtype=complex))
+        assert abs(bins[0] - 8.0) < 1e-12
+        assert np.all(np.abs(bins[1:]) < 1e-12)
 
     def test_on_grid_tone(self):
         m = np.arange(16)
-        spec = dft(np.exp(2j * np.pi * 3 * m / 16), WindowSpec.rectangular(16))
-        assert abs(abs(spec.bins[3]) - 16.0) < 1e-9
-        others = np.delete(np.abs(spec.bins), 3)
+        bins = range_dft(np.exp(2j * np.pi * 3 * m / 16))
+        assert abs(abs(bins[3]) - 16.0) < 1e-9
+        others = np.delete(np.abs(bins), 3)
         assert np.all(others < 1e-9)
 
     def test_matches_direct_sum_n64(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        spec = dft(x, WindowSpec.rectangular(64))
         oracle = dft_direct(x, np.ones(64))
-        assert np.max(np.abs(spec.bins - oracle)) / np.max(np.abs(oracle)) < 1e-9
+        assert np.max(np.abs(range_dft(x) - oracle)) / np.max(np.abs(oracle)) < 1e-9
 
     @pytest.mark.parametrize("n", [7, 24, 100, 128, 199, 256])
     def test_matches_direct_sum_all_sizes(self, n):
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = WindowSpec.gaussian(n, alpha=2.0) if n % 2 else WindowSpec.rectangular(n)
-        spec = dft(x, w)
-        oracle = dft_direct(x, w.values())
-        assert np.max(np.abs(spec.bins - oracle)) / np.max(np.abs(oracle)) < 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            dft(np.ones(8), WindowSpec.rectangular(9))
+        chirps = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for x, bins in zip(chirps, range_dft(chirps)):
+            oracle = dft_direct(x, np.ones(n))
+            assert np.max(np.abs(bins - oracle)) / np.max(np.abs(oracle)) < 1e-9
 
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 128))
     @settings(max_examples=40, deadline=None)
@@ -108,9 +106,8 @@ class TestDft:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a, b = complex(rng.standard_normal(), rng.standard_normal()), 2.5 - 0.5j
-        w = WindowSpec.rectangular(n)
-        lhs = dft(a * x + b * y, w).bins
-        rhs = a * dft(x, w).bins + b * dft(y, w).bins
+        lhs = range_dft(a * x + b * y)
+        rhs = a * range_dft(x) + b * range_dft(y)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 256))
@@ -118,15 +115,10 @@ class TestDft:
     def test_parseval(self, seed, n):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        bins = dft(x, WindowSpec.rectangular(n)).bins
+        bins = range_dft(x)
         time_energy = np.sum(np.abs(x) ** 2)
         freq_energy = np.sum(np.abs(bins) ** 2) / n
         assert abs(time_energy - freq_energy) <= 1e-9 * time_energy
-
-    def test_bin_resolution(self):
-        spec = dft(np.ones(128, dtype=complex), WindowSpec.rectangular(128),
-                   sample_rate_hz=128e3)
-        assert spec.bin_resolution_hz == pytest.approx(1e3)
 
 
 class TestButterworth:
@@ -152,7 +144,6 @@ class TestButterworth:
     def test_poles_inside_unit_circle(self, order, cutoff):
         c = butterworth_highpass(order, cutoff)
         assert np.all(np.abs(c.poles()) < 1.0)
-        assert c.is_stable()
 
     @pytest.mark.parametrize("order,cutoff", [(2, 0.2), (3, 0.5), (5, 0.01)])
     def test_matches_scipy_for_other_designs(self, order, cutoff):
@@ -393,6 +384,13 @@ class TestConcentration:
 
     def test_zero_spectrum(self):
         assert concentration(np.zeros(16)) == 0.0
+
+    def test_reduces_along_axis(self):
+        rng = np.random.default_rng(7)
+        mags = rng.uniform(0.0, 2.0, size=(3, 5, 16))
+        for axis in (0, 1, -1):
+            per_lane = np.apply_along_axis(concentration, axis, mags)
+            np.testing.assert_array_equal(concentration(mags, axis=axis), per_lane)
 
     def test_rejects_negative(self):
         with pytest.raises(DspError):

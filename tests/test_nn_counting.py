@@ -72,7 +72,7 @@ class TestFullModelParams:
         small = {} if name == "toy" else dict(input_hw=32, in_channels=1, lstm_hidden=16)
         cfg = preset(name, lstm_feature_dim_rule=rule, **small)
         model = MultiDomainModel(cfg, seed=0)
-        assert model.n_params() == count_params(cfg).total
+        assert sum(p.size for p in model.params().values()) == count_params(cfg).total
 
 
 class TestFlops:

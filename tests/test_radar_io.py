@@ -79,6 +79,15 @@ def test_nonpositive_param():
         parse_dat(ascii_stream([5.8e9, -1e-3, 128, 4e8], np.ones(128)))
 
 
+@pytest.mark.parametrize("field", range(4))
+def test_param_must_be_a_number(field):
+    for bad in (True, "128"):
+        values = [5.8e9, 1e-3, 128, 4e8]
+        values[field] = bad
+        with pytest.raises(NonPositiveParam, match="must be a number"):
+            RadarParams(*values)
+
+
 def test_empty_payload():
     with pytest.raises(EmptyPayload):
         parse_dat(ascii_stream([5.8e9, 1e-3, 128, 4e8], np.ones(100)))

@@ -173,6 +173,11 @@ class TestMetrics:
                 np.trace(report.confusion) / 15
             )
 
+    @pytest.mark.parametrize("labels", [[-1, 0], [0, 6]], ids=["negative", "past_last"])
+    def test_label_out_of_range(self, labels):
+        with pytest.raises(LabelOutOfRange):
+            MetricsReport.from_predictions(np.array(labels), np.array([0, 0]), 6)
+
     def test_csv_output(self, tmp_path):
         labels = np.repeat(np.arange(2), 3)
         report = MetricsReport.from_predictions(labels, labels, 2)
@@ -297,6 +302,19 @@ def test_checkpoint_logit_tolerance(trained, tmp_path):
     moved = np.abs(after - before).max()
     assert 0.0 < moved < 1e-6 * np.abs(before).max()
     np.testing.assert_array_equal(after.argmax(axis=1), before.argmax(axis=1))
+
+
+def test_dataset_labels_must_be_integers(tmp_path):
+    from fmcwhar.training import load_dataset, save_toy_dataset
+
+    save_toy_dataset(tmp_path / "ds", samples_per_class=1, seed=4, map_size=8)
+    index_path = tmp_path / "ds" / "index.json"
+    index = json.loads(index_path.read_text())
+    for bad in (1.5, True, "1"):
+        index["samples"][1]["label"] = bad
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(LabelOutOfRange, match="not an integer"):
+            load_dataset(tmp_path / "ds")
 
 
 def test_dataset_save_load_round_trip(tmp_path):
