@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .domain_maps import SpectroMap
+from .radar_io import check_field_types
 from .synth import seeded_rng
 
 REGION_LOW = 0
@@ -39,14 +40,7 @@ class AugmentPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool subclasses int, but a JSON true is no seed, threshold or variance.
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise AugmentError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (not isinstance(value, (int, float))
-                                      or isinstance(value, bool)):
-                raise AugmentError(f"{f.name} must be a number, got {value!r}")
+        check_field_types(self, AugmentError)
         if not 0.0 < self.low_threshold < self.high_threshold < 1.0:
             raise AugmentError(
                 f"need 0 < low < high < 1, got {self.low_threshold}, {self.high_threshold}"

@@ -226,10 +226,10 @@ def _cmd_train_toy(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.time()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(args.ckpt)
     dataset = training.load_dataset(args.data)
     report = training.evaluate(model, dataset)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.write_csv(out_dir / "metrics.csv", out_dir / "confusion.csv")
 
     _manifest("eval", {"ckpt": args.ckpt, "data": args.data}, {},

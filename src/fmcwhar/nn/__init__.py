@@ -15,7 +15,6 @@ from .layers import (
     Dropout,
     Layer,
     Linear,
-    ReLU,
     Sequential,
     ShapeMismatch,
     Swish,
@@ -32,7 +31,7 @@ __all__ = [
     "Backbone", "BatchNorm2d", "Cbam", "ChannelAttention", "Conv2d",
     "DepthwiseConv2d", "Dropout", "FusionClassifier", "GradCheckResult",
     "Layer", "Linear", "Lstm", "MBConv", "ModelConfig", "MultiDomainModel",
-    "RdHead", "ReLU", "Sequential", "SequenceReshape", "ShapeMismatch",
+    "RdHead", "Sequential", "SequenceReshape", "ShapeMismatch",
     "SpatialAttention", "StageSpec", "Swish",
     "count_flops", "count_params", "load_checkpoint", "run_gradcheck",
     "save_checkpoint",

@@ -22,19 +22,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .layers import (
-    Conv2d,
-    Layer,
-    ShapeMismatch,
-    check_tensor4,
-    fan_in_uniform,
-    global_avg_pool,
-    global_avg_pool_backward,
-    global_max_pool,
-    global_max_pool_backward,
-    sigmoid,
-    toeplitz_band,
-)
+from .layers import Layer, ShapeMismatch, check_tensor4, fan_in_uniform, sigmoid, toeplitz_band
 
 SPATIAL_KERNEL = 7
 CBAM_REDUCTION = 16
@@ -85,8 +73,11 @@ class ChannelAttention(Layer):
             raise ShapeMismatch(
                 f"channel attention built for {self.channels} channels, got {x.shape[1]}"
             )
-        avg = global_avg_pool(x)
-        mx, mx_idx = global_max_pool(x)
+        b, c, h, w = x.shape
+        flat = x.reshape(b, c, h * w)
+        mx_idx = flat.argmax(axis=2)
+        avg = x.mean(axis=(2, 3))
+        mx = flat[np.arange(b)[:, None], np.arange(c), mx_idx]
         out_avg, cache_avg = self._mlp(avg)
         out_max, cache_max = self._mlp(mx)
         gate = sigmoid(out_avg + out_max)
@@ -99,10 +90,13 @@ class ChannelAttention(Layer):
         dgate = dout[:, :, 0, 0] * gate * (1.0 - gate)
         davg = self._mlp_backward(dgate, cache_avg)
         dmax = self._mlp_backward(dgate, cache_max)
+        b, c, h, w = x_shape
         if dx is None:
             dx = np.zeros(x_shape)
-        dx += global_avg_pool_backward(davg, x_shape)
-        return global_max_pool_backward(dmax, mx_idx, dx)
+        dx += (davg / (h * w))[:, :, None, None]
+        rows, cols = np.divmod(mx_idx, w)
+        dx[np.arange(b)[:, None], np.arange(c), rows, cols] += dmax
+        return dx
 
 
 def _ungroup(a):
@@ -125,21 +119,25 @@ class SpatialAttention(Layer):
     by side. The conv is k row taps over the flat (G, B*Hp, 2*Wp) view:
     tap i multiplies rows i .. i + n by the band's kernel row i block
     (``toeplitz_band``), so no row stack is built. Output rows that
-    straddle two samples are computed and dropped. ``conv`` holds the
-    weights; its own forward does not run here.
+    straddle two samples are computed and dropped. The child ``conv``
+    only holds the weights, ``w`` (G, 2, k, k) and ``b`` (G,): group g's
+    average and max kernels, then its bias.
     """
 
     def __init__(self, groups=1, rng=None):
         super().__init__()
         self.groups = groups
-        self.conv = self.register_child("conv", Conv2d(
-            2 * groups, groups, SPATIAL_KERNEL, bias=True, groups=groups, rng=rng))
+        rng = rng or np.random.default_rng(0)
+        k = SPATIAL_KERNEL
+        conv = self.register_child("conv", Layer())
+        conv.register_param("w", fan_in_uniform(rng, (groups, 2, k, k), 2 * k * k))
+        conv.register_param("b", np.zeros(groups))
 
     def _taps(self, wp, w):
         """Band blocks (G, k, 2*Wp, W): tap i of group g is kernel row i's
         block for the average plane above the one for the max plane."""
         g, k = self.groups, SPATIAL_KERNEL
-        band, idx = toeplitz_band(self.conv._w4(), wp, 1, w)
+        band, idx = toeplitz_band(self.conv.w.reshape(2 * g, 1, k, k), wp, 1, w)
         taps = np.ascontiguousarray(band.reshape(g, 2, k, wp, w).transpose(0, 2, 1, 3, 4))
         # Every tap's block holds its diagonals where tap 0's block does.
         return taps.reshape(g, k, 2 * wp, w), idx[0]
@@ -147,7 +145,7 @@ class SpatialAttention(Layer):
     def forward(self, x, train: bool = False):
         x5 = _split_groups(check_tensor4(x), self.groups)
         b, g, c, h, w = x5.shape
-        k, p = SPATIAL_KERNEL, self.conv.padding
+        k, p = SPATIAL_KERNEL, SPATIAL_KERNEL // 2
         hp, wp = h + 2 * p, w + 2 * p
         planes = np.zeros((g, b, hp, 2, wp))
         avg, mx = (planes[:, :, p: p + h, i, p: p + w].transpose(1, 0, 2, 3) for i in (0, 1))
@@ -169,7 +167,7 @@ class SpatialAttention(Layer):
         """The input gradient, added in place into ``dx`` when given."""
         x5, planes, taps, diag, gate = self._cache
         b, g, c, h, w = x5.shape
-        k, p = SPATIAL_KERNEL, self.conv.padding
+        k, p = SPATIAL_KERNEL, SPATIAL_KERNEL // 2
         hp, wp = h + 2 * p, w + 2 * p
         rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
         # dpre in the rows of its padded sample blocks; the rest stays 0.

@@ -13,13 +13,11 @@ they stay valid filenames.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig
-from .layers import ShapeMismatch
 from .model import MultiDomainModel
 
 # Version 2 keeps only the eight ModelConfig fields in the config block.
@@ -70,26 +68,45 @@ def load_checkpoint(directory) -> MultiDomainModel:
     try:
         cfg = ModelConfig.from_json(json.dumps(manifest["config"]))
         model = MultiDomainModel(cfg, seed=manifest.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
     for section, expected in (("params", model.params()), ("buffers", model.buffers())):
         entries = manifest.get(section, [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise CheckpointError(f"{directory}: manifest {section} must be a list of objects")
+        for entry in entries:
+            target = _entry_target(directory, section, entry, expected)
+            blob = directory / section / _blob_name(entry["name"])
+            value = np.fromfile(blob, dtype="<f4").astype(np.float64)
+            if value.size != target.size:
+                raise CheckpointError(
+                    f"{blob}: holds {value.size} values, manifest shape is {entry['shape']}"
+                )
+            target[...] = value.reshape(target.shape)
         missing = sorted(set(expected) - {entry["name"] for entry in entries})
         if missing:
             raise CheckpointError(
                 f"{directory}: manifest lists no {section} entry for {', '.join(missing)}"
             )
-        for entry in entries:
-            blob = directory / section / _blob_name(entry["name"])
-            value = np.fromfile(blob, dtype="<f4").astype(np.float64)
-            if value.size != math.prod(entry["shape"]):
-                raise CheckpointError(
-                    f"{blob}: holds {value.size} values, manifest shape is {entry['shape']}"
-                )
-            try:
-                model.assign(entry["name"], value.reshape(entry["shape"]))
-            except (KeyError, ShapeMismatch) as exc:
-                raise CheckpointError(f"{directory}: {exc}") from exc
     return model
+
+
+def _entry_target(directory, section, entry, expected) -> np.ndarray:
+    """The model array that a manifest entry names, once its name and
+    shape are checked against the model's."""
+    name, shape = entry.get("name"), entry.get("shape")
+    if not isinstance(name, str):
+        raise CheckpointError(f"{directory}: manifest {section} entry {entry} has no name")
+    if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise CheckpointError(
+            f"{directory}: manifest {section} entry {name} has shape {shape!r}, "
+            "not a list of non-negative integers"
+        )
+    if name not in expected:
+        raise CheckpointError(f"{directory}: the model has no {section} entry {name}")
+    if tuple(shape) != expected[name].shape:
+        raise CheckpointError(
+            f"{directory}: {name}: shape {tuple(shape)} != model shape {expected[name].shape}"
+        )
+    return expected[name]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from ..radar_io import check_field_types
 from .heads import FEATURE_RULES
 
 
@@ -28,6 +29,9 @@ class StageSpec:
     expand_ratio: int
     stride: int
     repeats: int = 1
+
+    def __post_init__(self):
+        check_field_types(self, ValueError, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,14 @@ class ModelConfig:
     lstm_feature_dim_rule: str = "hxc"
 
     def __post_init__(self):
+        check_field_types(self, ValueError, minimum=1)
         if self.lstm_feature_dim_rule not in FEATURE_RULES:
             raise ValueError(
                 f"lstm_feature_dim_rule must be one of {FEATURE_RULES}, "
                 f"got {self.lstm_feature_dim_rule!r}"
             )
-        if not self.stages or min(s.repeats for s in self.stages) < 1:
-            raise ValueError("the stage table needs at least one block per stage")
+        if not self.stages:
+            raise ValueError("the stage table needs at least one stage")
         object.__setattr__(self, "stages", tuple(self.stages))
 
     @property

@@ -96,16 +96,32 @@ def _backbone_tallies(cfg: ModelConfig, se: bool) -> list[tuple[str, _Tally]]:
     return tallies
 
 
+def _network_tallies(cfg: ModelConfig) -> list[tuple[str, _Tally]]:
+    """(module, tally) for every part of the three-branch network; a
+    module's parts add up, each backbone being many parts."""
+    backbone = [tally for _, tally in _backbone_tallies(cfg, se=False)]
+    tallies = [(f"{branch}.backbone", tally) for branch in ("rt", "dt", "rd")
+               for tally in backbone]
+    # The RD head and each fusion input share the LSTM hidden width.
+    steps, hidden = cfg.feature_hw, cfg.lstm_hidden
+    for branch in ("rt", "dt"):
+        lstm = _Tally()
+        # Each step maps its input and the last hidden state to four gates.
+        lstm.dense(cfg.lstm_feature_dim(), 4 * hidden, bias=True, calls=steps)
+        lstm.dense(hidden, 4 * hidden, calls=steps)
+        tallies.append((f"{branch}.lstm", lstm))
+    head, fusion = _Tally(), _Tally()
+    head.dense(cfg.rd_feature_dim(), hidden, bias=True, calls=steps)
+    fusion.dense(3 * hidden, cfg.num_classes, bias=True)
+    return tallies + [("rd.head", head), ("fusion", fusion)]
+
+
 def _params_report(tallies) -> CountReport:
     report = CountReport()
     for module, tally in tallies:
         report.add(module, tally.trainable)
         report.non_trainable += tally.running
     return report
-
-
-def count_backbone_params(cfg: ModelConfig) -> CountReport:
-    return _params_report(_backbone_tallies(cfg, se=False))
 
 
 def count_se_baseline(cfg: ModelConfig) -> CountReport:
@@ -117,44 +133,14 @@ def count_se_baseline(cfg: ModelConfig) -> CountReport:
     return _params_report(_backbone_tallies(cfg, se=True) + [("classifier", classifier)])
 
 
-def count_backbone_flops(cfg: ModelConfig) -> CountReport:
-    report = CountReport()
-    for module, tally in _backbone_tallies(cfg, se=False):
-        report.add(module, tally.macs)
-    return report
-
-
-def _lstm_params(input_dim: int, hidden: int) -> int:
-    return 4 * (input_dim * hidden + hidden * hidden + hidden)
-
-
 def count_params(cfg: ModelConfig) -> CountReport:
     """Per-module trainable parameter counts for the three-branch network."""
-    report = CountReport()
-    backbone = count_backbone_params(cfg)
-    for branch in ("rt", "dt", "rd"):
-        report.add(f"{branch}.backbone", backbone.total)
-        report.non_trainable += backbone.non_trainable
-    # The RD head and each fusion input share the LSTM hidden width.
-    hidden = cfg.lstm_hidden
-    for branch in ("rt", "dt"):
-        report.add(f"{branch}.lstm", _lstm_params(cfg.lstm_feature_dim(), hidden))
-    report.add("rd.head", cfg.rd_feature_dim() * hidden + hidden)
-    report.add("fusion", 3 * hidden * cfg.num_classes + cfg.num_classes)
-    return report
+    return _params_report(_network_tallies(cfg))
 
 
 def count_flops(cfg: ModelConfig) -> CountReport:
     """Multiply-accumulate count for one forward pass of the full network."""
     report = CountReport()
-    backbone = count_backbone_flops(cfg)
-    for branch in ("rt", "dt", "rd"):
-        report.add(f"{branch}.backbone", backbone.total)
-    steps = cfg.feature_hw
-    hidden = cfg.lstm_hidden
-    for branch in ("rt", "dt"):
-        d = cfg.lstm_feature_dim()
-        report.add(f"{branch}.lstm", steps * 4 * (d * hidden + hidden * hidden))
-    report.add("rd.head", steps * cfg.rd_feature_dim() * hidden)
-    report.add("fusion", 3 * hidden * cfg.num_classes)
+    for module, tally in _network_tallies(cfg):
+        report.add(module, tally.macs)
     return report

@@ -30,7 +30,6 @@ from .layers import (
     DepthwiseConv2d,
     Layer,
     Linear,
-    ReLU,
     Sequential,
     Swish,
 )
@@ -106,41 +105,27 @@ def check_layer(name, layer, x, forward=None, backward=None) -> GradCheckResult:
 
 
 def _case_conv(rng):
-    layer = Conv2d(3, 4, 3, stride=2, bias=True, rng=rng)
+    layer = Conv2d(3, 4, 3, stride=2, rng=rng)
     return layer, _away_from_kinks(rng, (2, 3, 8, 8))
 
 
 def _case_conv_pointwise(rng):
-    layer = Conv2d(3, 4, 1, bias=True, rng=rng)
-    layer.b[...] = rng.standard_normal(4)
-    return layer, rng.standard_normal((2, 3, 5, 6))
+    return Conv2d(3, 4, 1, rng=rng), rng.standard_normal((2, 3, 5, 6))
 
 
 def _case_conv_stride1(rng):
-    first = Conv2d(3, 4, 3, bias=True, rng=rng)
-    second = Conv2d(4, 2, 5, bias=True, rng=rng)
-    for conv in (first, second):
-        conv.b[...] = rng.standard_normal(conv.out_channels)
+    first = Conv2d(3, 4, 3, rng=rng)
+    second = Conv2d(4, 2, 5, rng=rng)
     return Sequential(first=first, second=second), rng.standard_normal((2, 3, 7, 6))
 
 
 def _case_conv_grouped(rng):
-    layer = Conv2d(4, 6, 3, stride=2, bias=True, groups=2, rng=rng)
-    layer.b[...] = rng.standard_normal(6)
+    layer = Conv2d(4, 6, 3, stride=2, groups=2, rng=rng)
     return layer, _away_from_kinks(rng, (2, 4, 8, 8))
 
 
-def _case_conv_grouped_k7(rng):
-    # The spatial-attention conv of two groups: 2G -> G channels.
-    layer = Conv2d(4, 2, 7, bias=True, groups=2, rng=rng)
-    layer.b[...] = rng.standard_normal(2)
-    return layer, rng.standard_normal((2, 4, 6, 5))
-
-
 def _case_conv_grouped_pointwise(rng):
-    layer = Conv2d(4, 6, 1, bias=True, groups=2, rng=rng)
-    layer.b[...] = rng.standard_normal(6)
-    return layer, rng.standard_normal((2, 4, 5, 6))
+    return Conv2d(4, 6, 1, groups=2, rng=rng), rng.standard_normal((2, 4, 5, 6))
 
 
 def _case_depthwise(rng):
@@ -162,10 +147,6 @@ def _case_batchnorm_train(rng):
     layer.gamma[...] = rng.uniform(0.5, 1.5, 3)
     x = _away_from_kinks(rng, (3, 3, 4, 4))
     return layer, x, (lambda: layer.forward(x, train=True))
-
-
-def _case_relu(rng):
-    return ReLU(), _away_from_kinks(rng, (2, 3, 5, 5))
 
 
 def _case_swish(rng):
@@ -271,12 +252,10 @@ CASES = {
     "conv_pointwise": _case_conv_pointwise,
     "conv_stride1": _case_conv_stride1,
     "conv_grouped": _case_conv_grouped,
-    "conv_grouped_k7": _case_conv_grouped_k7,
     "conv_grouped_pointwise": _case_conv_grouped_pointwise,
     "depthwise": _case_depthwise,
     "batchnorm": _case_batchnorm,
     "batchnorm_train": _case_batchnorm_train,
-    "relu": _case_relu,
     "swish": _case_swish,
     "linear": _case_linear,
     "cbam_channel": _case_cbam_channel,
@@ -296,10 +275,10 @@ CASES = {
 
 MODULE_GROUPS = {
     "all": list(CASES),
-    "conv": ["conv", "conv_pointwise", "conv_stride1", "conv_grouped", "conv_grouped_k7",
+    "conv": ["conv", "conv_pointwise", "conv_stride1", "conv_grouped",
              "conv_grouped_pointwise", "depthwise"],
     "bn": ["batchnorm", "batchnorm_train"],
-    "activations": ["relu", "swish"],
+    "activations": ["swish"],
     "cbam": ["cbam_channel", "cbam_spatial", "cbam", "cbam_grouped"],
     "mbconv": ["mbconv", "mbconv_stride2", "mbconv_grouped"],
     "lstm": ["lstm"],

@@ -83,21 +83,6 @@ class Layer:
         for grad in self.grads().values():
             grad[...] = 0.0
 
-    def assign(self, dotted_name: str, value: np.ndarray) -> None:
-        """Copy ``value`` into the parameter or buffer at ``dotted_name``."""
-        *path, name = dotted_name.split(".")
-        layer = self
-        for part in path:
-            layer = getattr(layer, part, None)
-        if not isinstance(layer, Layer) or name not in layer._param_names + layer._buffer_names:
-            raise KeyError(f"no parameter or buffer named {dotted_name!r}")
-        current = getattr(layer, name)
-        if current.shape != value.shape:
-            raise ShapeMismatch(
-                f"{dotted_name}: shape {value.shape} != model shape {current.shape}"
-            )
-        current[...] = value
-
     def forward(self, x, train: bool = False):
         raise NotImplementedError
 
@@ -229,7 +214,7 @@ def toeplitz_conv_backward(x, w4, dout, s, p, groups, input_grad=True):
 
 
 class Conv2d(Layer):
-    """k x k convolution, zero-padded by (k - 1) // 2 on every side.
+    """k x k convolution without bias, zero-padded by (k - 1) // 2 on every side.
 
     With ``groups`` G, the input and output channels split into G equal
     groups and output group g reads input group g only; the weight is
@@ -238,8 +223,7 @@ class Conv2d(Layer):
     accumulates the weight gradients only and returns None.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, bias=False, groups=1,
-                 rng=None):
+    def __init__(self, in_channels, out_channels, kernel, stride=1, groups=1, rng=None):
         super().__init__()
         if in_channels % groups or out_channels % groups:
             raise ValueError(
@@ -258,9 +242,6 @@ class Conv2d(Layer):
         fan_in = in_channels // groups * kernel * kernel
         self.register_param("w", fan_in_uniform(
             rng, (out_channels, in_channels // groups, kernel, kernel), fan_in))
-        self.has_bias = bias
-        if bias:
-            self.register_param("b", np.zeros(out_channels))
 
     def _w4(self):
         """The weight as ``toeplitz_conv``'s (C, O / G, k, k)."""
@@ -286,13 +267,9 @@ class Conv2d(Layer):
         else:
             out = toeplitz_conv(x, self._w4(), self.stride, self.padding, self.groups)
             self._cache = x
-        if self.has_bias:
-            out += self.b[:, None, None]
         return out
 
     def backward(self, dout):
-        if self.has_bias:
-            self.g_b += dout.sum(axis=(0, 2, 3))
         if self._pointwise:
             x4 = self._cache
             b, o, h, w = dout.shape
@@ -399,15 +376,6 @@ class BatchNorm2d(Layer):
         return dx
 
 
-class ReLU(Layer):
-    def forward(self, x, train: bool = False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
-
-
 class Swish(Layer):
     """x * sigmoid(x), the EfficientNet backbone activation."""
 
@@ -494,31 +462,3 @@ class Dropout(Layer):
         if self._mask is None:
             return dout
         return dout * self._mask
-
-
-# Pooling helpers used by the attention modules; plain functions with
-# explicit caches since they carry no parameters.
-
-def global_avg_pool(x):
-    return x.mean(axis=(2, 3))
-
-
-def global_avg_pool_backward(dout, x_shape):
-    """A read-only broadcast view: add it into a gradient, it is not one."""
-    b, c, h, w = x_shape
-    return np.broadcast_to((dout / (h * w))[:, :, None, None], x_shape)
-
-
-def global_max_pool(x):
-    b, c, h, w = x.shape
-    flat = x.reshape(b, c, h * w)
-    idx = flat.argmax(axis=2)
-    return flat[np.arange(b)[:, None], np.arange(c)[None, :], idx], idx
-
-
-def global_max_pool_backward(dout, idx, dx):
-    """Adds ``dout`` into ``dx`` in place at each channel's max position."""
-    b, c, h, w = dx.shape
-    rows, cols = np.divmod(idx, w)
-    dx[np.arange(b)[:, None], np.arange(c), rows, cols] += dout
-    return dx

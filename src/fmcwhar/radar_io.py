@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,23 @@ class NonFiniteSample(RadarIoError):
 
 class ShapeMismatch(RadarIoError):
     """Echo matrix does not agree with its parameter block."""
+
+
+def check_field_types(record, error, minimum=None) -> None:
+    """Raise ``error`` for the first field of the dataclass ``record`` whose
+    value does not fit its declared ``int`` or ``float`` type, or, given
+    ``minimum``, is an integer below it. Configs arrive as JSON, and bool
+    subclasses int, but a JSON true is no count, seed or rate.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "int" and minimum is not None and value < minimum:
+            raise error(f"{f.name} must be >= {minimum}, got {value!r}")
+        if f.type == "float" and (not isinstance(value, (int, float))
+                                  or isinstance(value, bool)):
+            raise error(f"{f.name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import domain_maps as dm
 from . import synth
 from .nn import MultiDomainModel
 from .nn.config import PRESETS, preset
-from .radar_io import RadarParams
+from .radar_io import RadarParams, check_field_types
 
 TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 ADAM_BETA1 = 0.9
@@ -55,14 +55,7 @@ class TrainConfig:
     model_preset: str = "toy"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool subclasses int, but a JSON true is no count, seed or rate.
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise TrainingError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (not isinstance(value, (int, float))
-                                      or isinstance(value, bool)):
-                raise TrainingError(f"{f.name} must be a number, got {value!r}")
+        check_field_types(self, TrainingError)
         # The chained comparisons are False for NaN, so NaN is rejected too.
         if (not 0 < self.lr0 < math.inf or not 0 < self.decay_factor < math.inf
                 or self.batch_size < 1 or self.epochs < 1

@@ -23,7 +23,8 @@ as three passes, where the model runs them as one grouped pass.
 The CBAM reference is the gate as it ran before the fused pass: each max
 pool keeps its argmax index, every pool gradient is scattered into a
 tensor of zeros and summed, and the spatial conv is a ``Conv2d`` run
-through its own forward and backward.
+through its own forward and backward. ``Conv2d`` has no bias, so
+``_SpatialAttentionReference`` adds the gate's bias itself.
 """
 
 import numpy as np
@@ -241,13 +242,15 @@ class _ChannelAttentionReference(ChannelAttention):
 
 
 class _SpatialAttentionReference(Layer):
-    """The spatial gate with argmax channel pooling and a ``Conv2d``."""
+    """The spatial gate with argmax channel pooling and a ``Conv2d``, whose
+    bias ``conv.b`` it adds itself."""
 
     def __init__(self, groups):
         super().__init__()
         self.groups = groups
-        self.conv = self.register_child("conv", Conv2d(
-            2 * groups, groups, SPATIAL_KERNEL, bias=True, groups=groups))
+        conv = self.register_child("conv", Conv2d(2 * groups, groups, SPATIAL_KERNEL,
+                                                  groups=groups))
+        conv.register_param("b", np.zeros(groups))
 
     def forward(self, x, train=False):
         b, c, h, w = x.shape
@@ -256,14 +259,16 @@ class _SpatialAttentionReference(Layer):
         mx_idx = x5.argmax(axis=2)[:, :, None]
         mx = np.take_along_axis(x5, mx_idx, axis=2)
         stacked = np.concatenate([avg, mx], axis=2).reshape(b, 2 * self.groups, h, w)
-        gate = sigmoid(self.conv.forward(stacked))
+        gate = sigmoid(self.conv.forward(stacked) + self.conv.b[:, None, None])
         self._cache = (x5.shape, mx_idx, gate)
         return gate
 
     def backward(self, dout):
         x5_shape, mx_idx, gate = self._cache
         b, g, c, h, w = x5_shape
-        dstacked = self.conv.backward(dout * gate * (1.0 - gate)).reshape(b, g, 2, h, w)
+        dpre = dout * gate * (1.0 - gate)
+        self.conv.g_b += dpre.sum(axis=(0, 2, 3))
+        dstacked = self.conv.backward(dpre).reshape(b, g, 2, h, w)
         dx = np.zeros(x5_shape)
         np.put_along_axis(dx, mx_idx, dstacked[:, :, 1:], axis=2)
         dx += dstacked[:, :, :1] / c
@@ -281,8 +286,9 @@ class CbamReference(Layer):
         self.register_child("spatial", _SpatialAttentionReference(groups))
 
     def load(self, other):
+        params = self.params()
         for name, value in other.params().items():
-            self.assign(name, value)
+            params[name][...] = value
         return self
 
     def forward(self, x, train=False):

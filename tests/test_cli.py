@@ -317,6 +317,10 @@ def _omit(manifest, section, name):
     manifest[section] = [e for e in manifest[section] if e["name"] != name]
 
 
+def _set_stage(manifest, **values):
+    manifest["config"]["stages"][0].update(values)
+
+
 BLOB = Path("params") / "fusion.linear.w.f32"
 
 
@@ -345,11 +349,32 @@ class TestMalformedCheckpoints:
         lambda ckpt: _edit_manifest(
             ckpt, lambda m: _omit(m, "buffers", "rt.backbone.stem_bn.running_mean")),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(params=5)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: _set_stage(m, stride=0)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: _set_stage(m, kernel=0)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: _set_stage(m, repeats=True)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: _set_stage(m, out_channels=4.0)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(lstm_hidden=0)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(input_hw=-4)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].pop("stages")),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["params"][0].pop("name")),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["buffers"][0].pop("shape")),
+        lambda ckpt: _edit_manifest(
+            ckpt, lambda m: _set_shape(m, "fusion.linear.w", "ab")),
+        lambda ckpt: _edit_manifest(
+            ckpt, lambda m: _set_shape(m, "fusion.linear.w", [-6, -48])),
+        lambda ckpt: _edit_manifest(
+            ckpt, lambda m: _set_shape(m, "fusion.linear.w", [6.0, 48])),
+        lambda ckpt: _edit_manifest(
+            ckpt, lambda m: m["params"].append({"name": "fusion.linear.v", "shape": [1]})),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
-            "omitted_param", "omitted_buffer", "params_not_a_list"])
+            "omitted_param", "omitted_buffer", "params_not_a_list", "zero_stride",
+            "zero_kernel", "bool_repeats", "float_stage_width", "zero_lstm_hidden",
+            "negative_input_hw", "no_stage_table", "unnamed_param", "buffer_without_shape",
+            "string_shape", "negative_shape", "float_shape", "unknown_param"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")
+        assert not (tmp_path / "eval").exists()
 
     def test_version_1_manifest(self, tmp_path, toy_run, capsys):
         # Version 1 configs also held the derived widths and fixed options.

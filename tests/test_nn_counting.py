@@ -11,7 +11,6 @@ from fmcwhar.nn.counting import (
     REFERENCE_SE_BASELINE_TRAINABLE,
     REFERENCE_TOTAL_FLOPS,
     REFERENCE_TOTAL_PARAMS,
-    count_backbone_params,
     count_se_baseline,
 )
 
@@ -34,7 +33,7 @@ class TestBackboneParams:
     def test_classifier_breakdown(self):
         se = count_se_baseline(preset("b0"))
         assert se.per_module["classifier"] == 1280 * 1000 + 1000
-        assert "classifier" not in count_backbone_params(preset("b0")).per_module
+        assert "classifier" not in count_params(preset("b0")).per_module
 
 
 WALK_CASES = [(name, rule) for name in ("toy", "table1_literal") for rule in ("hxc", "c")]
@@ -73,6 +72,16 @@ class TestFullModelParams:
         cfg = preset(name, lstm_feature_dim_rule=rule, **small)
         model = MultiDomainModel(cfg, seed=0)
         assert sum(p.size for p in model.params().values()) == count_params(cfg).total
+
+    @pytest.mark.parametrize("rule", ["hxc", "c"])
+    def test_per_module_rows_match_instantiation(self, rule):
+        cfg = preset("toy", lstm_feature_dim_rule=rule)
+        params = MultiDomainModel(cfg, seed=0).params()
+        built = {module: sum(p.size for name, p in params.items()
+                             if name.startswith(module + "."))
+                 for module in count_params(cfg).per_module}
+        assert count_params(cfg).per_module == built
+        assert sum(built.values()) == sum(p.size for p in params.values())
 
 
 class TestFlops:
@@ -118,7 +127,9 @@ def test_toy_preset_caps_channels():
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(stages=(StageSpec(8, 3, 1, 1),), lstm_feature_dim_rule="bogus")
-    with pytest.raises(ValueError, match="at least one block"):
+    with pytest.raises(ValueError, match="at least one stage"):
+        ModelConfig(stages=())
+    with pytest.raises(ValueError, match="repeats"):
         ModelConfig(stages=(StageSpec(8, 3, 1, 1, repeats=0),))
 
 

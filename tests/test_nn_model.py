@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import per_branch_backward, per_branch_forward
 
+from fmcwhar import nn
 from fmcwhar.nn import (
     BatchNorm2d,
     Conv2d,
@@ -78,16 +79,24 @@ def test_branches_have_independent_weights():
                               params["dt.backbone.stem_conv.w"])
 
 
+def test_every_exported_layer_is_built():
+    # A layer class that the network never builds is code nothing needs;
+    # this keeps one from coming back.
+    built = {type(layer) for _, layer in MultiDomainModel(TOY, seed=0)._layers()}
+    exported = {getattr(nn, name) for name in nn.__all__}
+    unused = [cls.__name__ for cls in exported
+              if isinstance(cls, type) and issubclass(cls, nn.Layer) and cls not in built]
+    assert sorted(unused) == []
+
+
 def test_one_backbone_pass_per_forward(monkeypatch):
     # The three branch backbones run as one grouped pass: each conv, batch
     # norm and spatial gate of one backbone runs once per forward, not
-    # three times. A spatial gate runs its k7 conv as row taps itself, so
-    # that conv's own forward never runs.
+    # three times.
     model = MultiDomainModel(TOY, seed=0)
     layers = [layer for _, layer in model.rt.backbone._layers()]
     per_backbone = {cls: sum(isinstance(layer, cls) for layer in layers)
                     for cls in (Conv2d, BatchNorm2d, SpatialAttention)}
-    per_backbone[Conv2d] -= per_backbone[SpatialAttention]
     calls = dict.fromkeys(per_backbone, 0)
     for cls in per_backbone:
         def counted(self, x, train=False, _cls=cls, _forward=cls.forward):
@@ -100,12 +109,12 @@ def test_one_backbone_pass_per_forward(monkeypatch):
 
 def test_assign_reaches_the_grouped_pass():
     # Branch parameters are views into the grouped backbone's arrays, so a
-    # value written by name is what the next forward uses.
+    # value written through the registry is what the next forward uses.
     model = MultiDomainModel(TOY, seed=0)
     x = toy_inputs(seed=3)
     before = model.forward(*x)
     w = model.params()["dt.backbone.stage2_block0.expand_conv.w"]
-    model.assign("dt.backbone.stage2_block0.expand_conv.w", w[::-1] * 2.0)
+    w[...] = w[::-1] * 2.0
     after = model.forward(*x)
     assert not np.array_equal(after, before)
     np.testing.assert_array_equal(after, per_branch_forward(model, x, train=False))
