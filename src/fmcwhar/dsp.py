@@ -9,7 +9,6 @@ Calls are safe from many threads as long as no two write the same buffer.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,15 +73,6 @@ class IirCoeffs:
             a = a / a[0]
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
-
-    def poles(self) -> np.ndarray:
-        return np.roots(self.a)
-
-    def gain_at(self, freq_norm: float) -> complex:
-        """Frequency response H(e^{j pi f}) with f as a fraction of Nyquist."""
-        z = cmath.exp(1j * math.pi * freq_norm)
-        zk = z ** -np.arange(self.b.size)
-        return complex(np.dot(self.b, zk) / np.dot(self.a, zk))
 
 
 def butterworth_highpass(order: int = 4, cutoff_norm: float = 0.0075) -> IirCoeffs:

@@ -1,9 +1,11 @@
 """From-scratch neural building blocks with exact analytic backward passes.
 
-Layers run on float64 numpy arrays by default so finite-difference
-gradient checks are meaningful; training at float32 works too. Forward
-and backward are single-threaded by contract: each layer caches its
-forward activations and consumes them in the matching backward call.
+Layers compute in float64, so finite-difference gradient checks are
+meaningful: the model casts its input maps to float64 and ``sigmoid``
+returns float64. Backbone layers pass channel-major (C, B, H, W)
+arrays. Forward and backward are single-threaded by contract: each
+layer caches its forward activations and consumes them in the matching
+backward call.
 """
 
 from .config import ModelConfig, StageSpec

@@ -6,8 +6,9 @@ in between, no biases) and gates channels with the sigmoid of the sum.
 Spatial attention pools across channels, stacks the average and max
 planes and gates positions through a padded 7x7 convolution with bias.
 Both gates multiply the input sequentially: channels first, space second.
-With ``groups`` G the channels form G groups, each gated as if it ran
-alone; the model's three branches run that way as one pass.
+With ``groups`` G the channels form G groups, each a block of rows of
+the (C, B, H, W) input, gated as if it ran alone; the model's three
+branches run that way as one pass.
 
 In backward, ``Cbam`` passes its own gradient buffers to both gates, so
 every pool gradient is added in place: one broadcast add per average
@@ -22,7 +23,15 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .layers import Layer, ShapeMismatch, check_tensor4, fan_in_uniform, sigmoid, toeplitz_band
+from .layers import (
+    Layer,
+    ShapeMismatch,
+    band_diagonals,
+    check_tensor4,
+    fan_in_uniform,
+    sigmoid,
+    toeplitz_band,
+)
 
 SPATIAL_KERNEL = 7
 CBAM_REDUCTION = 16
@@ -49,35 +58,35 @@ class ChannelAttention(Layer):
         self.register_param("w2", fan_in_uniform(rng, (channels, self.hidden), self.hidden))
 
     def _mlp(self, v):
-        """Per-group MLP of (B, C) pooled features, run as (G, B, C / G)."""
+        """Per-group MLP of (C, B) pooled features, run as (G, C / G, B)."""
         g = self.groups
-        v = v.reshape(len(v), g, -1).transpose(1, 0, 2)
-        h_pre = v @ self.w1.reshape(g, self.hidden, -1).transpose(0, 2, 1)
+        v = v.reshape(g, -1, v.shape[1])
+        h_pre = self.w1.reshape(g, self.hidden, -1) @ v
         h = np.maximum(h_pre, 0.0)
-        out = h @ self.w2.reshape(g, -1, self.hidden).transpose(0, 2, 1)
-        return _ungroup(out), (v, h_pre, h)
+        out = self.w2.reshape(g, -1, self.hidden) @ h
+        return out.reshape(self.channels, -1), (v, h_pre, h)
 
     def _mlp_backward(self, dout, cache):
         v, h_pre, h = cache
         g = self.groups
-        dout = dout.reshape(len(dout), g, -1).transpose(1, 0, 2)
+        dout = dout.reshape(g, -1, dout.shape[1])
         w1, w2 = self.w1.reshape(g, self.hidden, -1), self.w2.reshape(g, -1, self.hidden)
-        self.g_w2 += (dout.transpose(0, 2, 1) @ h).reshape(self.w2.shape)
-        dh = (dout @ w2) * (h_pre > 0)
-        self.g_w1 += (dh.transpose(0, 2, 1) @ v).reshape(self.w1.shape)
-        return _ungroup(dh @ w1)
+        self.g_w2 += (dout @ h.transpose(0, 2, 1)).reshape(self.w2.shape)
+        dh = (w2.transpose(0, 2, 1) @ dout) * (h_pre > 0)
+        self.g_w1 += (dh @ v.transpose(0, 2, 1)).reshape(self.w1.shape)
+        return (w1.transpose(0, 2, 1) @ dh).reshape(self.channels, -1)
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
-        if x.shape[1] != self.channels:
+        if x.shape[0] != self.channels:
             raise ShapeMismatch(
-                f"channel attention built for {self.channels} channels, got {x.shape[1]}"
+                f"channel attention built for {self.channels} channels, got {x.shape[0]}"
             )
-        b, c, h, w = x.shape
-        flat = x.reshape(b, c, h * w)
+        c, b, h, w = x.shape
+        flat = x.reshape(c, b, h * w)
         mx_idx = flat.argmax(axis=2)
-        avg = x.mean(axis=(2, 3))
-        mx = flat[np.arange(b)[:, None], np.arange(c), mx_idx]
+        avg = flat.mean(axis=2)
+        mx = flat[np.arange(c)[:, None], np.arange(b), mx_idx]
         out_avg, cache_avg = self._mlp(avg)
         out_max, cache_max = self._mlp(mx)
         gate = sigmoid(out_avg + out_max)
@@ -90,28 +99,17 @@ class ChannelAttention(Layer):
         dgate = dout[:, :, 0, 0] * gate * (1.0 - gate)
         davg = self._mlp_backward(dgate, cache_avg)
         dmax = self._mlp_backward(dgate, cache_max)
-        b, c, h, w = x_shape
+        c, b, h, w = x_shape
         if dx is None:
             dx = np.zeros(x_shape)
         dx += (davg / (h * w))[:, :, None, None]
         rows, cols = np.divmod(mx_idx, w)
-        dx[np.arange(b)[:, None], np.arange(c), rows, cols] += dmax
+        dx[np.arange(c)[:, None], np.arange(b), rows, cols] += dmax
         return dx
 
 
-def _ungroup(a):
-    """(G, B, n) -> (B, G * n)."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-
-def _split_groups(x, groups):
-    """(B, C, H, W) -> (B, G, C / G, H, W), a view."""
-    b, c, h, w = x.shape
-    return x.reshape(b, groups, c // groups, h, w)
-
-
 class SpatialAttention(Layer):
-    """CBAM spatial gate: (B, G, H, W), one plane per channel group, from
+    """CBAM spatial gate: (G, B, H, W), one plane per channel group, from
     each group's average and max planes through a 2G -> G grouped k7 conv.
 
     The planes go straight into one zero-padded buffer (G, B, Hp, 2, Wp):
@@ -137,21 +135,21 @@ class SpatialAttention(Layer):
         """Band blocks (G, k, 2*Wp, W): tap i of group g is kernel row i's
         block for the average plane above the one for the max plane."""
         g, k = self.groups, SPATIAL_KERNEL
-        band, idx = toeplitz_band(self.conv.w.reshape(2 * g, 1, k, k), wp, 1, w)
+        band = toeplitz_band(self.conv.w.reshape(2 * g, 1, k, k), wp, 1, w)
         taps = np.ascontiguousarray(band.reshape(g, 2, k, wp, w).transpose(0, 2, 1, 3, 4))
-        # Every tap's block holds its diagonals where tap 0's block does.
-        return taps.reshape(g, k, 2 * wp, w), idx[0]
+        return taps.reshape(g, k, 2 * wp, w)
 
     def forward(self, x, train: bool = False):
-        x5 = _split_groups(check_tensor4(x), self.groups)
-        b, g, c, h, w = x5.shape
+        x = check_tensor4(x)
+        c, b, h, w = x.shape
+        g = self.groups
+        x5 = x.reshape(g, c // g, b, h, w)
         k, p = SPATIAL_KERNEL, SPATIAL_KERNEL // 2
         hp, wp = h + 2 * p, w + 2 * p
         planes = np.zeros((g, b, hp, 2, wp))
-        avg, mx = (planes[:, :, p: p + h, i, p: p + w].transpose(1, 0, 2, 3) for i in (0, 1))
-        np.mean(x5, axis=2, out=avg)
-        np.max(x5, axis=2, out=mx)
-        taps, diag = self._taps(wp, w)
+        np.mean(x5, axis=1, out=planes[:, :, p: p + h, 0, p: p + w])
+        np.max(x5, axis=1, out=planes[:, :, p: p + h, 1, p: p + w])
+        taps = self._taps(wp, w)
         rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
         pre = np.empty((g, b * hp, w))
         np.matmul(rows[:, :n], taps[:, 0], out=pre[:, :n])
@@ -160,26 +158,26 @@ class SpatialAttention(Layer):
             pre[:, :n] += np.matmul(rows[:, i: i + n], taps[:, i], out=part)
         pre = pre.reshape(g, b, hp, w)[:, :, :h] + self.conv.b[:, None, None, None]
         gate = sigmoid(pre)
-        self._cache = (x5, planes, taps, diag, gate)
-        return gate.transpose(1, 0, 2, 3)
+        self._cache = (x5, planes, taps, gate)
+        return gate
 
     def backward(self, dout, dx=None):
         """The input gradient, added in place into ``dx`` when given."""
-        x5, planes, taps, diag, gate = self._cache
-        b, g, c, h, w = x5.shape
+        x5, planes, taps, gate = self._cache
+        g, c, b, h, w = x5.shape
         k, p = SPATIAL_KERNEL, SPATIAL_KERNEL // 2
         hp, wp = h + 2 * p, w + 2 * p
         rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
         # dpre in the rows of its padded sample blocks; the rest stays 0.
         dpre = np.zeros((g, b * hp, w))
         d = dpre.reshape(g, b, hp, w)[:, :, :h]
-        np.multiply(dout.transpose(1, 0, 2, 3), gate, out=d)
+        np.multiply(dout, gate, out=d)
         d *= 1.0 - gate
         self.conv.g_b += d.sum(axis=(1, 2, 3))
         # Tap i's band gradient is rows i .. i + n, transposed, times dpre:
         # one matmul over a window view of the rows for all k taps.
         g_taps = np.matmul(sliding_window_view(rows, n, axis=1), dpre[:, None, :n])
-        g_w = np.take(g_taps.reshape(g, k, 2, -1), diag, axis=3).sum(axis=-1)[..., 0]
+        g_w = band_diagonals(g_taps.reshape(g, k, 2, wp, w), k, 1, 1).sum(axis=-1)[..., 0]
         self.conv.g_w += g_w.transpose(0, 2, 1, 3)
         # Only the band rows of interior columns: the padding takes no gradient.
         taps_t = taps.reshape(g, k, 2, wp, w)[:, :, :, p: p + w].transpose(0, 1, 4, 2, 3)
@@ -189,23 +187,21 @@ class SpatialAttention(Layer):
         for i in range(k):
             drows[:, i: i + n] += np.matmul(dpre[:, :n], taps_t[:, i], out=part)
         dplanes = drows.reshape(g, b, hp, 2, w)[:, :, p: p + h]
-        davg, dmax = (dplanes[:, :, :, i].transpose(1, 0, 2, 3) for i in (0, 1))
         if dx is None:
-            dx = np.zeros((b, g * c, h, w))
-        dx5 = _split_groups(dx, g)
-        dx5 += (davg / c)[:, :, None]
+            dx = np.zeros((g * c, b, h, w))
+        dx5 = dx.reshape(x5.shape)
+        dx5 += (dplanes[:, :, :, 0] / c)[:, None]
         # The first channel that attains the max takes its gradient, as
         # argmax picks it. For finite inputs every position has one hit
         # unless channels tie there; only then does the first-hit walk run.
-        mx = planes[:, :, p: p + h, 1, p: p + w].transpose(1, 0, 2, 3)
-        hit = x5 == mx[:, :, None]
-        if np.count_nonzero(hit) != mx.size:
-            open_ = ~hit[:, :, 0]
+        hit = x5 == planes[:, None, :, p: p + h, 1, p: p + w]
+        if np.count_nonzero(hit) != hit[:, 0].size:
+            open_ = ~hit[:, 0]
             for j in range(1, c):
-                hit[:, :, j] &= open_
-                open_ ^= hit[:, :, j]
+                hit[:, j] &= open_
+                open_ ^= hit[:, j]
         # A mask multiply and an add: cheaper than a masked add.
-        dx5 += hit * dmax[:, :, None]
+        dx5 += hit * dplanes[:, None, :, :, 1]
         return dx
 
 
@@ -227,13 +223,14 @@ class Cbam(Layer):
         gated = m_c * x
         m_s = self.spatial.forward(gated, train=train)
         self._cache = (x, m_c, gated, m_s)
-        return (_split_groups(gated, self.groups) * m_s[:, :, None]).reshape(x.shape)
+        # A group of channels is a block of rows: (G, C / G, B, H, W).
+        return (gated.reshape(self.groups, -1, *x.shape[1:]) * m_s[:, None]).reshape(x.shape)
 
     def backward(self, dout):
         x, m_c, gated, m_s = self._cache
-        dout5 = _split_groups(dout, self.groups)
-        dgated = (dout5 * m_s[:, :, None]).reshape(x.shape)
-        dm_s = (dout5 * _split_groups(gated, self.groups)).sum(axis=2)
+        dout5 = dout.reshape(self.groups, -1, *dout.shape[1:])
+        dgated = (dout5 * m_s[:, None]).reshape(x.shape)
+        dm_s = (dout5 * gated.reshape(dout5.shape)).sum(axis=1)
         self.spatial.backward(dm_s, dgated)
         dx = dgated * m_c
         dm_c = (dgated * x).sum(axis=(2, 3), keepdims=True)

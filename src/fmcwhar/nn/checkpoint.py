@@ -61,6 +61,8 @@ def load_checkpoint(directory) -> MultiDomainModel:
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{directory}: manifest.json is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{directory}: unsupported checkpoint version {manifest.get('format_version')}"

@@ -75,6 +75,11 @@ def _away_from_kinks(rng, shape, margin=0.2):
     return x + margin * np.sign(x)
 
 
+def _channel_first(x):
+    """A (B, C, H, W) draw as the C-contiguous (C, B, H, W) map layers take."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+
+
 def check_layer(name, layer, x, forward=None, backward=None) -> GradCheckResult:
     """Compare analytic input/parameter gradients against central differences.
 
@@ -106,31 +111,32 @@ def check_layer(name, layer, x, forward=None, backward=None) -> GradCheckResult:
 
 def _case_conv(rng):
     layer = Conv2d(3, 4, 3, stride=2, rng=rng)
-    return layer, _away_from_kinks(rng, (2, 3, 8, 8))
+    return layer, _channel_first(_away_from_kinks(rng, (2, 3, 8, 8)))
 
 
 def _case_conv_pointwise(rng):
-    return Conv2d(3, 4, 1, rng=rng), rng.standard_normal((2, 3, 5, 6))
+    return Conv2d(3, 4, 1, rng=rng), _channel_first(rng.standard_normal((2, 3, 5, 6)))
 
 
 def _case_conv_stride1(rng):
     first = Conv2d(3, 4, 3, rng=rng)
     second = Conv2d(4, 2, 5, rng=rng)
-    return Sequential(first=first, second=second), rng.standard_normal((2, 3, 7, 6))
+    x = _channel_first(rng.standard_normal((2, 3, 7, 6)))
+    return Sequential(first=first, second=second), x
 
 
 def _case_conv_grouped(rng):
     layer = Conv2d(4, 6, 3, stride=2, groups=2, rng=rng)
-    return layer, _away_from_kinks(rng, (2, 4, 8, 8))
+    return layer, _channel_first(_away_from_kinks(rng, (2, 4, 8, 8)))
 
 
 def _case_conv_grouped_pointwise(rng):
-    return Conv2d(4, 6, 1, groups=2, rng=rng), rng.standard_normal((2, 4, 5, 6))
+    return Conv2d(4, 6, 1, groups=2, rng=rng), _channel_first(rng.standard_normal((2, 4, 5, 6)))
 
 
 def _case_depthwise(rng):
     layer = DepthwiseConv2d(4, 3, stride=1, rng=rng)
-    return layer, _away_from_kinks(rng, (2, 4, 6, 6))
+    return layer, _channel_first(_away_from_kinks(rng, (2, 4, 6, 6)))
 
 
 def _case_batchnorm(rng):
@@ -139,18 +145,18 @@ def _case_batchnorm(rng):
     layer.running_var = rng.uniform(0.5, 1.5, 5)
     layer.gamma[...] = rng.uniform(0.5, 1.5, 5)
     layer.beta[...] = rng.standard_normal(5) * 0.2
-    return layer, _away_from_kinks(rng, (2, 5, 4, 4))
+    return layer, _channel_first(_away_from_kinks(rng, (2, 5, 4, 4)))
 
 
 def _case_batchnorm_train(rng):
     layer = BatchNorm2d(3)
     layer.gamma[...] = rng.uniform(0.5, 1.5, 3)
-    x = _away_from_kinks(rng, (3, 3, 4, 4))
+    x = _channel_first(_away_from_kinks(rng, (3, 3, 4, 4)))
     return layer, x, (lambda: layer.forward(x, train=True))
 
 
 def _case_swish(rng):
-    return Swish(), rng.standard_normal((2, 3, 5, 5))
+    return Swish(), _channel_first(rng.standard_normal((2, 3, 5, 5)))
 
 
 def _case_linear(rng):
@@ -158,38 +164,40 @@ def _case_linear(rng):
 
 
 def _case_cbam_channel(rng):
-    return ChannelAttention(8, reduction=4, rng=rng), _away_from_kinks(rng, (2, 8, 5, 5))
+    layer = ChannelAttention(8, reduction=4, rng=rng)
+    return layer, _channel_first(_away_from_kinks(rng, (2, 8, 5, 5)))
 
 
 def _case_cbam_spatial(rng):
-    return SpatialAttention(rng=rng), _away_from_kinks(rng, (2, 4, 8, 8))
+    return SpatialAttention(rng=rng), _channel_first(_away_from_kinks(rng, (2, 4, 8, 8)))
 
 
 def _case_cbam(rng):
-    return Cbam(6, reduction=3, rng=rng), _away_from_kinks(rng, (2, 6, 7, 7))
+    return Cbam(6, reduction=3, rng=rng), _channel_first(_away_from_kinks(rng, (2, 6, 7, 7)))
 
 
 def _case_cbam_grouped(rng):
-    return Cbam(8, reduction=2, groups=2, rng=rng), _away_from_kinks(rng, (2, 8, 6, 6))
+    layer = Cbam(8, reduction=2, groups=2, rng=rng)
+    return layer, _channel_first(_away_from_kinks(rng, (2, 8, 6, 6)))
 
 
 def _case_mbconv(rng):
     layer = MBConv(4, 4, 3, expand_ratio=2, stride=1, cbam_reduction=4, rng=rng)
-    x = _away_from_kinks(rng, (1, 4, 8, 8))
+    x = _channel_first(_away_from_kinks(rng, (1, 4, 8, 8)))
     _set_bn_eval_stats(layer, rng)
     return layer, x
 
 
 def _case_mbconv_stride2(rng):
     layer = MBConv(3, 5, 5, expand_ratio=2, stride=2, cbam_reduction=4, rng=rng)
-    x = _away_from_kinks(rng, (2, 3, 8, 8))
+    x = _channel_first(_away_from_kinks(rng, (2, 3, 8, 8)))
     _set_bn_eval_stats(layer, rng)
     return layer, x
 
 
 def _case_mbconv_grouped(rng):
     layer = MBConv(4, 4, 3, expand_ratio=2, stride=1, cbam_reduction=2, groups=2, rng=rng)
-    x = _away_from_kinks(rng, (1, 4, 8, 8))
+    x = _channel_first(_away_from_kinks(rng, (1, 4, 8, 8)))
     _set_bn_eval_stats(layer, rng)
     return layer, x
 
@@ -206,11 +214,11 @@ def _case_lstm(rng):
 
 
 def _case_sequence_reshape(rng):
-    return SequenceReshape("hxc"), rng.standard_normal((2, 3, 4, 5))
+    return SequenceReshape("hxc"), _channel_first(rng.standard_normal((2, 3, 4, 5)))
 
 
 def _case_sequence_reshape_pooled(rng):
-    return SequenceReshape("c"), rng.standard_normal((2, 3, 4, 5))
+    return SequenceReshape("c"), _channel_first(rng.standard_normal((2, 3, 4, 5)))
 
 
 def _case_rd_head(rng):

@@ -1,7 +1,9 @@
 """Branch heads: sequence reshaping, the linear+max head, and fusion.
 
-A backbone feature map (B, C, H, W) turns into a sequence whose time
-axis is the map width. Two feature rules exist:
+A channel-major backbone feature map (C, B, H, W) turns into a
+batch-major sequence (B, T, D) whose time axis T is the map width; the
+LSTM, the RD head and the fusion work batch-major. Two feature rules
+exist:
 
 - ``hxc``: step t holds column t flattened h-major, c-minor, D = H * C
 - ``c``: column features are mean-pooled over height first, D = C
@@ -26,20 +28,20 @@ class SequenceReshape(Layer):
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
-        b, c, h, w = x.shape
+        c, b, h, w = x.shape
         self._shape = x.shape
         if self.rule == "hxc":
             # (B, W, H*C), h-major c-minor within each step.
-            return x.transpose(0, 3, 2, 1).reshape(b, w, h * c)
-        return x.mean(axis=2).transpose(0, 2, 1)
+            return x.transpose(1, 3, 2, 0).reshape(b, w, h * c)
+        return x.mean(axis=2).transpose(1, 2, 0)
 
     def backward(self, dout):
-        b, c, h, w = self._shape
+        c, b, h, w = self._shape
         if self.rule == "hxc":
-            return dout.reshape(b, w, h, c).transpose(0, 3, 2, 1)
-        return np.broadcast_to(
-            dout.transpose(0, 2, 1)[:, :, None, :], self._shape
-        ) / h
+            dx = dout.reshape(b, w, h, c).transpose(3, 0, 2, 1)
+        else:
+            dx = np.broadcast_to((dout / h).transpose(2, 0, 1)[:, :, None], self._shape)
+        return np.ascontiguousarray(dx)
 
 
 class RdHead(Layer):

@@ -6,13 +6,16 @@ returns the output and stashes whatever the backward pass needs;
 accumulates parameter gradients into ``self.g_*`` arrays. Parameters
 and their gradients are exposed through ``params()`` / ``grads()`` as
 flat name->array dicts, with child layers namespaced by dots.
+
+Feature maps are channel-major: every conv, batch norm and activation
+takes and returns C-contiguous (C, B, H, W) arrays, so a channel is one
+row of B*H*W values and a block of channels is a block of rows.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeMismatch(ValueError):
@@ -22,7 +25,8 @@ class ShapeMismatch(ValueError):
 def check_tensor4(x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 4:
-        raise ShapeMismatch(f"expected a (B, C, H, W) tensor, got shape {x.shape}")
+        raise ShapeMismatch(
+            f"expected a channel-major (C, B, H, W) tensor, got shape {x.shape}")
     return x
 
 
@@ -122,69 +126,62 @@ def _row_taps(h, k, s, p, h_out):
             yield i, y0, y1, s * y0 + i - p
 
 
-@functools.lru_cache(maxsize=64)
-def _band_index(k, wp, s, o, w_out):
-    """Flat band positions, shaped (k, k, O, Wo), of tap (i, j) of output
-    o at output column x: band row i*Wp + s*x + j, column o*Wo + x. They
-    depend on shapes only, so each is built once and shared read-only."""
-    i, j = np.arange(k)[:, None, None, None], np.arange(k)[:, None, None]
-    oo, xx = np.arange(o)[:, None], np.arange(w_out)
-    idx = ((i * wp + s * xx + j) * o + oo) * w_out + xx
-    idx.setflags(write=False)
-    return idx
+def band_diagonals(a, k, s, o):
+    """View (..., k, O, Wo) of the last two axes of ``a``, Wp band rows by
+    O*Wo columns: [..., j, o, x] is a[..., s*x + j, o*Wo + x], the place of
+    tap j of output o at output column x. Writing through it fills a band."""
+    w_out = a.shape[-1] // o
+    rs, cs = a.strides[-2:]
+    return as_strided(a, (*a.shape[:-2], k, o, w_out),
+                      (*a.strides[:-2], rs, w_out * cs, s * rs + cs))
 
 
 def toeplitz_band(w4, wp, s, w_out):
     """Banded Toeplitz matrix (C, k*Wp, O*Wo) of the (C, O, k, k) weight
-    ``w4`` for padded rows Wp wide, and its flat positions (``_band_index``).
+    ``w4`` for padded rows Wp wide.
 
     Rows i*Wp .. (i+1)*Wp - 1 are kernel row i's block: a padded input
     row times that block is the row's share of one output row.
     """
     c, o, k = w4.shape[0], w4.shape[1], w4.shape[-1]
-    idx = _band_index(k, wp, s, o, w_out)
-    band = np.zeros((c, k * wp * o * w_out))
-    band[:, idx] = w4.transpose(0, 2, 3, 1)[..., None]
-    return band.reshape(c, k * wp, o * w_out), idx
+    band = np.zeros((c, k, wp, o * w_out))
+    band_diagonals(band, k, s, o)[...] = w4.transpose(0, 2, 3, 1)[..., None]
+    return band.reshape(c, k * wp, o * w_out)
 
 
 def _row_toeplitz(x, w4, s, p):
-    """Row stack (C, B*Ho, k*Wp) of ``x`` and ``toeplitz_band`` of ``w4``.
+    """Row stack (C, B*Ho, k*Wp) of the (C, B, H, W) ``x`` and
+    ``toeplitz_band`` of ``w4``.
 
     Stack row (b, y) holds the padded input rows s*y .. s*y + k - 1 side
-    by side. Also returns the band's flat positions and (Ho, Wo).
+    by side. Also returns (Ho, Wo).
     """
-    b, c, h, w = x.shape
+    c, b, h, w = x.shape
     k = w4.shape[-1]
     wp = w + 2 * p
     h_out, w_out = (h + 2 * p - k) // s + 1, (wp - k) // s + 1
     cols = np.zeros((c, b, h_out, k, wp))
     for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
-        cols[:, :, y0:y1, i, p: p + w] = x.transpose(1, 0, 2, 3)[:, :, r0: r0 + s * (y1 - y0): s]
-    band, idx = toeplitz_band(w4, wp, s, w_out)
-    return cols.reshape(c, b * h_out, k * wp), band, idx, (h_out, w_out)
+        cols[:, :, y0:y1, i, p: p + w] = x[:, :, r0: r0 + s * (y1 - y0): s]
+    band = toeplitz_band(w4, wp, s, w_out)
+    return cols.reshape(c, b * h_out, k * wp), band, (h_out, w_out)
 
 
 def toeplitz_conv(x, w4, s, p, groups):
-    """k x k conv of ``x`` by the (C, O, k, k) weight ``w4``, as one
-    matmul of its row stack and band batched over input channels.
+    """k x k conv of the (C, B, H, W) ``x`` by the (C, O, k, k) weight
+    ``w4``, as one matmul of its row stack and band batched over input
+    channels.
 
     The C input channels form ``groups`` equal groups, and group g's
     products sum into its own O outputs, channels g*O .. g*O + O - 1: a
     dense conv is one group, a depthwise one (O = 1) is C groups.
     """
-    cols, band, _, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
-    c, b, o, g = x.shape[1], x.shape[0], w4.shape[1], groups
+    cols, band, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
+    c, b, o, g = x.shape[0], x.shape[1], w4.shape[1], groups
     prod = (cols @ band).reshape(g, c // g, b, h_out, o, w_out)
-    # Every output channel keeps the strides it has when its group runs
-    # alone (channel-major for O = 1, rows of (G, O, Wo) otherwise), so
-    # the reductions of later layers add in the same order either way.
-    if o == 1 or g == 1:
-        out = prod.sum(axis=1) if c > g else prod[:, 0]
-        return out.transpose(1, 0, 3, 2, 4).reshape(b, g * o, h_out, w_out)
-    out = np.empty((b, h_out, g, o, w_out))
-    np.sum(prod, axis=1, out=out.transpose(2, 0, 1, 3, 4))
-    return out.transpose(0, 2, 3, 1, 4).reshape(b, g * o, h_out, w_out)
+    out = np.empty((g, o, b, h_out, w_out))
+    np.sum(prod, axis=1, out=out.transpose(0, 2, 3, 1, 4))
+    return out.reshape(g * o, b, h_out, w_out)
 
 
 def toeplitz_conv_backward(x, w4, dout, s, p, groups, input_grad=True):
@@ -192,17 +189,15 @@ def toeplitz_conv_backward(x, w4, dout, s, p, groups, input_grad=True):
     ``x``; g_w4 sums the band diagonals of cols^T dout, and dx folds the
     rows of dout band^T back onto the input, k row adds in all. Without
     ``input_grad``, dx is None and neither product nor fold runs."""
-    cols, band, idx, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
-    b, c, h, w = x.shape
+    cols, band, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
+    c, b, h, w = x.shape
     o, k, g = w4.shape[1], w4.shape[-1], groups
-    d2 = dout.reshape(b, g, o, h_out, w_out).transpose(1, 0, 3, 2, 4)
+    d2 = dout.reshape(g, o, b * h_out, w_out).transpose(0, 2, 1, 3)
     d2 = d2.reshape(g, 1, b * h_out, o * w_out)
     g_band = (cols.reshape(g, c // g, b * h_out, -1).transpose(0, 1, 3, 2) @ d2)
-    g_band = g_band.reshape(c, -1)
     del cols  # the row stack is the largest temporary; free it before dx
-    # take, not g_band[:, idx]: its output is C-contiguous for any C, so
-    # each diagonal sums in the same order however many channels there are.
-    g_w4 = np.take(g_band, idx, axis=1).sum(axis=-1).transpose(0, 3, 1, 2)
+    g_diag = band_diagonals(g_band.reshape(c, k, w + 2 * p, -1), k, s, o)
+    g_w4 = g_diag.sum(axis=-1).transpose(0, 3, 1, 2)
     if not input_grad:
         return g_w4, None
     band_t = band.reshape(g, c // g, -1, o * w_out).transpose(0, 1, 3, 2)
@@ -210,7 +205,7 @@ def toeplitz_conv_backward(x, w4, dout, s, p, groups, input_grad=True):
     dx = np.zeros((c, b, h, w))
     for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
         dx[:, :, r0: r0 + s * (y1 - y0): s] += drows[:, :, y0:y1, i, p: p + w]
-    return g_w4, dx.transpose(1, 0, 2, 3)
+    return g_w4, dx
 
 
 class Conv2d(Layer):
@@ -236,7 +231,7 @@ class Conv2d(Layer):
         self.groups = groups
         self.padding = (kernel - 1) // 2
         self.input_grad = True
-        # 1x1, stride 1: one channel matmul per sample and group, no windows.
+        # 1x1, stride 1: one channel matmul per group, no windows.
         self._pointwise = kernel == 1 and stride == 1
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels // groups * kernel * kernel
@@ -255,32 +250,26 @@ class Conv2d(Layer):
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
-        if x.shape[1] != self.in_channels:
+        if x.shape[0] != self.in_channels:
             raise ShapeMismatch(
-                f"conv expects {self.in_channels} input channels, got {x.shape[1]}"
+                f"conv expects {self.in_channels} input channels, got {x.shape[0]}"
             )
+        self._cache = x
         if self._pointwise:
-            b, c, h, w = x.shape
-            x4 = x.reshape(b, self.groups, c // self.groups, h * w)
-            out = np.matmul(self._w3(), x4).reshape(b, self.out_channels, h, w)
-            self._cache = x4
-        else:
-            out = toeplitz_conv(x, self._w4(), self.stride, self.padding, self.groups)
-            self._cache = x
-        return out
+            out = self._w3() @ x.reshape(self.groups, -1, x[0].size)
+            return out.reshape(self.out_channels, *x.shape[1:])
+        return toeplitz_conv(x, self._w4(), self.stride, self.padding, self.groups)
 
     def backward(self, dout):
+        x = self._cache
         if self._pointwise:
-            x4 = self._cache
-            b, o, h, w = dout.shape
-            d4 = dout.reshape(b, self.groups, o // self.groups, h * w)
-            self.g_w += np.matmul(d4, x4.transpose(0, 1, 3, 2)).sum(axis=0).reshape(
-                self.w.shape)
+            x3 = x.reshape(self.groups, -1, x[0].size)
+            d3 = dout.reshape(self.groups, -1, x[0].size)
+            self.g_w += (d3 @ x3.transpose(0, 2, 1)).reshape(self.w.shape)
             if not self.input_grad:
                 return None
-            return np.matmul(self._w3().transpose(0, 2, 1), d4).reshape(
-                b, self.in_channels, h, w)
-        g_w4, dx = toeplitz_conv_backward(self._cache, self._w4(), dout, self.stride,
+            return (self._w3().transpose(0, 2, 1) @ d3).reshape(x.shape)
+        g_w4, dx = toeplitz_conv_backward(x, self._w4(), dout, self.stride,
                                           self.padding, self.groups, self.input_grad)
         g, k = self.groups, self.kernel
         self.g_w += g_w4.reshape(g, -1, self.out_channels // g, k, k).transpose(
@@ -304,9 +293,9 @@ class DepthwiseConv2d(Layer):
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
-        if x.shape[1] != self.channels:
+        if x.shape[0] != self.channels:
             raise ShapeMismatch(
-                f"depthwise conv expects {self.channels} channels, got {x.shape[1]}"
+                f"depthwise conv expects {self.channels} channels, got {x.shape[0]}"
             )
         self._cache = x
         return toeplitz_conv(x, self.w[:, None], self.stride, self.padding, self.channels)
@@ -339,41 +328,44 @@ class BatchNorm2d(Layer):
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
-        if x.shape[1] != self.channels:
+        if x.shape[0] != self.channels:
             raise ShapeMismatch(
-                f"batchnorm expects {self.channels} channels, got {x.shape[1]}"
+                f"batchnorm expects {self.channels} channels, got {x.shape[0]}"
             )
+        # One row of B*H*W values per channel.
+        x2 = x.reshape(self.channels, -1)
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            x_hat = x - mean[:, None, None]
-            n = x.size // self.channels
-            var = np.einsum("bchw,bchw->c", x_hat, x_hat) / n
+            mean = x2.mean(axis=1)
+            x_hat = x2 - mean[:, None]
+            n = x2.shape[1]
+            var = np.vecdot(x_hat, x_hat) / n
             self.running_mean += self.MOMENTUM * (mean - self.running_mean)
             self.running_var += self.MOMENTUM * (var * n / max(1, n - 1) - self.running_var)
         else:
             var = self.running_var
-            x_hat = x - self.running_mean[:, None, None]
+            x_hat = x2 - self.running_mean[:, None]
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        x_hat *= inv_std[:, None, None]
+        x_hat *= inv_std[:, None]
         self._cache = (x_hat, inv_std, train)
-        out = x_hat * self.gamma[:, None, None]
-        out += self.beta[:, None, None]
-        return out
+        out = x_hat * self.gamma[:, None]
+        out += self.beta[:, None]
+        return out.reshape(x.shape)
 
     def backward(self, dout):
         x_hat, inv_std, train = self._cache
-        sum_d, sum_d_xhat = dout.sum(axis=(0, 2, 3)), np.einsum("bchw,bchw->c", dout, x_hat)
+        d2 = dout.reshape(x_hat.shape)
+        sum_d, sum_d_xhat = d2.sum(axis=1), np.vecdot(d2, x_hat)
         self.g_gamma += sum_d_xhat
         self.g_beta += sum_d
         scale = self.gamma * inv_std
-        dx = dout * scale[:, None, None]
+        dx = d2 * scale[:, None]
         if train:
             # Through the batch statistics as well:
             # dx = scale * (dout - sum_d / n - x_hat * sum_d_xhat / n).
-            n = dout.size // self.channels
-            dx -= x_hat * (scale * sum_d_xhat / n)[:, None, None]
-            dx -= (scale * sum_d / n)[:, None, None]
-        return dx
+            n = x_hat.shape[1]
+            dx -= x_hat * (scale * sum_d_xhat / n)[:, None]
+            dx -= (scale * sum_d / n)[:, None]
+        return dx.reshape(dout.shape)
 
 
 class Swish(Layer):
@@ -386,26 +378,15 @@ class Swish(Layer):
 
     def backward(self, dout):
         # s + x s (1 - s) written as (1 - s) y + s with y = x s, so the
-        # input need not be kept. In place into a fresh array laid out like
-        # s, and so like x: the product's layout then never depends on the
-        # array size (numpy reuses a temporary operand's buffer only above
-        # a size threshold), so a grouped pass reduces downstream in the
-        # same order as one group alone.
+        # input need not be kept.
         s = self._sig
-        dx = np.subtract(1.0, s, out=np.empty_like(s))
-        dx *= self._y
-        dx += s
-        dx *= dout
-        return dx
+        return dout * ((1.0 - s) * self._y + s)
 
 
 def sigmoid(x):
-    """0.5 * (1 + tanh(x / 2)): overflow-free at any |x|, built in one buffer.
-
-    The buffer takes the memory layout of ``x``, so products with ``x``
-    keep that layout too.
-    """
-    out = np.multiply(x, 0.5, out=np.empty_like(x, dtype=np.float64))
+    """0.5 * (1 + tanh(x / 2)) in float64: overflow-free at any |x|, built
+    in one buffer."""
+    out = np.multiply(x, 0.5, dtype=np.float64)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5

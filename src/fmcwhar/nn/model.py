@@ -13,6 +13,10 @@ group per branch (ResNeXt's grouped-convolution identity, Xie et al.,
 three. Its arrays concatenate the branch arrays along axis 0, and the
 branch layers hold views into them: names, checkpoints and in-place
 updates through ``model.rt.backbone`` reach the grouped pass.
+
+The model takes batch-major (B, C, H, W) maps; the backbone runs
+channel-major (C, B, H, W), so the three transposed inputs concatenate
+along axis 0 and each branch is a contiguous block of rows.
 """
 
 from __future__ import annotations
@@ -89,9 +93,9 @@ class MultiDomainModel(Layer):
         return x
 
     def forward(self, x_rt, x_dt, x_rd, train: bool = False):
-        xs = [self._check_input(x, name) for x, name in zip((x_rt, x_dt, x_rd), BRANCHES)]
-        maps = np.split(self._backbone.forward(np.concatenate(xs, axis=1), train), len(xs),
-                        axis=1)
+        xs = [self._check_input(x, name).transpose(1, 0, 2, 3)
+              for x, name in zip((x_rt, x_dt, x_rd), BRANCHES)]
+        maps = np.split(self._backbone.forward(np.concatenate(xs), train), len(xs))
         feats = [tail.forward(m, train) for tail, m in zip(self._tails, maps)]
         return self.fusion.forward(*feats, train)
 
@@ -99,9 +103,4 @@ class MultiDomainModel(Layer):
         """Accumulates every parameter gradient; returns None, because the
         gradient of the input maps is not computed."""
         douts = [tail.backward(d) for tail, d in zip(self._tails, self.fusion.backward(dlogits))]
-        b, c, h, w = douts[0].shape
-        # Laid out like one branch's gradient, so the backbone's reductions
-        # add in the same order as a branch run alone.
-        dmaps = np.empty_like(douts[0], shape=(b, len(douts) * c, h, w))
-        np.concatenate(douts, axis=1, out=dmaps)
-        self._backbone.backward(dmaps)
+        self._backbone.backward(np.concatenate(douts))

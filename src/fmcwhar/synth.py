@@ -39,8 +39,13 @@ class RangeWentNonpositive(SynthError):
 
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """The project's one seeded generator: Philox keyed by (seed mod 2**64, stream)."""
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
+    """The project's one seeded generator: Philox keyed by (seed mod 2**64, stream).
+
+    The key is a uint64 array: a list would pass keys of 2**63 and above
+    through float64, which rounds them and cannot hold 2**64 - 1.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

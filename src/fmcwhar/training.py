@@ -1,4 +1,4 @@
-"""Training loop, optimizer, dataset splitting and classification metrics.
+"""Training loop, optimizer and classification metrics.
 
 Optimization is Adam (beta1 0.9, beta2 0.999, eps 1e-8) with the step
 schedule lr = lr0 * decay^floor(epoch / decay_every). The toy pipeline
@@ -35,10 +35,6 @@ class TrainingError(ValueError):
 
 
 class LabelOutOfRange(TrainingError):
-    pass
-
-
-class TooFewSamples(TrainingError):
     pass
 
 
@@ -146,24 +142,6 @@ def cross_entropy(logits, labels):
     grad = np.exp(log_probs)
     grad[np.arange(batch), labels] -= 1.0
     return loss, grad / batch
-
-
-def stratified_split(labels, split=(0.6, 0.2, 0.2), seed=0):
-    """Per-class proportional train/val/test index sets, seeded and disjoint."""
-    labels = np.asarray(labels)
-    rng = synth.seeded_rng(seed)
-    train, val, test = [], [], []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        if idx.size < 5:
-            raise TooFewSamples(f"class {cls} has {idx.size} samples, need >= 5")
-        idx = rng.permutation(idx)
-        n_train = int(np.floor(split[0] * idx.size))
-        n_val = int(np.floor(split[1] * idx.size))
-        train.extend(idx[:n_train])
-        val.extend(idx[n_train: n_train + n_val])
-        test.extend(idx[n_train + n_val:])
-    return np.sort(train), np.sort(val), np.sort(test)
 
 
 @dataclass

@@ -7,7 +7,9 @@ about two bins, keeping the joint Range-Doppler argmax well defined.
 
 The conv reference walks the k x k kernel taps one at a time: each tap
 is a strided slice of the padded input, so forward, input gradient and
-weight gradient are each a sum of k*k small contractions.
+weight gradient are each a sum of k*k small contractions. Like the
+layers, the conv, batch-norm and CBAM references take channel-major
+(C, B, H, W) feature maps.
 
 The filter reference runs direct form II transposed one state row at a
 time, with scalar coefficients, as scipy's ``lfilter`` does. The MTI
@@ -16,6 +18,10 @@ shared front end.
 
 The batch-norm and Adam references are the unfused forms: one numpy
 expression per formula, each allocating its own temporaries.
+
+The IIR response helpers evaluate a filter's transfer function and
+poles directly from its coefficients, and the stratified split is the
+per-class train/val/test partition; only tests use them.
 
 The per-branch model reference runs each branch's backbone on its own,
 as three passes, where the model runs them as one grouped pass.
@@ -27,6 +33,9 @@ through its own forward and backward. ``Conv2d`` has no bias, so
 ``_SpatialAttentionReference`` adds the gate's bias itself.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from fmcwhar import domain_maps as dm
@@ -35,6 +44,7 @@ from fmcwhar.nn import ChannelAttention, Conv2d, Layer
 from fmcwhar.nn.attention import CBAM_REDUCTION, SPATIAL_KERNEL
 from fmcwhar.nn.layers import sigmoid
 from fmcwhar.radar_io import RadarParams, SPEED_OF_LIGHT
+from fmcwhar.training import TrainingError
 
 GLASGOW_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 
@@ -112,8 +122,48 @@ def mti_profiles(echo):
     return dsp.iir_filter(coeffs, dm.range_profiles(echo), axis=0)
 
 
+def gain_at(coeffs, freq_norm):
+    """Frequency response H(e^{j pi f}) of ``dsp.IirCoeffs`` with f as a
+    fraction of Nyquist."""
+    z = cmath.exp(1j * math.pi * freq_norm)
+    zk = z ** -np.arange(coeffs.b.size)
+    return complex(np.dot(coeffs.b, zk) / np.dot(coeffs.a, zk))
+
+
+def poles(coeffs):
+    return np.roots(coeffs.a)
+
+
+class TooFewSamples(TrainingError):
+    pass
+
+
+def stratified_split(labels, split=(0.6, 0.2, 0.2), seed=0):
+    """Per-class proportional train/val/test index sets, seeded and disjoint."""
+    labels = np.asarray(labels)
+    rng = synth.seeded_rng(seed)
+    train, val, test = [], [], []
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        if idx.size < 5:
+            raise TooFewSamples(f"class {cls} has {idx.size} samples, need >= 5")
+        idx = rng.permutation(idx)
+        n_train = int(np.floor(split[0] * idx.size))
+        n_val = int(np.floor(split[1] * idx.size))
+        train.extend(idx[:n_train])
+        val.extend(idx[n_train: n_train + n_val])
+        test.extend(idx[n_train + n_val:])
+    return np.sort(train), np.sort(val), np.sort(test)
+
+
+def channel_first(x):
+    """A (B, C, H, W) draw as the C-contiguous (C, B, H, W) map layers take."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+
+
 def conv_taps(x, w, dout, stride, padding, groups=1):
-    """Tap-loop conv: (out, dx, g_w) for a dense or depthwise weight.
+    """Tap-loop conv of a (C, B, H, W) ``x``: (out, dx, g_w) for a dense or
+    depthwise weight.
 
     A dense weight is (O, C / groups, k, k), and each of the ``groups``
     channel groups runs as a conv of its own; a depthwise one is (C, k, k).
@@ -121,8 +171,8 @@ def conv_taps(x, w, dout, stride, padding, groups=1):
     """
     if groups > 1:
         parts = [conv_taps(xg, wg, dg, stride, padding) for xg, wg, dg in zip(
-            np.split(x, groups, axis=1), np.split(w, groups), np.split(dout, groups, axis=1))]
-        return tuple(np.concatenate(p, axis=a) for p, a in zip(zip(*parts), (1, 1, 0)))
+            np.split(x, groups), np.split(w, groups), np.split(dout, groups))]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     k, s, p = w.shape[-1], stride, padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     h_out = (xp.shape[2] - k) // s + 1
@@ -136,44 +186,46 @@ def conv_taps(x, w, dout, stride, padding, groups=1):
             tap = (slice(None), slice(None),
                    slice(i, i + s * h_out, s), slice(j, j + s * w_out, s))
             if depthwise:
-                out = out + xp[tap] * w[None, :, i, j, None, None]
-                dxp[tap] += dout * w[None, :, i, j, None, None]
-                g_w[:, i, j] = np.einsum("bchw,bchw->c", dout, xp[tap])
+                out = out + xp[tap] * w[:, i, j, None, None, None]
+                dxp[tap] += dout * w[:, i, j, None, None, None]
+                g_w[:, i, j] = np.einsum("cbhw,cbhw->c", dout, xp[tap])
             else:
-                out = out + np.einsum("bchw,oc->bohw", xp[tap], w[:, :, i, j])
-                dxp[tap] += np.einsum("bohw,oc->bchw", dout, w[:, :, i, j])
-                g_w[:, :, i, j] = np.einsum("bohw,bchw->oc", dout, xp[tap])
+                out = out + np.einsum("cbhw,oc->obhw", xp[tap], w[:, :, i, j])
+                dxp[tap] += np.einsum("obhw,oc->cbhw", dout, w[:, :, i, j])
+                g_w[:, :, i, j] = np.einsum("obhw,cbhw->oc", dout, xp[tap])
     dx = dxp[:, :, p: xp.shape[2] - p, p: xp.shape[3] - p]
     return out, dx, g_w
 
 
 def batchnorm_reference(x, gamma, beta, running_mean, running_var, dout, train,
                         momentum=0.1, eps=1e-5):
-    """Unfused batch norm: (out, dx, g_gamma, g_beta, running_mean, running_var).
+    """Unfused batch norm of a (C, B, H, W) ``x``: (out, dx, g_gamma, g_beta,
+    running_mean, running_var).
 
     The running statistics are returned updated (train mode) or as given.
     """
+    axes, col = (1, 2, 3), (slice(None), None, None, None)
     running_mean, running_var = running_mean.copy(), running_var.copy()
     if train:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        n = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        n = x[0].size
         unbiased = var * n / max(1, n - 1)
         running_mean += momentum * (mean - running_mean)
         running_var += momentum * (unbiased - running_var)
     else:
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
-    g_gamma = np.sum(dout * x_hat, axis=(0, 2, 3))
-    g_beta = np.sum(dout, axis=(0, 2, 3))
-    dxhat = dout * gamma[None, :, None, None]
-    scale = inv_std[None, :, None, None]
+    x_hat = (x - mean[col]) * inv_std[col]
+    out = gamma[col] * x_hat + beta[col]
+    g_gamma = np.sum(dout * x_hat, axis=axes)
+    g_beta = np.sum(dout, axis=axes)
+    dxhat = dout * gamma[col]
+    scale = inv_std[col]
     if train:
-        n = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_dxhat_xhat = (dxhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+        n = dout[0].size
+        sum_dxhat = dxhat.sum(axis=axes, keepdims=True)
+        sum_dxhat_xhat = (dxhat * x_hat).sum(axis=axes, keepdims=True)
         dx = scale * (dxhat - sum_dxhat / n - x_hat * sum_dxhat_xhat / n)
     else:
         dx = dxhat * scale
@@ -214,8 +266,10 @@ BRANCHES = ("rt", "dt", "rd")
 
 
 def per_branch_forward(model, xs, train):
-    """``MultiDomainModel.forward`` with every branch run alone, backbone included."""
-    feats = [getattr(model, name).forward(x, train) for name, x in zip(BRANCHES, xs)]
+    """``MultiDomainModel.forward`` with every branch run alone, backbone
+    included, on its (B, C, H, W) maps transposed to (C, B, H, W)."""
+    feats = [getattr(model, name).forward(x.transpose(1, 0, 2, 3), train)
+             for name, x in zip(BRANCHES, xs)]
     return model.fusion.forward(*feats, train)
 
 
@@ -233,9 +287,9 @@ class _ChannelAttentionReference(ChannelAttention):
         dgate = dout[:, :, 0, 0] * gate * (1.0 - gate)
         davg = self._mlp_backward(dgate, cache_avg)
         dmax = self._mlp_backward(dgate, cache_max)
-        b, c, h, w = x_shape
-        dflat = np.zeros((b, c, h * w))
-        dflat[np.arange(b)[:, None], np.arange(c)[None, :], mx_idx] = dmax
+        c, b, h, w = x_shape
+        dflat = np.zeros((c, b, h * w))
+        dflat[np.arange(c)[:, None], np.arange(b)[None, :], mx_idx] = dmax
         dx = dflat.reshape(x_shape)
         dx += (davg / (h * w))[:, :, None, None]
         return dx
@@ -253,26 +307,26 @@ class _SpatialAttentionReference(Layer):
         conv.register_param("b", np.zeros(groups))
 
     def forward(self, x, train=False):
-        b, c, h, w = x.shape
-        x5 = x.reshape(b, self.groups, c // self.groups, h, w)
-        avg = x5.mean(axis=2, keepdims=True)
-        mx_idx = x5.argmax(axis=2)[:, :, None]
-        mx = np.take_along_axis(x5, mx_idx, axis=2)
-        stacked = np.concatenate([avg, mx], axis=2).reshape(b, 2 * self.groups, h, w)
-        gate = sigmoid(self.conv.forward(stacked) + self.conv.b[:, None, None])
+        c, b, h, w = x.shape
+        x5 = x.reshape(self.groups, c // self.groups, b, h, w)
+        avg = x5.mean(axis=1, keepdims=True)
+        mx_idx = x5.argmax(axis=1)[:, None]
+        mx = np.take_along_axis(x5, mx_idx, axis=1)
+        stacked = np.concatenate([avg, mx], axis=1).reshape(2 * self.groups, b, h, w)
+        gate = sigmoid(self.conv.forward(stacked) + self.conv.b[:, None, None, None])
         self._cache = (x5.shape, mx_idx, gate)
         return gate
 
     def backward(self, dout):
         x5_shape, mx_idx, gate = self._cache
-        b, g, c, h, w = x5_shape
+        g, c, b, h, w = x5_shape
         dpre = dout * gate * (1.0 - gate)
-        self.conv.g_b += dpre.sum(axis=(0, 2, 3))
-        dstacked = self.conv.backward(dpre).reshape(b, g, 2, h, w)
+        self.conv.g_b += dpre.sum(axis=(1, 2, 3))
+        dstacked = self.conv.backward(dpre).reshape(g, 2, b, h, w)
         dx = np.zeros(x5_shape)
-        np.put_along_axis(dx, mx_idx, dstacked[:, :, 1:], axis=2)
-        dx += dstacked[:, :, :1] / c
-        return dx.reshape(b, g * c, h, w)
+        np.put_along_axis(dx, mx_idx, dstacked[:, 1:], axis=1)
+        dx += dstacked[:, :1] / c
+        return dx.reshape(g * c, b, h, w)
 
 
 class CbamReference(Layer):
@@ -292,19 +346,19 @@ class CbamReference(Layer):
         return self
 
     def forward(self, x, train=False):
-        b, c, h, w = x.shape
+        c, b, h, w = x.shape
         m_c = self.channel.forward(x, train)
         gated = m_c * x
         m_s = self.spatial.forward(gated, train)
         self._cache = (x, m_c, gated, m_s)
-        return (gated.reshape(b, self.groups, -1, h, w) * m_s[:, :, None]).reshape(x.shape)
+        return (gated.reshape(self.groups, -1, b, h, w) * m_s[:, None]).reshape(x.shape)
 
     def backward(self, dout):
         x, m_c, gated, m_s = self._cache
-        b, c, h, w = x.shape
-        dout5 = dout.reshape(b, self.groups, -1, h, w)
-        dgated = (dout5 * m_s[:, :, None]).reshape(x.shape)
-        dm_s = (dout5 * gated.reshape(dout5.shape)).sum(axis=2)
+        c, b, h, w = x.shape
+        dout5 = dout.reshape(self.groups, -1, b, h, w)
+        dgated = (dout5 * m_s[:, None]).reshape(x.shape)
+        dm_s = (dout5 * gated.reshape(dout5.shape)).sum(axis=1)
         dgated += self.spatial.backward(dm_s)
         dx = dgated * m_c
         dx += self.channel.backward((dgated * x).sum(axis=(2, 3), keepdims=True))

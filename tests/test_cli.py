@@ -366,11 +366,13 @@ class TestMalformedCheckpoints:
             ckpt, lambda m: _set_shape(m, "fusion.linear.w", [6.0, 48])),
         lambda ckpt: _edit_manifest(
             ckpt, lambda m: m["params"].append({"name": "fusion.linear.v", "shape": [1]})),
+        lambda ckpt: (ckpt / "manifest.json").write_text("[1, 2]"),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
             "omitted_param", "omitted_buffer", "params_not_a_list", "zero_stride",
             "zero_kernel", "bool_repeats", "float_stage_width", "zero_lstm_hidden",
             "negative_input_hw", "no_stage_table", "unnamed_param", "buffer_without_shape",
-            "string_shape", "negative_shape", "float_shape", "unknown_param"])
+            "string_shape", "negative_shape", "float_shape", "unknown_param",
+            "manifest_not_an_object"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")

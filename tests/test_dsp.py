@@ -17,7 +17,7 @@ from fmcwhar.dsp import (
 )
 from fmcwhar.radar_io import EchoMatrix, RadarParams
 
-from oracles import df2t_rows
+from oracles import df2t_rows, gain_at, poles
 
 # Order-4 high-pass at 0.0075 of Nyquist, designed independently with
 # scipy.signal.butter (analog prototype + bilinear transform) and frozen.
@@ -124,15 +124,15 @@ class TestDft:
 class TestButterworth:
     def test_dc_gain_is_zero(self):
         c = butterworth_highpass(4, 0.0075)
-        assert abs(c.gain_at(0.0)) <= 1e-10
+        assert abs(gain_at(c, 0.0)) <= 1e-10
 
     def test_nyquist_gain_is_one(self):
         c = butterworth_highpass(4, 0.0075)
-        assert abs(abs(c.gain_at(1.0)) - 1.0) < 1e-6
+        assert abs(abs(gain_at(c, 1.0)) - 1.0) < 1e-6
 
     def test_cutoff_gain_is_half_power(self):
         c = butterworth_highpass(4, 0.0075)
-        assert abs(c.gain_at(0.0075)) == pytest.approx(2 ** -0.5, rel=0.01)
+        assert abs(gain_at(c, 0.0075)) == pytest.approx(2 ** -0.5, rel=0.01)
 
     def test_matches_bilinear_transform_oracle(self):
         c = butterworth_highpass(4, 0.0075)
@@ -143,7 +143,7 @@ class TestButterworth:
                                               (4, 0.3), (6, 0.05)])
     def test_poles_inside_unit_circle(self, order, cutoff):
         c = butterworth_highpass(order, cutoff)
-        assert np.all(np.abs(c.poles()) < 1.0)
+        assert np.all(np.abs(poles(c)) < 1.0)
 
     @pytest.mark.parametrize("order,cutoff", [(2, 0.2), (3, 0.5), (5, 0.01)])
     def test_matches_scipy_for_other_designs(self, order, cutoff):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import CbamReference
+from oracles import CbamReference, channel_first
 
 import fmcwhar
 from fmcwhar.nn import Cbam, ChannelAttention, SpatialAttention
@@ -17,9 +17,9 @@ class TestChannelAttention:
         attn = ChannelAttention(8)
         attn.w1[...] = 0.0
         attn.w2[...] = 0.0
-        x = np.random.default_rng(0).standard_normal((2, 8, 4, 4))
+        x = channel_first(np.random.default_rng(0).standard_normal((2, 8, 4, 4)))
         gate = attn.forward(x)
-        assert gate.shape == (2, 8, 1, 1)
+        assert gate.shape == (8, 2, 1, 1)
         np.testing.assert_allclose(gate, 0.5, atol=0)
 
     def test_constant_map_doubles_mlp(self):
@@ -27,11 +27,11 @@ class TestChannelAttention:
         # is sigmoid(2 * MLP(v)).
         attn = ChannelAttention(4, reduction=2, rng=np.random.default_rng(1))
         v = np.array([0.3, -1.2, 0.8, 2.0])
-        x = np.broadcast_to(v[None, :, None, None], (1, 4, 5, 5)).copy()
+        x = np.broadcast_to(v[:, None, None, None], (4, 1, 5, 5)).copy()
         gate = attn.forward(x)
-        mlp_out, _ = attn._mlp(v[None])
+        mlp_out, _ = attn._mlp(v[:, None])
         expected = 1.0 / (1.0 + np.exp(-2.0 * mlp_out))
-        np.testing.assert_allclose(gate[0, :, 0, 0], expected[0], atol=1e-12)
+        np.testing.assert_allclose(gate[:, 0, 0, 0], expected[:, 0], atol=1e-12)
 
     def test_hidden_width_floor(self):
         attn = ChannelAttention(8, reduction=16)
@@ -41,7 +41,7 @@ class TestChannelAttention:
 
     def test_gate_range(self):
         attn = ChannelAttention(6, rng=np.random.default_rng(2))
-        x = np.random.default_rng(3).standard_normal((3, 6, 7, 7)) * 5
+        x = channel_first(np.random.default_rng(3).standard_normal((3, 6, 7, 7))) * 5
         gate = attn.forward(x)
         assert np.all(gate > 0) and np.all(gate < 1)
 
@@ -51,16 +51,16 @@ class TestSpatialAttention:
         attn = SpatialAttention()
         attn.conv.w[...] = 0.0
         attn.conv.b[...] = 0.0
-        x = np.random.default_rng(4).standard_normal((2, 5, 9, 9))
+        x = channel_first(np.random.default_rng(4).standard_normal((2, 5, 9, 9)))
         gate = attn.forward(x)
-        assert gate.shape == (2, 1, 9, 9)
+        assert gate.shape == (1, 2, 9, 9)
         np.testing.assert_allclose(gate, 0.5, atol=0)
 
     def test_channel_constant_input_pools_equal(self):
         # Equal channels make the average and max planes equal, so swapping
         # the conv's average and max weights leaves the gate unchanged.
         x = np.broadcast_to(
-            np.random.default_rng(5).standard_normal((1, 1, 6, 6)), (1, 4, 6, 6)
+            np.random.default_rng(5).standard_normal((1, 1, 6, 6)), (4, 1, 6, 6)
         ).copy()
         attn = SpatialAttention(rng=np.random.default_rng(13))
         gate = attn.forward(x)
@@ -73,18 +73,19 @@ class TestSpatialAttention:
         # the others take only their share of the average plane's.
         rng = np.random.default_rng(14)
         attn = SpatialAttention(groups=2, rng=rng)
-        plane = rng.standard_normal((3, 2, 1, 6, 5))
-        x = np.broadcast_to(plane, (3, 2, 4, 6, 5)).reshape(3, 8, 6, 5).copy()
+        plane = rng.standard_normal((3, 2, 1, 6, 5)).transpose(1, 2, 0, 3, 4)
+        x = np.broadcast_to(plane, (2, 4, 3, 6, 5)).reshape(8, 3, 6, 5)
         attn.forward(x)
-        dx = attn.backward(rng.standard_normal((3, 2, 6, 5))).reshape(3, 2, 4, 6, 5)
+        dout = rng.standard_normal((3, 2, 6, 5)).transpose(1, 0, 2, 3)
+        dx = attn.backward(dout).reshape(2, 4, 3, 6, 5)
         for j in (2, 3):
-            np.testing.assert_array_equal(dx[:, :, j], dx[:, :, 1])
-        assert np.all(dx[:, :, 0] != dx[:, :, 1])
+            np.testing.assert_array_equal(dx[:, j], dx[:, 1])
+        assert np.all(dx[:, 0] != dx[:, 1])
 
     def test_spatial_size_preserved(self):
         attn = SpatialAttention(rng=np.random.default_rng(6))
         for h, w in ((7, 7), (14, 10), (1, 1)):
-            gate = attn.forward(np.random.default_rng(7).standard_normal((1, 3, h, w)))
+            gate = attn.forward(np.random.default_rng(7).standard_normal((3, 1, h, w)))
             assert gate.shape == (1, 1, h, w)
 
     def test_kernel_shape(self):
@@ -103,7 +104,7 @@ class TestCbam:
         cbam.spatial.conv.b[...] = 50.0
         cbam.channel.w1[...] = 100.0
         cbam.channel.w2[...] = 100.0
-        x = np.abs(np.random.default_rng(8).standard_normal((2, 4, 5, 5))) + 0.5
+        x = np.abs(channel_first(np.random.default_rng(8).standard_normal((2, 4, 5, 5)))) + 0.5
         out = cbam.forward(x)
         np.testing.assert_allclose(out, x, rtol=1e-6)
 
@@ -111,7 +112,7 @@ class TestCbam:
         cbam = Cbam(4, reduction=2)
         for p in cbam.params().values():
             p[...] = 0.0
-        x = np.random.default_rng(9).standard_normal((2, 4, 6, 6))
+        x = channel_first(np.random.default_rng(9).standard_normal((2, 4, 6, 6)))
         np.testing.assert_allclose(cbam.forward(x), 0.25 * x, atol=1e-12)
 
     def test_gradients(self):
@@ -135,16 +136,11 @@ class TestCbam:
 
     def test_attention_maps_open_interval(self):
         cbam = Cbam(5, rng=np.random.default_rng(10))
-        x = np.random.default_rng(11).standard_normal((2, 5, 8, 8)) * 3
+        x = channel_first(np.random.default_rng(11).standard_normal((2, 5, 8, 8))) * 3
         m_c = cbam.channel.forward(x)
         m_s = cbam.spatial.forward(m_c * x)
         for gate in (m_c, m_s):
             assert np.all(gate > 0) and np.all(gate < 1)
-
-
-def _channel_major(x):
-    """``x`` laid out channel by channel, as a depthwise conv writes it."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
 def _assert_matches_reference(cbam, x, dout, ref):
@@ -168,10 +164,9 @@ class TestCbamMatchesReference:
         cbam = Cbam(channels, reduction=2, groups=groups, rng=rng)
         cbam.spatial.conv.b[...] = rng.standard_normal(groups)
         ref = CbamReference(channels, reduction=2, groups=groups).load(cbam)
-        x = rng.standard_normal((batch, channels, *hw))
-        if batch > 1:
-            x = _channel_major(x)
-        _assert_matches_reference(cbam, x, rng.standard_normal(x.shape), ref)
+        x = channel_first(rng.standard_normal((batch, channels, *hw)))
+        dout = channel_first(rng.standard_normal((batch, channels, *hw)))
+        _assert_matches_reference(cbam, x, dout, ref)
 
     def test_tied_channels(self):
         # A zero channel MLP gates every channel by 1/2, so the spatial
@@ -181,6 +176,7 @@ class TestCbamMatchesReference:
         cbam.channel.w1[...] = 0.0
         ref = CbamReference(12, reduction=2, groups=3).load(cbam)
         x = np.broadcast_to(rng.standard_normal((4, 3, 1, 7, 9)), (4, 3, 4, 7, 9))
-        x = x.reshape(4, 12, 7, 9).copy()
-        _assert_matches_reference(cbam, x, rng.standard_normal(x.shape), ref)
+        x = channel_first(x.reshape(4, 12, 7, 9))
+        dout = channel_first(rng.standard_normal((4, 12, 7, 9)))
+        _assert_matches_reference(cbam, x, dout, ref)
 

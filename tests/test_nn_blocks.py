@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import channel_first
 
 from fmcwhar.nn import Backbone, MBConv
 from fmcwhar.nn.config import block_plan, preset
@@ -13,15 +14,15 @@ class TestMBConv:
             p[...] = 0.0
         # Batch norms keep gamma = 0 now, so every conv path emits zeros and
         # only the residual survives.
-        x = np.random.default_rng(0).standard_normal((2, 4, 8, 8))
+        x = channel_first(np.random.default_rng(0).standard_normal((2, 4, 8, 8)))
         np.testing.assert_allclose(block.forward(x, train=False), x, atol=0)
 
     def test_stage2_shape(self):
         # Stage-2 config: 16 -> 24 channels, expand 6, stride 2.
         block = MBConv(16, 24, 3, expand_ratio=6, stride=2,
                        rng=np.random.default_rng(1))
-        out = block.forward(np.zeros((2, 16, 112, 112)))
-        assert out.shape == (2, 24, 56, 56)
+        out = block.forward(np.zeros((16, 2, 112, 112)))
+        assert out.shape == (24, 2, 56, 56)
 
     def test_expand_ratio_one_skips_expansion(self):
         block = MBConv(8, 8, 3, expand_ratio=1, stride=1)
@@ -58,32 +59,33 @@ def mbconv_names(backbone):
 class TestBackbone:
     def test_full_scale_stage_shapes(self):
         # The stage table must reproduce the declared output sizes from
-        # the stem through the 1x1 head at 224 x 224 input, block by block.
+        # the stem through the 1x1 head at 224 x 224 input, block by block,
+        # in the (C, B, H, W) layout.
         cfg = preset("b0")
         bb = Backbone(cfg, rng=np.random.default_rng(2))
-        x = np.random.default_rng(3).standard_normal((1, 3, 224, 224))
+        x = np.random.default_rng(3).standard_normal((1, 3, 224, 224)).transpose(1, 0, 2, 3)
         out = bb.stem_act.forward(bb.stem_bn.forward(bb.stem_conv.forward(x), False), False)
-        assert out.shape == (1, 32, 112, 112)
+        assert out.shape == (32, 1, 112, 112)
         expected = {
-            "stage1": (1, 16, 112, 112),
-            "stage2": (1, 24, 56, 56),
-            "stage3": (1, 40, 28, 28),
-            "stage4": (1, 80, 14, 14),
-            "stage5": (1, 112, 14, 14),
-            "stage6": (1, 192, 7, 7),
-            "stage7": (1, 320, 7, 7),
+            "stage1": (16, 1, 112, 112),
+            "stage2": (24, 1, 56, 56),
+            "stage3": (40, 1, 28, 28),
+            "stage4": (80, 1, 14, 14),
+            "stage5": (112, 1, 14, 14),
+            "stage6": (192, 1, 7, 7),
+            "stage7": (320, 1, 7, 7),
         }
         for block in block_plan(cfg):
             out = getattr(bb, block.name).forward(out)
             assert out.shape == expected[f"stage{block.stage}"], block.name
         out = bb.head_act.forward(bb.head_bn.forward(bb.head_conv.forward(out), False), False)
-        assert out.shape == (1, 1280, 7, 7)
+        assert out.shape == (1280, 1, 7, 7)
 
     def test_static_walk_matches_forward(self):
         cfg = preset("toy")
         bb = Backbone(cfg, rng=np.random.default_rng(4))
         out = bb.forward(np.zeros((1, 1, 32, 32)))
-        assert out.shape[1:] == (cfg.head_channels, cfg.feature_hw, cfg.feature_hw)
+        assert out.shape == (cfg.head_channels, 1, cfg.feature_hw, cfg.feature_hw)
 
     def test_child_order(self):
         bb = Backbone(preset("toy"))
@@ -117,7 +119,7 @@ class TestBackbone:
     def test_backbone_backward_shape(self):
         cfg = preset("toy")
         bb = Backbone(cfg, rng=np.random.default_rng(5))
-        x = np.random.default_rng(6).standard_normal((2, 1, 32, 32))
+        x = np.random.default_rng(6).standard_normal((2, 1, 32, 32)).transpose(1, 0, 2, 3)
         out = bb.forward(x, train=True)
         dx = bb.backward(np.ones_like(out))
         assert dx.shape == x.shape

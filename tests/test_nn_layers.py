@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import batchnorm_reference, conv_taps
+from oracles import batchnorm_reference, channel_first, conv_taps
 
 from fmcwhar.nn import (
     BatchNorm2d,
@@ -31,27 +31,27 @@ class TestConv:
     def test_identity_permutation_passthrough(self):
         conv = Conv2d(3, 3, 1)
         conv.w[...] = np.eye(3).reshape(3, 3, 1, 1)
-        x = np.random.default_rng(0).standard_normal((2, 3, 5, 5))
+        x = channel_first(np.random.default_rng(0).standard_normal((2, 3, 5, 5)))
         np.testing.assert_allclose(conv.forward(x), x, atol=0)
 
     def test_channel_swap(self):
         conv = Conv2d(2, 2, 1)
         conv.w[...] = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 2, 1, 1)
-        x = np.random.default_rng(1).standard_normal((1, 2, 3, 3))
+        x = channel_first(np.random.default_rng(1).standard_normal((1, 2, 3, 3)))
         out = conv.forward(x)
-        np.testing.assert_allclose(out[:, 0], x[:, 1], atol=0)
-        np.testing.assert_allclose(out[:, 1], x[:, 0], atol=0)
+        np.testing.assert_allclose(out[0], x[1], atol=0)
+        np.testing.assert_allclose(out[1], x[0], atol=0)
 
     def test_stride_and_padding_shapes(self):
         conv = Conv2d(3, 8, 3, stride=2)  # padding (k-1)//2 = 1
-        out = conv.forward(np.zeros((2, 3, 224, 224)))
-        assert out.shape == (2, 8, 112, 112)
+        out = conv.forward(np.zeros((3, 2, 224, 224)))
+        assert out.shape == (8, 2, 112, 112)
         conv5 = Conv2d(8, 4, 5, stride=2)
-        assert conv5.forward(np.zeros((1, 8, 56, 56))).shape == (1, 4, 28, 28)
+        assert conv5.forward(np.zeros((8, 1, 56, 56))).shape == (4, 1, 28, 28)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeMismatch):
-            Conv2d(3, 4, 3).forward(np.zeros((1, 2, 8, 8)))
+            Conv2d(3, 4, 3).forward(np.zeros((2, 1, 8, 8)))
 
     def test_groups_must_divide_both_widths(self):
         with pytest.raises(ValueError, match="groups"):
@@ -69,7 +69,8 @@ SIZES = [(8, 9), (9, 8)]  # even and odd heights and widths
 
 
 def assert_matches_taps(layer, x, seed):
-    """Forward, dx and g_w of ``layer`` against the tap-loop reference."""
+    """Forward, dx and g_w of ``layer`` on the (C, B, H, W) ``x`` against the
+    tap-loop reference."""
     out = layer.forward(x)
     dout = np.random.default_rng(seed).standard_normal(out.shape)
     layer.zero_grads()
@@ -84,16 +85,16 @@ def assert_matches_taps(layer, x, seed):
 class TestConvMatchesTapLoop:
     """Every conv dispatch agrees with the k x k tap loop to 1e-12."""
 
-    @pytest.mark.parametrize("channel_major", [False, True])
+    @pytest.mark.parametrize("batch_major", [False, True])
     @pytest.mark.parametrize("hw", SIZES)
     @pytest.mark.parametrize("stride", STRIDES)
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_conv2d(self, kernel, stride, hw, channel_major):
+    def test_conv2d(self, kernel, stride, hw, batch_major):
         rng = np.random.default_rng([kernel, stride, *hw])
         conv = Conv2d(3, 4, kernel, stride=stride, rng=rng)
-        x = rng.standard_normal((2, 3, *hw))
-        if channel_major:  # as a depthwise conv lays out its output
-            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        x = rng.standard_normal((2, 3, *hw)).transpose(1, 0, 2, 3)
+        if not batch_major:  # else a (C, B, H, W) view of batch-major memory
+            x = np.ascontiguousarray(x)
         assert_matches_taps(conv, x, seed=kernel)
 
     @pytest.mark.parametrize("groups", [2, 3])
@@ -103,7 +104,8 @@ class TestConvMatchesTapLoop:
     def test_grouped(self, kernel, stride, hw, groups):
         rng = np.random.default_rng([kernel, stride, *hw, groups])
         conv = Conv2d(2 * groups, 3 * groups, kernel, stride=stride, groups=groups, rng=rng)
-        assert_matches_taps(conv, rng.standard_normal((2, 2 * groups, *hw)), seed=kernel)
+        x = channel_first(rng.standard_normal((2, 2 * groups, *hw)))
+        assert_matches_taps(conv, x, seed=kernel)
 
     @pytest.mark.parametrize("hw", SIZES)
     @pytest.mark.parametrize("stride", STRIDES)
@@ -111,7 +113,7 @@ class TestConvMatchesTapLoop:
     def test_depthwise(self, kernel, stride, hw):
         rng = np.random.default_rng([kernel, stride, *hw])
         dw = DepthwiseConv2d(4, kernel, stride=stride, rng=rng)
-        assert_matches_taps(dw, rng.standard_normal((2, 4, *hw)), seed=kernel)
+        assert_matches_taps(dw, channel_first(rng.standard_normal((2, 4, *hw))), seed=kernel)
 
     # Maps no larger than the kernel (the deepest stages see 2x2 maps), so
     # most kernel rows fall in the zero padding.
@@ -121,25 +123,25 @@ class TestConvMatchesTapLoop:
     def test_maps_smaller_than_kernel(self, kernel, hw, stride):
         rng = np.random.default_rng([kernel, stride, *hw, 1])
         conv = Conv2d(3, 2, kernel, stride=stride, rng=rng)
-        assert_matches_taps(conv, rng.standard_normal((2, 3, *hw)), seed=kernel)
+        assert_matches_taps(conv, channel_first(rng.standard_normal((2, 3, *hw))), seed=kernel)
         dw = DepthwiseConv2d(3, kernel, stride=stride, rng=rng)
-        assert_matches_taps(dw, rng.standard_normal((2, 3, *hw)), seed=kernel)
+        assert_matches_taps(dw, channel_first(rng.standard_normal((2, 3, *hw))), seed=kernel)
 
     @pytest.mark.parametrize("hw", [(7, 7), (11, 5), (5, 13)])
     @pytest.mark.parametrize("kernel", [3, 5, 7])
     def test_odd_sizes_at_stride_two(self, kernel, hw):
         rng = np.random.default_rng([kernel, *hw, 2])
         conv = Conv2d(2, 3, kernel, stride=2, rng=rng)
-        assert_matches_taps(conv, rng.standard_normal((3, 2, *hw)), seed=kernel)
+        assert_matches_taps(conv, channel_first(rng.standard_normal((3, 2, *hw))), seed=kernel)
         dw = DepthwiseConv2d(5, kernel, stride=2, rng=rng)
-        assert_matches_taps(dw, rng.standard_normal((3, 5, *hw)), seed=kernel)
+        assert_matches_taps(dw, channel_first(rng.standard_normal((3, 5, *hw))), seed=kernel)
 
     @pytest.mark.parametrize("kernel,stride", [(3, 2), (1, 1)])
     def test_input_grad_off_keeps_weight_gradients(self, kernel, stride):
         # The model's stem conv skips the gradient of the input maps.
         rng = np.random.default_rng([kernel, 3])
         conv = Conv2d(3, 6, kernel, stride=stride, groups=3, rng=rng)
-        x = rng.standard_normal((2, 3, 9, 8))
+        x = channel_first(rng.standard_normal((2, 3, 9, 8)))
         dout = rng.standard_normal(conv.forward(x).shape)
         assert conv.backward(dout).shape == x.shape
         g_w = conv.g_w.copy()
@@ -149,11 +151,11 @@ class TestConvMatchesTapLoop:
         assert conv.backward(dout) is None
         np.testing.assert_array_equal(conv.g_w, g_w)
 
-    def test_channel_major_input(self):
-        # A depthwise output is channel-major in memory; the next layers
-        # read it through a transposed view.
+    def test_batch_major_input(self):
+        # A (C, B, H, W) view of batch-major memory, as a caller gets by
+        # transposing a (B, C, H, W) batch without a copy.
         rng = np.random.default_rng(78)
-        x = rng.standard_normal((4, 2, 9, 8)).transpose(1, 0, 2, 3)
+        x = rng.standard_normal((2, 4, 9, 8)).transpose(1, 0, 2, 3)
         assert not x.flags.c_contiguous
         assert_matches_taps(DepthwiseConv2d(4, 3, rng=rng), x, seed=3)
         assert_matches_taps(Conv2d(4, 2, 3, stride=2, rng=rng), x, seed=3)
@@ -173,29 +175,29 @@ class TestDepthwise:
         dw = DepthwiseConv2d(2, 3)
         dw.w[...] = 0.0
         dw.w[0, 1, 1] = 1.0  # channel 0: identity tap, channel 1: zero
-        x = np.random.default_rng(2).standard_normal((1, 2, 6, 6))
+        x = channel_first(np.random.default_rng(2).standard_normal((1, 2, 6, 6)))
         out = dw.forward(x)
-        np.testing.assert_allclose(out[:, 0], x[:, 0], atol=0)
-        np.testing.assert_allclose(out[:, 1], np.zeros_like(x[:, 1]), atol=0)
+        np.testing.assert_allclose(out[0], x[0], atol=0)
+        np.testing.assert_allclose(out[1], np.zeros_like(x[1]), atol=0)
 
 
 class TestBatchNorm:
     def test_inference_identity_stats(self):
         bn = BatchNorm2d(4)
         bn.running_var[...] = 1.0 - bn.EPS
-        x = np.random.default_rng(3).standard_normal((2, 4, 5, 5))
+        x = channel_first(np.random.default_rng(3).standard_normal((2, 4, 5, 5)))
         np.testing.assert_allclose(bn.forward(x, train=False), x, atol=1e-12)
 
     def test_train_mode_normalizes(self):
         bn = BatchNorm2d(3)
-        x = np.random.default_rng(4).standard_normal((8, 3, 6, 6)) * 3 + 1.5
+        x = channel_first(np.random.default_rng(4).standard_normal((8, 3, 6, 6))) * 3 + 1.5
         out = bn.forward(x, train=True)
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, rtol=1e-3)
+        np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), 0.0, atol=1e-10)
+        np.testing.assert_allclose(out.var(axis=(1, 2, 3)), 1.0, rtol=1e-3)
 
     def test_running_average_tracking(self):
         bn = BatchNorm2d(2)
-        x = np.ones((4, 2, 3, 3)) * 5.0
+        x = np.ones((2, 4, 3, 3)) * 5.0
         bn.forward(x, train=True)
         np.testing.assert_allclose(bn.running_mean, 0.9 * 0.0 + 0.1 * 5.0)
 
@@ -206,22 +208,20 @@ class TestBatchNorm:
 class TestBatchNormMatchesReference:
     """The fused batch norm against the unfused form, to 1e-12."""
 
-    @pytest.mark.parametrize("channel_major", [False, True])
+    @pytest.mark.parametrize("batch_major", [False, True])
     @pytest.mark.parametrize("train", [True, False])
-    def test_matches(self, train, channel_major):
-        rng = np.random.default_rng([train, channel_major])
-        shape = (6, 5, 7, 9)
-        if channel_major:  # as a depthwise conv lays out its output
-            x = rng.standard_normal((5, 6, 7, 9)).transpose(1, 0, 2, 3)
-        else:
-            x = rng.standard_normal(shape)
+    def test_matches(self, train, batch_major):
+        rng = np.random.default_rng([train, batch_major])
+        x = rng.standard_normal((6, 5, 7, 9)).transpose(1, 0, 2, 3)
+        if not batch_major:  # else a (C, B, H, W) view of batch-major memory
+            x = np.ascontiguousarray(x)
         x = x * 3.0 + 1.5
         bn = BatchNorm2d(5)
         bn.gamma[...] = rng.uniform(0.5, 2.0, 5)
         bn.beta[...] = rng.standard_normal(5)
         bn.running_mean[...] = rng.standard_normal(5)
         bn.running_var[...] = rng.uniform(0.5, 2.0, 5)
-        dout = rng.standard_normal(shape)
+        dout = channel_first(rng.standard_normal((6, 5, 7, 9)))
         want = batchnorm_reference(x, bn.gamma, bn.beta, bn.running_mean,
                                    bn.running_var, dout, train)
         out = bn.forward(x, train=train)
@@ -234,7 +234,7 @@ class TestBatchNormMatchesReference:
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
     def test_leaves_input_untouched(self):
-        x = np.random.default_rng(5).standard_normal((2, 3, 4, 4))
+        x = channel_first(np.random.default_rng(5).standard_normal((2, 3, 4, 4)))
         before = x.copy()
         bn = BatchNorm2d(3)
         bn.forward(x, train=True)
@@ -247,24 +247,25 @@ class TestActivations:
         x = np.array([0.0, 1.0, -1.0])
         np.testing.assert_allclose(Swish().forward(x), x * sigmoid(x), atol=0)
 
-    @pytest.mark.parametrize("channel_major", [False, True])
+    @pytest.mark.parametrize("batch_major", [False, True])
     @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (8, 24, 32, 32)])
-    def test_swish_backward_matches_input_form(self, shape, channel_major):
+    def test_swish_backward_matches_input_form(self, shape, batch_major):
         # Backward works from the cached output, (1 - s) y + s; it gives
-        # the bits and the strides of s + x s (1 - s) from the input. The
-        # larger shape is past numpy's temporary-reuse threshold.
+        # the bits of s + x s (1 - s) from the input. The larger shape is
+        # past numpy's temporary-reuse threshold.
         rng = np.random.default_rng(16)
-        x = rng.standard_normal(shape) * 4
-        if channel_major:
-            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-        dout = rng.standard_normal(shape)
+        x = (rng.standard_normal(shape) * 4).transpose(1, 0, 2, 3)
+        if not batch_major:  # else a (C, B, H, W) view of batch-major memory
+            x = np.ascontiguousarray(x)
+        dout = channel_first(rng.standard_normal(shape))
         layer = Swish()
         layer.forward(x, train=True)
         got = layer.backward(dout)
         s = sigmoid(x)
         want = s + x * s * (1.0 - s)
         want *= dout
-        assert got.strides == want.strides
+        if not batch_major:
+            assert got.flags.c_contiguous
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_sigmoid_stable_at_extremes(self):
@@ -279,10 +280,10 @@ class TestActivations:
             want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    def test_sigmoid_is_a_fresh_array_in_the_input_layout(self):
+    def test_sigmoid_leaves_its_input_untouched(self):
         x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        out = sigmoid(x.T)
-        assert out.strides == x.T.strides
+        out = sigmoid(x)
+        assert out is not x and out.dtype == np.float64
         np.testing.assert_array_equal(x, np.linspace(-3.0, 3.0, 12).reshape(3, 4))
 
     def test_gradients(self):

@@ -107,6 +107,37 @@ def test_one_backbone_pass_per_forward(monkeypatch):
     assert calls == per_backbone
 
 
+@pytest.mark.parametrize("batch,train", [(8, True), (1, False)])
+def test_backbone_layers_pass_c_contiguous_channel_major_maps(batch, train):
+    # The layout invariant of the grouped pass: every backbone layer, in
+    # both directions, hands on a C-contiguous (C, B, H, W) array, so a
+    # branch is a block of rows and reduces as if it ran alone. Batch 8
+    # is a training step, batch 1 the classify path.
+    model = MultiDomainModel(TOY, seed=0)
+    seen = []
+    for name, layer in model._backbone._layers():
+        for direction in ("forward", "backward"):
+            def recorded(*args, _run=getattr(layer, direction), _key=(name, direction), **kw):
+                out = _run(*args, **kw)
+                seen.append((_key, out))
+                return out
+            setattr(layer, direction, recorded)
+    logits = model.forward(*toy_inputs(batch), train=train)
+    model.backward(np.ones_like(logits))
+    # Every layer ran both ways but the spatial gates' convs, which only
+    # hold weights.
+    run = [name for name, _ in model._backbone._layers() if not name.endswith("spatial.conv.")]
+    assert {key for key, _ in seen} == {(name, d) for name in run
+                                        for d in ("forward", "backward")}
+    bad = [key for key, out in seen if out is not None and not (
+        out.ndim == 4 and out.shape[1] == batch and out.flags.c_contiguous)]
+    assert bad == []
+    # The stem conv skips the gradient of the input maps, and so the
+    # backbone returns none.
+    none = [key for key, out in seen if out is None]
+    assert none == [("stem_conv.", "backward"), ("", "backward")]
+
+
 def test_assign_reaches_the_grouped_pass():
     # Branch parameters are views into the grouped backbone's arrays, so a
     # value written through the registry is what the next forward uses.

@@ -128,3 +128,27 @@ def test_scene_json_round_trip():
     again = Scene.from_json(scene.to_json())
     assert again == scene
     assert synth.RNG_ALGORITHM in scene.to_json()
+
+
+class TestSeededRng:
+    # Draws pinned before the key became a uint64 array: seeds below 2**63
+    # keep their streams.
+    @pytest.mark.parametrize("seed,stream,draws", [
+        (0, 0, [53250005300491814, 1113949052550656364, 513861059969551262]),
+        (12345, 3, [4228711949419509886, 2132976548683133493, 931399599867844706]),
+        (2**63 - 1, 2, [3896529072827741048, 3138073668934645364, 549823554791251115]),
+    ])
+    def test_draws_unchanged_below_2_63(self, seed, stream, draws):
+        assert synth.seeded_rng(seed, stream).integers(0, 2**62, 3).tolist() == draws
+
+    def test_negative_seed_is_its_value_mod_2_64(self):
+        # -1 and 2**64 - 1 are one key, reached without a float cast, so
+        # no "invalid value encountered in cast" warning.
+        a = synth.seeded_rng(-1).integers(0, 2**62, 4)
+        b = synth.seeded_rng(2**64 - 1).integers(0, 2**62, 4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_keys_above_2_63_stay_distinct(self):
+        a = synth.seeded_rng(2**63).integers(0, 2**62, 4)
+        b = synth.seeded_rng(2**63 + 1).integers(0, 2**62, 4)
+        assert not np.array_equal(a, b)

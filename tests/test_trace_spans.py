@@ -40,7 +40,7 @@ def test_tracer_install_wraps_and_uninstall_restores():
         tracer.install()
         wrapped = {key for key, value in _snapshot().items() if before.get(key) is not value}
         block = nn.MBConv(4, 4, 3, expand_ratio=2, stride=1, cbam_reduction=2)
-        block.backward(block.forward(np.ones((1, 4, 6, 6))))
+        block.backward(block.forward(np.ones((4, 1, 6, 6))))
     finally:
         tracer.uninstall()
 

@@ -3,18 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from oracles import adam_reference
+from oracles import TooFewSamples, adam_reference, stratified_split
 
 from fmcwhar.training import (
     AdamState,
     LabelOutOfRange,
     MetricsReport,
-    TooFewSamples,
     TrainConfig,
     TrainingError,
     adam_step,
     cross_entropy,
-    stratified_split,
 )
 
 
