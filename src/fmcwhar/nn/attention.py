@@ -21,16 +21,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .layers import (
     Layer,
     ShapeMismatch,
-    band_diagonals,
     check_tensor4,
     fan_in_uniform,
+    padded_rows,
     sigmoid,
-    toeplitz_band,
+    toeplitz_conv,
+    toeplitz_conv_backward,
 )
 
 SPATIAL_KERNEL = 7
@@ -112,12 +112,10 @@ class SpatialAttention(Layer):
     """CBAM spatial gate: (G, B, H, W), one plane per channel group, from
     each group's average and max planes through a 2G -> G grouped k7 conv.
 
-    The planes go straight into one zero-padded buffer (G, B, Hp, 2, Wp):
-    padded row r of sample b holds its average row and its max row side
-    by side. The conv is k row taps over the flat (G, B*Hp, 2*Wp) view:
-    tap i multiplies rows i .. i + n by the band's kernel row i block
-    (``toeplitz_band``), so no row stack is built. Output rows that
-    straddle two samples are computed and dropped. The child ``conv``
+    The planes go straight into the interior of a ``padded_rows`` buffer
+    (G, B, Hp, 2, Wp), whose padded row r of sample b holds its average
+    row and its max row side by side, and ``toeplitz_conv`` runs the conv
+    on that buffer as it does for every windowed conv. The child ``conv``
     only holds the weights, ``w`` (G, 2, k, k) and ``b`` (G,): group g's
     average and max kernels, then its bias.
     """
@@ -131,77 +129,46 @@ class SpatialAttention(Layer):
         conv.register_param("w", fan_in_uniform(rng, (groups, 2, k, k), 2 * k * k))
         conv.register_param("b", np.zeros(groups))
 
-    def _taps(self, wp, w):
-        """Band blocks (G, k, 2*Wp, W): tap i of group g is kernel row i's
-        block for the average plane above the one for the max plane."""
-        g, k = self.groups, SPATIAL_KERNEL
-        band = toeplitz_band(self.conv.w.reshape(2 * g, 1, k, k), wp, 1, w)
-        taps = np.ascontiguousarray(band.reshape(g, 2, k, wp, w).transpose(0, 2, 1, 3, 4))
-        return taps.reshape(g, k, 2 * wp, w)
-
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
         c, b, h, w = x.shape
         g = self.groups
         x5 = x.reshape(g, c // g, b, h, w)
-        k, p = SPATIAL_KERNEL, SPATIAL_KERNEL // 2
-        hp, wp = h + 2 * p, w + 2 * p
-        planes = np.zeros((g, b, hp, 2, wp))
-        np.mean(x5, axis=1, out=planes[:, :, p: p + h, 0, p: p + w])
-        np.max(x5, axis=1, out=planes[:, :, p: p + h, 1, p: p + w])
-        taps = self._taps(wp, w)
-        rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
-        pre = np.empty((g, b * hp, w))
-        np.matmul(rows[:, :n], taps[:, 0], out=pre[:, :n])
-        part = np.empty((g, n, w))
-        for i in range(1, k):
-            pre[:, :n] += np.matmul(rows[:, i: i + n], taps[:, i], out=part)
-        pre = pre.reshape(g, b, hp, w)[:, :, :h] + self.conv.b[:, None, None, None]
+        k = SPATIAL_KERNEL
+        rows, planes = padded_rows(g, 2, b, h, w, k, 1)
+        np.mean(x5, axis=1, out=planes[:, 0])
+        np.max(x5, axis=1, out=planes[:, 1])
+        pre = toeplitz_conv(rows, self.conv.w.reshape(2 * g, 1, k, k), 1, h)
+        pre += self.conv.b[:, None, None, None]
         gate = sigmoid(pre)
-        self._cache = (x5, planes, taps, gate)
+        self._cache = (x5, rows, planes, gate)
         return gate
 
     def backward(self, dout, dx=None):
         """The input gradient, added in place into ``dx`` when given."""
-        x5, planes, taps, gate = self._cache
+        x5, rows, planes, gate = self._cache
         g, c, b, h, w = x5.shape
-        k, p = SPATIAL_KERNEL, SPATIAL_KERNEL // 2
-        hp, wp = h + 2 * p, w + 2 * p
-        rows, n = planes.reshape(g, b * hp, 2 * wp), b * hp - (k - 1)
-        # dpre in the rows of its padded sample blocks; the rest stays 0.
-        dpre = np.zeros((g, b * hp, w))
-        d = dpre.reshape(g, b, hp, w)[:, :, :h]
-        np.multiply(dout, gate, out=d)
-        d *= 1.0 - gate
-        self.conv.g_b += d.sum(axis=(1, 2, 3))
-        # Tap i's band gradient is rows i .. i + n, transposed, times dpre:
-        # one matmul over a window view of the rows for all k taps.
-        g_taps = np.matmul(sliding_window_view(rows, n, axis=1), dpre[:, None, :n])
-        g_w = band_diagonals(g_taps.reshape(g, k, 2, wp, w), k, 1, 1).sum(axis=-1)[..., 0]
-        self.conv.g_w += g_w.transpose(0, 2, 1, 3)
-        # Only the band rows of interior columns: the padding takes no gradient.
-        taps_t = taps.reshape(g, k, 2, wp, w)[:, :, :, p: p + w].transpose(0, 1, 4, 2, 3)
-        taps_t = np.ascontiguousarray(taps_t).reshape(g, k, w, 2 * w)
-        drows = np.zeros((g, b * hp, 2 * w))
-        part = np.empty((g, n, 2 * w))
-        for i in range(k):
-            drows[:, i: i + n] += np.matmul(dpre[:, :n], taps_t[:, i], out=part)
-        dplanes = drows.reshape(g, b, hp, 2, w)[:, :, p: p + h]
+        dpre = dout * gate
+        dpre *= 1.0 - gate
+        self.conv.g_b += dpre.sum(axis=(1, 2, 3))
+        w4 = self.conv.w.reshape(2 * g, 1, SPATIAL_KERNEL, SPATIAL_KERNEL)
+        g_w4, dplanes = toeplitz_conv_backward(rows, w4, dpre, 1, h)
+        self.conv.g_w += g_w4.reshape(self.conv.w.shape)
         if dx is None:
             dx = np.zeros((g * c, b, h, w))
         dx5 = dx.reshape(x5.shape)
-        dx5 += (dplanes[:, :, :, 0] / c)[:, None]
+        dx5 += (dplanes[:, 0] / c)[:, None]
         # The first channel that attains the max takes its gradient, as
         # argmax picks it. For finite inputs every position has one hit
         # unless channels tie there; only then does the first-hit walk run.
-        hit = x5 == planes[:, None, :, p: p + h, 1, p: p + w]
+        hit = x5 == planes[:, 1:]
         if np.count_nonzero(hit) != hit[:, 0].size:
             open_ = ~hit[:, 0]
             for j in range(1, c):
                 hit[:, j] &= open_
                 open_ ^= hit[:, j]
         # A mask multiply and an add: cheaper than a masked add.
-        dx5 += hit * dplanes[:, None, :, :, 1]
+        dx5 += hit * dplanes[:, 1:]
         return dx
 
 

@@ -67,9 +67,12 @@ def load_checkpoint(directory) -> MultiDomainModel:
         raise CheckpointError(
             f"{directory}: unsupported checkpoint version {manifest.get('format_version')}"
         )
+    seed = manifest.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CheckpointError(f"{directory}: seed {seed!r} is not an integer")
     try:
         cfg = ModelConfig.from_json(json.dumps(manifest["config"]))
-        model = MultiDomainModel(cfg, seed=manifest.get("seed", 0))
+        model = MultiDomainModel(cfg, seed=seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
     for section, expected in (("params", model.params()), ("buffers", model.buffers())):

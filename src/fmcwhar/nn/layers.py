@@ -117,15 +117,6 @@ class Sequential(Layer):
         return dout
 
 
-def _row_taps(h, k, s, p, h_out):
-    """(i, y0, y1, r0) per kernel row i: output rows y0:y1 read input rows
-    r0, r0 + s, ...; rows that fall in the zero padding are skipped."""
-    for i in range(k):
-        y0, y1 = max(0, -((i - p) // s)), min(h_out, (h - 1 - i + p) // s + 1)
-        if y1 > y0:
-            yield i, y0, y1, s * y0 + i - p
-
-
 def band_diagonals(a, k, s, o):
     """View (..., k, O, Wo) of the last two axes of ``a``, Wp band rows by
     O*Wo columns: [..., j, o, x] is a[..., s*x + j, o*Wo + x], the place of
@@ -149,63 +140,87 @@ def toeplitz_band(w4, wp, s, w_out):
     return band.reshape(c, k * wp, o * w_out)
 
 
-def _row_toeplitz(x, w4, s, p):
-    """Row stack (C, B*Ho, k*Wp) of the (C, B, H, W) ``x`` and
-    ``toeplitz_band`` of ``w4``.
+def padded_rows(g, c, b, h, w, k, s):
+    """Zeroed input buffer (G, B, Hp', C, Wp) of a k x k conv at stride s
+    over G groups of C channels, and its interior as a (G, C, B, H, W) view
+    for the caller to fill. Maps are padded by (k - 1) // 2 on every side;
+    Hp' is the padded height rounded up to a multiple of s. Flat row (b, r)
+    of the (G, B*Hp', C*Wp) view holds padded row r of a group's channels
+    side by side."""
+    p = (k - 1) // 2
+    hq = -(-(h + 2 * p) // s) * s
+    rows = np.zeros((g, b, hq, c, w + 2 * p))
+    return rows, rows[:, :, p: p + h, :, p: p + w].transpose(0, 3, 1, 2, 4)
 
-    Stack row (b, y) holds the padded input rows s*y .. s*y + k - 1 side
-    by side. Also returns (Ho, Wo).
-    """
+
+def _input_rows(x, groups, k, s):
+    """The (C, B, H, W) ``x`` in a ``padded_rows`` buffer of ``groups`` groups."""
     c, b, h, w = x.shape
-    k = w4.shape[-1]
-    wp = w + 2 * p
-    h_out, w_out = (h + 2 * p - k) // s + 1, (wp - k) // s + 1
-    cols = np.zeros((c, b, h_out, k, wp))
-    for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
-        cols[:, :, y0:y1, i, p: p + w] = x[:, :, r0: r0 + s * (y1 - y0): s]
-    band = toeplitz_band(w4, wp, s, w_out)
-    return cols.reshape(c, b * h_out, k * wp), band, (h_out, w_out)
+    rows, inner = padded_rows(groups, c // groups, b, h, w, k, s)
+    inner[...] = x.reshape(inner.shape)
+    return rows
 
 
-def toeplitz_conv(x, w4, s, p, groups):
-    """k x k conv of the (C, B, H, W) ``x`` by the (C, O, k, k) weight
-    ``w4``, as one matmul of its row stack and band batched over input
-    channels.
+def _conv_geometry(rows, w4, s, h):
+    """The flat rows, the per-tap band blocks (G, k, C/G*Wp, O*Wo), and
+    (n, Hp'/s, Ho, Wo): every tap multiplies n rows."""
+    g, b, hq, cg, wp = rows.shape
+    o, k = w4.shape[1], w4.shape[-1]
+    h_out = (h + 2 * ((k - 1) // 2) - k) // s + 1
+    w_out = (wp - k) // s + 1
+    band = toeplitz_band(w4, wp, s, w_out).reshape(g, cg, k, wp, o * w_out)
+    taps = np.ascontiguousarray(band.transpose(0, 2, 1, 3, 4)).reshape(g, k, cg * wp, -1)
+    n = (b * hq - k) // s + 1
+    return rows.reshape(g, b * hq, cg * wp), taps, (n, hq // s, h_out, w_out)
 
-    The C input channels form ``groups`` equal groups, and group g's
-    products sum into its own O outputs, channels g*O .. g*O + O - 1: a
-    dense conv is one group, a depthwise one (O = 1) is C groups.
+
+def toeplitz_conv(rows, w4, s, h):
+    """k x k conv at stride s of H-row maps in the ``padded_rows`` buffer
+    ``rows`` by the (C, O, k, k) weight ``w4``: C-contiguous (G*O, B, Ho, Wo).
+
+    Group g's C/G channels sum into its own O outputs: a dense conv is one
+    group, a depthwise one (O = 1) is C groups. Tap i multiplies the flat
+    rows i, i + s, ... by kernel row i's band block, so the matmul sums a
+    group's channels. Output rows that straddle two samples are dropped.
     """
-    cols, band, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
-    c, b, o, g = x.shape[0], x.shape[1], w4.shape[1], groups
-    prod = (cols @ band).reshape(g, c // g, b, h_out, o, w_out)
-    out = np.empty((g, o, b, h_out, w_out))
-    np.sum(prod, axis=1, out=out.transpose(0, 2, 3, 1, 4))
-    return out.reshape(g * o, b, h_out, w_out)
+    flat, taps, (n, hs, h_out, w_out) = _conv_geometry(rows, w4, s, h)
+    g, b, o, k = rows.shape[0], rows.shape[1], w4.shape[1], w4.shape[-1]
+    pre = np.empty((g, b * hs, o * w_out))
+    np.matmul(flat[:, 0::s][:, :n], taps[:, 0], out=pre[:, :n])
+    part = np.empty((g, n, o * w_out))
+    for i in range(1, k):
+        pre[:, :n] += np.matmul(flat[:, i::s][:, :n], taps[:, i], out=part)
+    out = pre.reshape(g, b, hs, o, w_out)[:, :, :h_out].transpose(0, 3, 1, 2, 4)
+    return np.ascontiguousarray(out).reshape(g * o, b, h_out, w_out)
 
 
-def toeplitz_conv_backward(x, w4, dout, s, p, groups, input_grad=True):
-    """(g_w4, dx) of ``toeplitz_conv``. The row stack is rebuilt from
-    ``x``; g_w4 sums the band diagonals of cols^T dout, and dx folds the
-    rows of dout band^T back onto the input, k row adds in all. Without
-    ``input_grad``, dx is None and neither product nor fold runs."""
-    cols, band, (h_out, w_out) = _row_toeplitz(x, w4, s, p)
-    c, b, h, w = x.shape
-    o, k, g = w4.shape[1], w4.shape[-1], groups
-    d2 = dout.reshape(g, o, b * h_out, w_out).transpose(0, 2, 1, 3)
-    d2 = d2.reshape(g, 1, b * h_out, o * w_out)
-    g_band = (cols.reshape(g, c // g, b * h_out, -1).transpose(0, 1, 3, 2) @ d2)
-    del cols  # the row stack is the largest temporary; free it before dx
-    g_diag = band_diagonals(g_band.reshape(c, k, w + 2 * p, -1), k, s, o)
-    g_w4 = g_diag.sum(axis=-1).transpose(0, 3, 1, 2)
+def toeplitz_conv_backward(rows, w4, dout, s, h, input_grad=True):
+    """(g_w4, dx) of ``toeplitz_conv``, dx a (G, C/G, B, H, W) view.
+
+    g_w4 sums the band diagonals of one matmul of a k-tap window view of
+    the rows by dout; dx is k row products of dout and the band blocks,
+    added into a buffer padded in rows (padding columns take no gradient).
+    Without ``input_grad``, dx is None and its products do not run."""
+    flat, taps, (n, hs, h_out, w_out) = _conv_geometry(rows, w4, s, h)
+    g, b, hq, cg, wp = rows.shape
+    o, k, p = w4.shape[1], w4.shape[-1], (w4.shape[-1] - 1) // 2
+    # dout in the flat output rows; the straddling rows stay 0.
+    dpre = np.zeros((g, b * hs, o * w_out))
+    dpre.reshape(g, b, hs, o, w_out)[:, :, :h_out] = dout.reshape(
+        g, o, b, h_out, w_out).transpose(0, 2, 3, 1, 4)
+    windows = as_strided(flat, (g, k, cg * wp, n), (*flat.strides, s * flat.strides[1]))
+    g_taps = (windows @ dpre[:, None, :n]).reshape(g, k, cg, wp, -1)
+    g_diag = band_diagonals(g_taps.transpose(0, 2, 1, 3, 4), k, s, o)
+    g_w4 = g_diag.sum(axis=-1).reshape(-1, k, k, o).transpose(0, 3, 1, 2)
     if not input_grad:
         return g_w4, None
-    band_t = band.reshape(g, c // g, -1, o * w_out).transpose(0, 1, 3, 2)
-    drows = (d2 @ band_t).reshape(c, b, h_out, k, w + 2 * p)
-    dx = np.zeros((c, b, h, w))
-    for i, y0, y1, r0 in _row_taps(h, k, s, p, h_out):
-        dx[:, :, r0: r0 + s * (y1 - y0): s] += drows[:, :, y0:y1, i, p: p + w]
-    return g_w4, dx
+    taps_t = taps.reshape(g, k, cg, wp, -1)[:, :, :, p: wp - p].transpose(0, 1, 4, 2, 3)
+    taps_t = np.ascontiguousarray(taps_t).reshape(g, k, o * w_out, -1)
+    drows = np.zeros((g, b * hq, taps_t.shape[-1]))
+    part = np.empty((g, n, taps_t.shape[-1]))
+    for i in range(k):
+        drows[:, i::s][:, :n] += np.matmul(dpre[:, :n], taps_t[:, i], out=part)
+    return g_w4, drows.reshape(g, b, hq, cg, -1)[:, :, p: p + h].transpose(0, 3, 1, 2, 4)
 
 
 class Conv2d(Layer):
@@ -258,7 +273,8 @@ class Conv2d(Layer):
         if self._pointwise:
             out = self._w3() @ x.reshape(self.groups, -1, x[0].size)
             return out.reshape(self.out_channels, *x.shape[1:])
-        return toeplitz_conv(x, self._w4(), self.stride, self.padding, self.groups)
+        rows = _input_rows(x, self.groups, self.kernel, self.stride)
+        return toeplitz_conv(rows, self._w4(), self.stride, x.shape[2])
 
     def backward(self, dout):
         x = self._cache
@@ -269,12 +285,13 @@ class Conv2d(Layer):
             if not self.input_grad:
                 return None
             return (self._w3().transpose(0, 2, 1) @ d3).reshape(x.shape)
-        g_w4, dx = toeplitz_conv_backward(x, self._w4(), dout, self.stride,
-                                          self.padding, self.groups, self.input_grad)
+        rows = _input_rows(x, self.groups, self.kernel, self.stride)
+        g_w4, dx = toeplitz_conv_backward(rows, self._w4(), dout, self.stride, x.shape[2],
+                                          self.input_grad)
         g, k = self.groups, self.kernel
         self.g_w += g_w4.reshape(g, -1, self.out_channels // g, k, k).transpose(
             0, 2, 1, 3, 4).reshape(self.w.shape)
-        return dx
+        return None if dx is None else np.ascontiguousarray(dx).reshape(x.shape)
 
 
 class DepthwiseConv2d(Layer):
@@ -298,13 +315,15 @@ class DepthwiseConv2d(Layer):
                 f"depthwise conv expects {self.channels} channels, got {x.shape[0]}"
             )
         self._cache = x
-        return toeplitz_conv(x, self.w[:, None], self.stride, self.padding, self.channels)
+        rows = _input_rows(x, self.channels, self.kernel, self.stride)
+        return toeplitz_conv(rows, self.w[:, None], self.stride, x.shape[2])
 
     def backward(self, dout):
-        g_w4, dx = toeplitz_conv_backward(self._cache, self.w[:, None], dout,
-                                          self.stride, self.padding, self.channels)
+        x = self._cache
+        rows = _input_rows(x, self.channels, self.kernel, self.stride)
+        g_w4, dx = toeplitz_conv_backward(rows, self.w[:, None], dout, self.stride, x.shape[2])
         self.g_w += g_w4[:, 0]
-        return dx
+        return np.ascontiguousarray(dx).reshape(x.shape)
 
 
 class BatchNorm2d(Layer):

@@ -199,24 +199,21 @@ def maps_for_echo(echo, map_size: int):
                     dm.domain_maps(echo)))
 
 
-def _render_samples(samples_per_class: int, seed: int, map_size: int,
-                    params: RadarParams):
+def _render_samples(samples_per_class: int, seed: int, map_size: int):
     for label, kind in enumerate(synth.ActivityKind):
         for i in range(samples_per_class):
             scene = synth.activity_template(kind, seed=seed * 1000 + label * 100 + i)
-            echo = synth.generate(scene, params)
+            echo = synth.generate(scene, TOY_RADAR_PARAMS)
             yield f"{kind.value}_{i:03d}", label, maps_for_echo(echo, map_size)
 
 
 def save_toy_dataset(out_dir, samples_per_class: int, seed: int,
-                     map_size: int = 64,
-                     params: RadarParams = TOY_RADAR_PARAMS) -> Path:
+                     map_size: int = 64) -> Path:
     """Render the toy dataset to disk as .smap triplets plus an index."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = {"map_size": map_size, "seed": seed, "samples": []}
-    for sample_id, label, maps in _render_samples(samples_per_class, seed,
-                                                  map_size, params):
+    for sample_id, label, maps in _render_samples(samples_per_class, seed, map_size):
         entry = {"id": sample_id, "label": label}
         for key, spectro in zip(DOMAIN_KEYS, maps):
             name = f"{sample_id}_{key}.smap"
@@ -233,20 +230,30 @@ def load_dataset(directory):
 
     Map tensors have shape (N, 1, map_size, map_size), each map min-max
     normalized to [0, 1]; labels index the activity kinds and must be
-    integers (``evaluate`` checks their range against the model).
+    integers (``evaluate`` checks their range against the model). Every
+    sample is an object, and every map has the first map's shape.
     """
     directory = Path(directory)
     with open(directory / "index.json") as fh:
         index = json.load(fh)
+    samples = index.get("samples") if isinstance(index, dict) else None
+    if not isinstance(samples, list) or not samples:
+        raise TrainingError(f"{directory}: index.json needs a non-empty samples list")
     stacks = {key: [] for key in DOMAIN_KEYS}
     labels = []
-    for entry in index["samples"]:
+    shape = None
+    for entry in samples:
+        if not isinstance(entry, dict):
+            raise TrainingError(f"{directory}: sample entry {entry!r} is not an object")
         label = entry["label"]
         if isinstance(label, bool) or not isinstance(label, int):
             raise LabelOutOfRange(f"{directory}: label {label!r} is not an integer")
         labels.append(label)
         for key in DOMAIN_KEYS:
             spectro = dm.load_spectro_map(directory / entry[key])
+            shape = shape or spectro.values.shape
+            if spectro.values.shape != shape:
+                raise TrainingError(f"{directory}: {entry[key]} is not {shape} like the first map")
             stacks[key].append(min_max_normalize(spectro.values)[None])
     return (np.stack(stacks["rt"]), np.stack(stacks["dt"]), np.stack(stacks["rd"]),
             np.array(labels, dtype=np.int64))
@@ -255,6 +262,9 @@ def load_dataset(directory):
 def evaluate(model: MultiDomainModel, dataset, batch_size: int = 8) -> MetricsReport:
     """Argmax classification metrics over a dataset tuple."""
     x_rt, x_dt, x_rd, labels = dataset
+    want = (model.cfg.in_channels, model.cfg.input_hw, model.cfg.input_hw)
+    if any(x.shape[1:] != want for x in (x_rt, x_dt, x_rd)):
+        raise TrainingError(f"dataset maps are {x_rt.shape[1:]}, the model takes {want}")
     predicted = []
     for start in range(0, len(labels), batch_size):
         sl = slice(start, start + batch_size)

@@ -367,12 +367,13 @@ class TestMalformedCheckpoints:
         lambda ckpt: _edit_manifest(
             ckpt, lambda m: m["params"].append({"name": "fusion.linear.v", "shape": [1]})),
         lambda ckpt: (ckpt / "manifest.json").write_text("[1, 2]"),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(seed=True)),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
             "omitted_param", "omitted_buffer", "params_not_a_list", "zero_stride",
             "zero_kernel", "bool_repeats", "float_stage_width", "zero_lstm_hidden",
             "negative_input_hw", "no_stage_table", "unnamed_param", "buffer_without_shape",
             "string_shape", "negative_shape", "float_shape", "unknown_param",
-            "manifest_not_an_object"])
+            "manifest_not_an_object", "bool_seed"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")
@@ -399,6 +400,43 @@ class TestMalformedCheckpoints:
         code, _ = self.eval_exit_code(tmp_path, toy_run,
                                       lambda ckpt: (ckpt / BLOB).unlink(), capsys)
         assert code == 2
+
+
+def _edit_index(data, change):
+    path = data / "index.json"
+    index = json.loads(path.read_text())
+    change(index)
+    path.write_text(json.dumps(index))
+
+
+def _resize_maps(data, pattern, size):
+    for path in sorted(data.glob(pattern)):
+        dm.save_spectro_map(dm.resize_bilinear(dm.load_spectro_map(path), size, size), path)
+
+
+class TestMalformedDatasets:
+    """Datasets that do not describe a batch the model can run are input
+    errors, raised before any forward pass."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: (data / "index.json").write_text("[]"),
+        lambda data: _edit_index(data, lambda index: index.update(samples="abc")),
+        lambda data: _edit_index(data, lambda index: index.update(samples=[])),
+        lambda data: _edit_index(data, lambda index: index["samples"].__setitem__(2, [1, 2])),
+        # The last sample's maps are 48 px, the others 32 px.
+        lambda data: _resize_maps(data, "fall_*.smap", 48),
+        # Every map is 48 px; the checkpoint's model takes 32 px.
+        lambda data: _resize_maps(data, "*.smap", 48),
+    ], ids=["index_not_an_object", "string_samples", "no_samples", "list_entry",
+            "mixed_map_sizes", "maps_larger_than_model"])
+    def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
+        data = tmp_path / "dataset"
+        shutil.copytree(toy_run / "dataset", data)
+        corrupt(data)
+        code = cli.main(["eval", "--ckpt", str(toy_run / "checkpoint"), "--data", str(data),
+                         "--out", str(tmp_path / "eval"), "--json"])
+        assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "TrainingError")
+        assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("label", [-1, 6, 9, 1.5, True],

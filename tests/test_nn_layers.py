@@ -68,6 +68,13 @@ STRIDES = [1, 2]
 SIZES = [(8, 9), (9, 8)]  # even and odd heights and widths
 
 
+def with_batch_one(shapes, batch):
+    """(hw, batch) cases: every shape at ``batch`` (id ``hwN``) and at
+    batch 1 (id ``hwN-b1``), where no sample follows the last flat row."""
+    return [pytest.param(hw, b, id=f"hw{i}" + ("-b1" if b == 1 else ""))
+            for b in (batch, 1) for i, hw in enumerate(shapes)]
+
+
 def assert_matches_taps(layer, x, seed):
     """Forward, dx and g_w of ``layer`` on the (C, B, H, W) ``x`` against the
     tap-loop reference."""
@@ -118,23 +125,27 @@ class TestConvMatchesTapLoop:
     # Maps no larger than the kernel (the deepest stages see 2x2 maps), so
     # most kernel rows fall in the zero padding.
     @pytest.mark.parametrize("stride", STRIDES)
-    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (3, 3), (1, 3)])
+    @pytest.mark.parametrize("hw,batch", with_batch_one([(1, 1), (2, 2), (3, 3), (1, 3)], 2))
     @pytest.mark.parametrize("kernel", [5, 7])
-    def test_maps_smaller_than_kernel(self, kernel, hw, stride):
+    def test_maps_smaller_than_kernel(self, kernel, hw, batch, stride):
         rng = np.random.default_rng([kernel, stride, *hw, 1])
         conv = Conv2d(3, 2, kernel, stride=stride, rng=rng)
-        assert_matches_taps(conv, channel_first(rng.standard_normal((2, 3, *hw))), seed=kernel)
+        assert_matches_taps(conv, channel_first(rng.standard_normal((batch, 3, *hw))),
+                            seed=kernel)
         dw = DepthwiseConv2d(3, kernel, stride=stride, rng=rng)
-        assert_matches_taps(dw, channel_first(rng.standard_normal((2, 3, *hw))), seed=kernel)
+        assert_matches_taps(dw, channel_first(rng.standard_normal((batch, 3, *hw))),
+                            seed=kernel)
 
-    @pytest.mark.parametrize("hw", [(7, 7), (11, 5), (5, 13)])
+    @pytest.mark.parametrize("hw,batch", with_batch_one([(7, 7), (11, 5), (5, 13)], 3))
     @pytest.mark.parametrize("kernel", [3, 5, 7])
-    def test_odd_sizes_at_stride_two(self, kernel, hw):
+    def test_odd_sizes_at_stride_two(self, kernel, hw, batch):
         rng = np.random.default_rng([kernel, *hw, 2])
         conv = Conv2d(2, 3, kernel, stride=2, rng=rng)
-        assert_matches_taps(conv, channel_first(rng.standard_normal((3, 2, *hw))), seed=kernel)
+        assert_matches_taps(conv, channel_first(rng.standard_normal((batch, 2, *hw))),
+                            seed=kernel)
         dw = DepthwiseConv2d(5, kernel, stride=2, rng=rng)
-        assert_matches_taps(dw, channel_first(rng.standard_normal((3, 5, *hw))), seed=kernel)
+        assert_matches_taps(dw, channel_first(rng.standard_normal((batch, 5, *hw))),
+                            seed=kernel)
 
     @pytest.mark.parametrize("kernel,stride", [(3, 2), (1, 1)])
     def test_input_grad_off_keeps_weight_gradients(self, kernel, stride):
