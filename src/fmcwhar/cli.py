@@ -312,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,
                    help="echo file (.dat ASCII or .datb binary)")
-    p.add_argument("--carrier-hz", type=float, default=5.8e9)
-    p.add_argument("--chirp-s", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=128)
-    p.add_argument("--bandwidth-hz", type=float, default=4e8)
+    toy = training.TOY_RADAR_PARAMS
+    p.add_argument("--carrier-hz", type=float, default=toy.carrier_freq_hz)
+    p.add_argument("--chirp-s", type=float, default=toy.chirp_duration_s)
+    p.add_argument("--samples", type=int, default=toy.samples_per_chirp)
+    p.add_argument("--bandwidth-hz", type=float, default=toy.bandwidth_hz)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("maps", help="build spectrogram domains from a recording")
@@ -369,7 +370,6 @@ _INPUT_ERRORS = (
     CheckpointError,
     FileNotFoundError,
     json.JSONDecodeError,
-    KeyError,
 )
 
 

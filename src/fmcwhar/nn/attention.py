@@ -24,7 +24,6 @@ import numpy as np
 
 from .layers import (
     Layer,
-    ShapeMismatch,
     check_tensor4,
     fan_in_uniform,
     padded_rows,
@@ -77,11 +76,7 @@ class ChannelAttention(Layer):
         return (w1.transpose(0, 2, 1) @ dh).reshape(self.channels, -1)
 
     def forward(self, x, train: bool = False):
-        x = check_tensor4(x)
-        if x.shape[0] != self.channels:
-            raise ShapeMismatch(
-                f"channel attention built for {self.channels} channels, got {x.shape[0]}"
-            )
+        x = check_tensor4(x, self.channels)
         c, b, h, w = x.shape
         flat = x.reshape(c, b, h * w)
         mx_idx = flat.argmax(axis=2)
@@ -117,7 +112,8 @@ class SpatialAttention(Layer):
     row and its max row side by side, and ``toeplitz_conv`` runs the conv
     on that buffer as it does for every windowed conv. The child ``conv``
     only holds the weights, ``w`` (G, 2, k, k) and ``b`` (G,): group g's
-    average and max kernels, then its bias.
+    average and max kernels, then its bias; ``w[:, None]`` is the kernel's
+    (G, 1, 2, k, k) weight, one output per group.
     """
 
     def __init__(self, groups=1, rng=None):
@@ -134,11 +130,10 @@ class SpatialAttention(Layer):
         c, b, h, w = x.shape
         g = self.groups
         x5 = x.reshape(g, c // g, b, h, w)
-        k = SPATIAL_KERNEL
-        rows, planes = padded_rows(g, 2, b, h, w, k, 1)
+        rows, planes = padded_rows(g, 2, b, h, w, SPATIAL_KERNEL, 1)
         np.mean(x5, axis=1, out=planes[:, 0])
         np.max(x5, axis=1, out=planes[:, 1])
-        pre = toeplitz_conv(rows, self.conv.w.reshape(2 * g, 1, k, k), 1, h)
+        pre = toeplitz_conv(rows, self.conv.w[:, None], 1, h)
         pre += self.conv.b[:, None, None, None]
         gate = sigmoid(pre)
         self._cache = (x5, rows, planes, gate)
@@ -151,9 +146,8 @@ class SpatialAttention(Layer):
         dpre = dout * gate
         dpre *= 1.0 - gate
         self.conv.g_b += dpre.sum(axis=(1, 2, 3))
-        w4 = self.conv.w.reshape(2 * g, 1, SPATIAL_KERNEL, SPATIAL_KERNEL)
-        g_w4, dplanes = toeplitz_conv_backward(rows, w4, dpre, 1, h)
-        self.conv.g_w += g_w4.reshape(self.conv.w.shape)
+        g_w5, dplanes = toeplitz_conv_backward(rows, self.conv.w[:, None], dpre, 1, h)
+        self.conv.g_w += g_w5[:, 0]
         if dx is None:
             dx = np.zeros((g * c, b, h, w))
         dx5 = dx.reshape(x5.shape)

@@ -22,11 +22,13 @@ class ShapeMismatch(ValueError):
     pass
 
 
-def check_tensor4(x) -> np.ndarray:
+def check_tensor4(x, channels=None) -> np.ndarray:
+    """``x`` as a (C, B, H, W) array, with C equal to ``channels`` when given."""
     x = np.asarray(x)
-    if x.ndim != 4:
+    if x.ndim != 4 or (channels is not None and x.shape[0] != channels):
         raise ShapeMismatch(
-            f"expected a channel-major (C, B, H, W) tensor, got shape {x.shape}")
+            f"expected a channel-major ({channels or 'C'}, B, H, W) tensor, "
+            f"got shape {x.shape}")
     return x
 
 
@@ -127,19 +129,6 @@ def band_diagonals(a, k, s, o):
                       (*a.strides[:-2], rs, w_out * cs, s * rs + cs))
 
 
-def toeplitz_band(w4, wp, s, w_out):
-    """Banded Toeplitz matrix (C, k*Wp, O*Wo) of the (C, O, k, k) weight
-    ``w4`` for padded rows Wp wide.
-
-    Rows i*Wp .. (i+1)*Wp - 1 are kernel row i's block: a padded input
-    row times that block is the row's share of one output row.
-    """
-    c, o, k = w4.shape[0], w4.shape[1], w4.shape[-1]
-    band = np.zeros((c, k, wp, o * w_out))
-    band_diagonals(band, k, s, o)[...] = w4.transpose(0, 2, 3, 1)[..., None]
-    return band.reshape(c, k * wp, o * w_out)
-
-
 def padded_rows(g, c, b, h, w, k, s):
     """Zeroed input buffer (G, B, Hp', C, Wp) of a k x k conv at stride s
     over G groups of C channels, and its interior as a (G, C, B, H, W) view
@@ -161,30 +150,36 @@ def _input_rows(x, groups, k, s):
     return rows
 
 
-def _conv_geometry(rows, w4, s, h):
+def _conv_geometry(rows, w5, s, h):
     """The flat rows, the per-tap band blocks (G, k, C/G*Wp, O*Wo), and
-    (n, Hp'/s, Ho, Wo): every tap multiplies n rows."""
+    (n, Hp'/s, Ho, Wo): every tap multiplies n rows.
+
+    The band is built tap-major: block i holds kernel row i of each of a
+    group's C/G channels in turn, Wp band rows per channel, as the flat
+    rows hold the channels side by side."""
     g, b, hq, cg, wp = rows.shape
-    o, k = w4.shape[1], w4.shape[-1]
+    o, k = w5.shape[1], w5.shape[-1]
     h_out = (h + 2 * ((k - 1) // 2) - k) // s + 1
     w_out = (wp - k) // s + 1
-    band = toeplitz_band(w4, wp, s, w_out).reshape(g, cg, k, wp, o * w_out)
-    taps = np.ascontiguousarray(band.transpose(0, 2, 1, 3, 4)).reshape(g, k, cg * wp, -1)
+    band = np.zeros((g, k, cg, wp, o * w_out))
+    band_diagonals(band, k, s, o)[...] = w5.transpose(0, 3, 2, 4, 1)[..., None]
     n = (b * hq - k) // s + 1
-    return rows.reshape(g, b * hq, cg * wp), taps, (n, hq // s, h_out, w_out)
+    return (rows.reshape(g, b * hq, cg * wp), band.reshape(g, k, cg * wp, -1),
+            (n, hq // s, h_out, w_out))
 
 
-def toeplitz_conv(rows, w4, s, h):
+def toeplitz_conv(rows, w5, s, h):
     """k x k conv at stride s of H-row maps in the ``padded_rows`` buffer
-    ``rows`` by the (C, O, k, k) weight ``w4``: C-contiguous (G*O, B, Ho, Wo).
+    ``rows`` by the (G, O, C/G, k, k) weight ``w5``: C-contiguous
+    (G*O, B, Ho, Wo).
 
     Group g's C/G channels sum into its own O outputs: a dense conv is one
-    group, a depthwise one (O = 1) is C groups. Tap i multiplies the flat
-    rows i, i + s, ... by kernel row i's band block, so the matmul sums a
-    group's channels. Output rows that straddle two samples are dropped.
+    group, a depthwise one (O = C/G = 1) is C groups. Tap i multiplies the
+    flat rows i, i + s, ... by kernel row i's band block, so the matmul sums
+    a group's channels. Output rows that straddle two samples are dropped.
     """
-    flat, taps, (n, hs, h_out, w_out) = _conv_geometry(rows, w4, s, h)
-    g, b, o, k = rows.shape[0], rows.shape[1], w4.shape[1], w4.shape[-1]
+    flat, taps, (n, hs, h_out, w_out) = _conv_geometry(rows, w5, s, h)
+    g, b, o, k = rows.shape[0], rows.shape[1], w5.shape[1], w5.shape[-1]
     pre = np.empty((g, b * hs, o * w_out))
     np.matmul(flat[:, 0::s][:, :n], taps[:, 0], out=pre[:, :n])
     part = np.empty((g, n, o * w_out))
@@ -194,33 +189,34 @@ def toeplitz_conv(rows, w4, s, h):
     return np.ascontiguousarray(out).reshape(g * o, b, h_out, w_out)
 
 
-def toeplitz_conv_backward(rows, w4, dout, s, h, input_grad=True):
-    """(g_w4, dx) of ``toeplitz_conv``, dx a (G, C/G, B, H, W) view.
+def toeplitz_conv_backward(rows, w5, dout, s, h, input_grad=True):
+    """(g_w5, dx) of ``toeplitz_conv``: g_w5 in the (G, O, C/G, k, k) shape
+    of ``w5``, dx a (G, C/G, B, H, W) view.
 
-    g_w4 sums the band diagonals of one matmul of a k-tap window view of
-    the rows by dout; dx is k row products of dout and the band blocks,
-    added into a buffer padded in rows (padding columns take no gradient).
-    Without ``input_grad``, dx is None and its products do not run."""
-    flat, taps, (n, hs, h_out, w_out) = _conv_geometry(rows, w4, s, h)
+    g_w5 sums the band diagonals of one matmul of a k-tap window view of
+    the rows by dout, read in the band's tap-major order; dx is k row
+    products of dout and the band blocks, added into a buffer padded in
+    rows (padding columns take no gradient). Without ``input_grad``, dx is
+    None and its products do not run."""
+    flat, taps, (n, hs, h_out, w_out) = _conv_geometry(rows, w5, s, h)
     g, b, hq, cg, wp = rows.shape
-    o, k, p = w4.shape[1], w4.shape[-1], (w4.shape[-1] - 1) // 2
+    o, k, p = w5.shape[1], w5.shape[-1], (w5.shape[-1] - 1) // 2
     # dout in the flat output rows; the straddling rows stay 0.
     dpre = np.zeros((g, b * hs, o * w_out))
     dpre.reshape(g, b, hs, o, w_out)[:, :, :h_out] = dout.reshape(
         g, o, b, h_out, w_out).transpose(0, 2, 3, 1, 4)
     windows = as_strided(flat, (g, k, cg * wp, n), (*flat.strides, s * flat.strides[1]))
     g_taps = (windows @ dpre[:, None, :n]).reshape(g, k, cg, wp, -1)
-    g_diag = band_diagonals(g_taps.transpose(0, 2, 1, 3, 4), k, s, o)
-    g_w4 = g_diag.sum(axis=-1).reshape(-1, k, k, o).transpose(0, 3, 1, 2)
+    g_w5 = band_diagonals(g_taps, k, s, o).sum(axis=-1).transpose(0, 4, 2, 1, 3)
     if not input_grad:
-        return g_w4, None
+        return g_w5, None
     taps_t = taps.reshape(g, k, cg, wp, -1)[:, :, :, p: wp - p].transpose(0, 1, 4, 2, 3)
     taps_t = np.ascontiguousarray(taps_t).reshape(g, k, o * w_out, -1)
     drows = np.zeros((g, b * hq, taps_t.shape[-1]))
     part = np.empty((g, n, taps_t.shape[-1]))
     for i in range(k):
         drows[:, i::s][:, :n] += np.matmul(dpre[:, :n], taps_t[:, i], out=part)
-    return g_w4, drows.reshape(g, b, hq, cg, -1)[:, :, p: p + h].transpose(0, 3, 1, 2, 4)
+    return g_w5, drows.reshape(g, b, hq, cg, -1)[:, :, p: p + h].transpose(0, 3, 1, 2, 4)
 
 
 class Conv2d(Layer):
@@ -253,28 +249,19 @@ class Conv2d(Layer):
         self.register_param("w", fan_in_uniform(
             rng, (out_channels, in_channels // groups, kernel, kernel), fan_in))
 
-    def _w4(self):
-        """The weight as ``toeplitz_conv``'s (C, O / G, k, k)."""
+    def _w5(self):
+        """The weight as ``toeplitz_conv``'s (G, O / G, C / G, k, k): a view."""
         g, k = self.groups, self.kernel
-        w5 = self.w.reshape(g, self.out_channels // g, -1, k, k).transpose(0, 2, 1, 3, 4)
-        return w5.reshape(self.in_channels, -1, k, k)
-
-    def _w3(self):
-        """The 1x1 weight as (G, O / G, C / G)."""
-        return self.w.reshape(self.groups, self.out_channels // self.groups, -1)
+        return self.w.reshape(g, self.out_channels // g, -1, k, k)
 
     def forward(self, x, train: bool = False):
-        x = check_tensor4(x)
-        if x.shape[0] != self.in_channels:
-            raise ShapeMismatch(
-                f"conv expects {self.in_channels} input channels, got {x.shape[0]}"
-            )
+        x = check_tensor4(x, self.in_channels)
         self._cache = x
         if self._pointwise:
-            out = self._w3() @ x.reshape(self.groups, -1, x[0].size)
+            out = self._w5()[..., 0, 0] @ x.reshape(self.groups, -1, x[0].size)
             return out.reshape(self.out_channels, *x.shape[1:])
         rows = _input_rows(x, self.groups, self.kernel, self.stride)
-        return toeplitz_conv(rows, self._w4(), self.stride, x.shape[2])
+        return toeplitz_conv(rows, self._w5(), self.stride, x.shape[2])
 
     def backward(self, dout):
         x = self._cache
@@ -284,13 +271,11 @@ class Conv2d(Layer):
             self.g_w += (d3 @ x3.transpose(0, 2, 1)).reshape(self.w.shape)
             if not self.input_grad:
                 return None
-            return (self._w3().transpose(0, 2, 1) @ d3).reshape(x.shape)
+            return (self._w5()[..., 0, 0].transpose(0, 2, 1) @ d3).reshape(x.shape)
         rows = _input_rows(x, self.groups, self.kernel, self.stride)
-        g_w4, dx = toeplitz_conv_backward(rows, self._w4(), dout, self.stride, x.shape[2],
+        g_w5, dx = toeplitz_conv_backward(rows, self._w5(), dout, self.stride, x.shape[2],
                                           self.input_grad)
-        g, k = self.groups, self.kernel
-        self.g_w += g_w4.reshape(g, -1, self.out_channels // g, k, k).transpose(
-            0, 2, 1, 3, 4).reshape(self.w.shape)
+        self.g_w += g_w5.reshape(self.w.shape)
         return None if dx is None else np.ascontiguousarray(dx).reshape(x.shape)
 
 
@@ -309,20 +294,17 @@ class DepthwiseConv2d(Layer):
         )
 
     def forward(self, x, train: bool = False):
-        x = check_tensor4(x)
-        if x.shape[0] != self.channels:
-            raise ShapeMismatch(
-                f"depthwise conv expects {self.channels} channels, got {x.shape[0]}"
-            )
+        x = check_tensor4(x, self.channels)
         self._cache = x
         rows = _input_rows(x, self.channels, self.kernel, self.stride)
-        return toeplitz_conv(rows, self.w[:, None], self.stride, x.shape[2])
+        return toeplitz_conv(rows, self.w[:, None, None], self.stride, x.shape[2])
 
     def backward(self, dout):
         x = self._cache
         rows = _input_rows(x, self.channels, self.kernel, self.stride)
-        g_w4, dx = toeplitz_conv_backward(rows, self.w[:, None], dout, self.stride, x.shape[2])
-        self.g_w += g_w4[:, 0]
+        g_w5, dx = toeplitz_conv_backward(rows, self.w[:, None, None], dout, self.stride,
+                                          x.shape[2])
+        self.g_w += g_w5[:, 0, 0]
         return np.ascontiguousarray(dx).reshape(x.shape)
 
 
@@ -346,11 +328,7 @@ class BatchNorm2d(Layer):
         self.register_buffer("running_var", np.ones(channels))
 
     def forward(self, x, train: bool = False):
-        x = check_tensor4(x)
-        if x.shape[0] != self.channels:
-            raise ShapeMismatch(
-                f"batchnorm expects {self.channels} channels, got {x.shape[0]}"
-            )
+        x = check_tensor4(x, self.channels)
         # One row of B*H*W values per channel.
         x2 = x.reshape(self.channels, -1)
         if train:

@@ -230,8 +230,9 @@ def load_dataset(directory):
 
     Map tensors have shape (N, 1, map_size, map_size), each map min-max
     normalized to [0, 1]; labels index the activity kinds and must be
-    integers (``evaluate`` checks their range against the model). Every
-    sample is an object, and every map has the first map's shape.
+    integers that fit 64 bits (``evaluate`` checks their range against
+    the model). Every sample is an object with a label and a string file
+    name for each map, and every map has the first map's shape.
     """
     directory = Path(directory)
     with open(directory / "index.json") as fh:
@@ -242,18 +243,26 @@ def load_dataset(directory):
     stacks = {key: [] for key in DOMAIN_KEYS}
     labels = []
     shape = None
-    for entry in samples:
+    for i, entry in enumerate(samples):
         if not isinstance(entry, dict):
             raise TrainingError(f"{directory}: sample entry {entry!r} is not an object")
+        for key in ("label", *DOMAIN_KEYS):
+            if key not in entry:
+                raise TrainingError(f"{directory}: sample {i} has no {key!r}")
         label = entry["label"]
         if isinstance(label, bool) or not isinstance(label, int):
             raise LabelOutOfRange(f"{directory}: label {label!r} is not an integer")
+        if not -2**63 <= label < 2**63:
+            raise LabelOutOfRange(f"{directory}: label {label} does not fit 64 bits")
         labels.append(label)
         for key in DOMAIN_KEYS:
-            spectro = dm.load_spectro_map(directory / entry[key])
+            name = entry[key]
+            if not isinstance(name, str):
+                raise TrainingError(f"{directory}: sample {i} {key!r} map {name!r} is not a string")
+            spectro = dm.load_spectro_map(directory / name)
             shape = shape or spectro.values.shape
             if spectro.values.shape != shape:
-                raise TrainingError(f"{directory}: {entry[key]} is not {shape} like the first map")
+                raise TrainingError(f"{directory}: {name} is not {shape} like the first map")
             stacks[key].append(min_max_normalize(spectro.values)[None])
     return (np.stack(stacks["rt"]), np.stack(stacks["dt"]), np.stack(stacks["rd"]),
             np.array(labels, dtype=np.int64))

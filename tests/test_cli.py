@@ -427,8 +427,12 @@ class TestMalformedDatasets:
         lambda data: _resize_maps(data, "fall_*.smap", 48),
         # Every map is 48 px; the checkpoint's model takes 32 px.
         lambda data: _resize_maps(data, "*.smap", 48),
+        lambda data: _edit_index(data, lambda index: index["samples"][2].pop("label")),
+        lambda data: _edit_index(data, lambda index: index["samples"][2].pop("dt")),
+        lambda data: _edit_index(data, lambda index: index["samples"][2].update(rt=5)),
     ], ids=["index_not_an_object", "string_samples", "no_samples", "list_entry",
-            "mixed_map_sizes", "maps_larger_than_model"])
+            "mixed_map_sizes", "maps_larger_than_model", "missing_label", "missing_map",
+            "map_name_not_string"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         data = tmp_path / "dataset"
         shutil.copytree(toy_run / "dataset", data)
@@ -439,8 +443,8 @@ class TestMalformedDatasets:
         assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize("label", [-1, 6, 9, 1.5, True],
-                         ids=["negative", "num_classes", "nine", "fraction", "bool"])
+@pytest.mark.parametrize("label", [-1, 6, 9, 1.5, True, 2**70],
+                         ids=["negative", "num_classes", "nine", "fraction", "bool", "huge"])
 def test_eval_rejects_bad_label(tmp_path, toy_run, label, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(toy_run / "dataset", data)
@@ -450,6 +454,7 @@ def test_eval_rejects_bad_label(tmp_path, toy_run, label, capsys):
     code = cli.main(["eval", "--ckpt", str(toy_run / "checkpoint"), "--data", str(data),
                      "--out", str(tmp_path / "eval"), "--json"])
     assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "LabelOutOfRange")
+    assert not (tmp_path / "eval").exists()
 
 
 SMALL = radar_io.RadarParams(5.8e9, 1e-3, 8, 4e8)

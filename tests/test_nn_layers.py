@@ -7,6 +7,7 @@ from oracles import batchnorm_reference, channel_first, conv_taps
 from fmcwhar.nn import (
     BatchNorm2d,
     Cbam,
+    ChannelAttention,
     Conv2d,
     DepthwiseConv2d,
     Dropout,
@@ -25,6 +26,17 @@ def suite_passes(module):
     assert results, f"no cases for {module}"
     for r in results:
         assert r.passed, f"{r.name}: max relative error {r.max_rel_error:.3e}"
+
+
+# Every layer that is built for C channels checks them through check_tensor4.
+@pytest.mark.parametrize("x", [np.zeros((2, 1, 8, 8)), np.zeros((3, 8, 8))],
+                         ids=["channels", "ndim3"])
+@pytest.mark.parametrize("layer", [
+    Conv2d(3, 4, 3), DepthwiseConv2d(3, 3), BatchNorm2d(3), ChannelAttention(3),
+], ids=lambda layer: type(layer).__name__)
+def test_channel_mismatch_raises(layer, x):
+    with pytest.raises(ShapeMismatch, match=r"\(3, B, H, W\)"):
+        layer.forward(x)
 
 
 class TestConv:
@@ -48,10 +60,6 @@ class TestConv:
         assert out.shape == (8, 2, 112, 112)
         conv5 = Conv2d(8, 4, 5, stride=2)
         assert conv5.forward(np.zeros((8, 1, 56, 56))).shape == (4, 1, 28, 28)
-
-    def test_channel_mismatch_raises(self):
-        with pytest.raises(ShapeMismatch):
-            Conv2d(3, 4, 3).forward(np.zeros((2, 1, 8, 8)))
 
     def test_groups_must_divide_both_widths(self):
         with pytest.raises(ValueError, match="groups"):
@@ -120,7 +128,22 @@ class TestConvMatchesTapLoop:
     def test_depthwise(self, kernel, stride, hw):
         rng = np.random.default_rng([kernel, stride, *hw])
         dw = DepthwiseConv2d(4, kernel, stride=stride, rng=rng)
-        assert_matches_taps(dw, channel_first(rng.standard_normal((2, 4, *hw))), seed=kernel)
+        x = channel_first(rng.standard_normal((2, 4, *hw)))
+        assert_matches_taps(dw, x, seed=kernel)
+        # A 4-group Conv2d with one channel per group is the same conv: both
+        # hand the row-tap kernel the same (4, 1, 1, k, k) weight, so they
+        # agree bit for bit. A 1x1 stride-1 Conv2d is a channel matmul
+        # instead, which agrees to rounding.
+        conv = Conv2d(4, 4, kernel, stride=stride, groups=4)
+        conv.w[...] = dw.w[:, None]
+        atol = 1e-12 if kernel == stride == 1 else 0.0
+        dout = rng.standard_normal(dw.forward(x).shape)
+        for layer in (dw, conv):
+            layer.zero_grads()
+        pairs = [(conv.forward(x), dw.forward(x)), (conv.backward(dout), dw.backward(dout)),
+                 (conv.g_w, dw.g_w[:, None])]
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
     # Maps no larger than the kernel (the deepest stages see 2x2 maps), so
     # most kernel rows fall in the zero padding.
