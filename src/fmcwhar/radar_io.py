@@ -159,24 +159,46 @@ def _parse_complex_token(token: str, lineno: int) -> complex:
         raise RadarIoError(f"line {lineno}: cannot parse entry {token!r}") from exc
 
 
-def _format_complex(value: complex) -> str:
-    re, im = float(value.real), float(value.imag)
-    sign = "+" if (im >= 0 or np.isnan(im)) else ""
-    return f"{re!r}{sign}{im!r}i"
+# The bulk pass deletes in-line whitespace (what str.split() drops but
+# splitlines() keeps) and reads every Matlab 'i' marker as Python's 'j'.
+_BULK_TABLE = str.maketrans("iI", "jj", " \t\x1f")
+
+
+def _entries_bulk(raw: bytes) -> tuple[list[complex], np.ndarray] | None:
+    """The entries of an ASCII stream in one pass over the whole text, or None
+    where the pass cannot take the stream and the per-line rule must run.
+
+    After the translation the only whitespace left is the line boundaries,
+    so ``split()`` yields the non-blank lines. A valid entry holds a 'j'
+    only at its end, unless it is parenthesized: '(1+2i)', which the
+    per-line rule rejects, is left to that rule.
+    """
+    if b")" in raw:
+        return None
+    try:
+        values = map(complex, raw.decode("ascii").translate(_BULK_TABLE).split())
+        return list(itertools.islice(values, 4)), np.fromiter(values, dtype=np.complex128)
+    except ValueError:  # not ASCII, or an entry complex() rejects
+        return None
+
+
+def _entries_per_line(raw: bytes) -> tuple[list[complex], np.ndarray]:
+    """The entries of an ASCII stream one line at a time: the definition of
+    the format, whose errors name their line."""
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise RadarIoError(f"not an ASCII recording: {exc}") from exc
+    entries = (_parse_complex_token(line, lineno)
+               for lineno, line in enumerate(lines, start=1) if line.strip())
+    return list(itertools.islice(entries, 4)), np.fromiter(entries, dtype=np.complex128)
 
 
 def _entries_from_ascii(raw: bytes) -> tuple[list[complex], np.ndarray]:
-    try:
-        lines = raw.decode("ascii").splitlines()  # the decoded text is dropped here
-    except UnicodeDecodeError as exc:
-        raise RadarIoError(f"not an ASCII recording: {exc}") from exc
-    # Streamed into the payload array: no list of Python complex objects.
-    entries = (_parse_complex_token(line, lineno)
-               for lineno, line in enumerate(lines, start=1) if line.strip())
-    header = list(itertools.islice(entries, 4))
+    header, payload = _entries_bulk(raw) or _entries_per_line(raw)
     if len(header) < 4:
         raise TruncatedHeader(f"stream holds {len(header)} entries, header needs 4")
-    return header, np.fromiter(entries, dtype=np.complex128)
+    return header, payload
 
 
 def _entries_from_binary(raw: bytes) -> tuple[list[complex], np.ndarray]:
@@ -255,7 +277,8 @@ def write_dat(params: RadarParams, echo: EchoMatrix, codec: str = "ascii") -> by
             repr(float(params.samples_per_chirp)),
             repr(float(params.bandwidth_hz)),
         ]
-        lines.extend(_format_complex(v) for v in flat)
+        # The '+' flag writes a sign before every imaginary part, -0.0's too.
+        lines.extend(map("{0.real!r}{0.imag:+}i".format, flat.tolist()))
         return ("\n".join(lines) + "\n").encode("ascii")
 
     if codec == "binary":

@@ -31,9 +31,13 @@ pool keeps its argmax index, every pool gradient is scattered into a
 tensor of zeros and summed, and the spatial conv is a ``Conv2d`` run
 through its own forward and backward. ``Conv2d`` has no bias, so
 ``_SpatialAttentionReference`` adds the gate's bias itself.
+
+The ASCII ``.dat`` reference is the parser as it ran before the bulk
+pass: every non-blank line goes through its own ``complex()`` call.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -43,7 +47,16 @@ from fmcwhar import dsp, synth
 from fmcwhar.nn import ChannelAttention, Conv2d, Layer
 from fmcwhar.nn.attention import CBAM_REDUCTION, SPATIAL_KERNEL
 from fmcwhar.nn.layers import sigmoid
-from fmcwhar.radar_io import RadarParams, SPEED_OF_LIGHT
+from fmcwhar.radar_io import (
+    EchoMatrix,
+    EmptyPayload,
+    NonFiniteSample,
+    ParsedRecording,
+    RadarIoError,
+    RadarParams,
+    SPEED_OF_LIGHT,
+    TruncatedHeader,
+)
 from fmcwhar.training import TrainingError
 
 GLASGOW_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
@@ -363,3 +376,47 @@ class CbamReference(Layer):
         dx = dgated * m_c
         dx += self.channel.backward((dgated * x).sum(axis=(2, 3), keepdims=True))
         return dx
+
+
+def _ascii_token_reference(token, lineno):
+    s = "".join(token.split())
+    if not s:
+        raise RadarIoError(f"line {lineno}: empty entry")
+    if s[-1] in "iI":
+        s = s[:-1] + "j"
+    try:
+        return complex(s)
+    except ValueError as exc:
+        raise RadarIoError(f"line {lineno}: cannot parse entry {token!r}") from exc
+
+
+def parse_ascii_reference(raw):
+    """``radar_io.parse_dat(raw, "ascii")`` one line at a time."""
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise RadarIoError(f"not an ASCII recording: {exc}") from exc
+    entries = (_ascii_token_reference(line, lineno)
+               for lineno, line in enumerate(lines, start=1) if line.strip())
+    header = list(itertools.islice(entries, 4))
+    if len(header) < 4:
+        raise TruncatedHeader(f"stream holds {len(header)} entries, header needs 4")
+    payload = np.fromiter(entries, dtype=np.complex128)
+    for i, value in enumerate(header):
+        if value.imag != 0.0:
+            raise RadarIoError(f"header entry {i + 1} is not real-valued: {value}")
+    params = RadarParams(*(value.real for value in header))
+    finite = np.isfinite(payload)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFiniteSample(
+            f"payload entry {first + 1} is not finite: {complex(payload[first])}"
+        )
+    n_s = params.samples_per_chirp
+    n_chirps = payload.size // n_s
+    if n_chirps == 0:
+        raise EmptyPayload(
+            f"payload holds {payload.size} entries, fewer than one chirp ({n_s})"
+        )
+    echo = EchoMatrix(params, payload[: n_chirps * n_s].reshape(n_chirps, n_s))
+    return ParsedRecording(params, echo, payload.size - n_chirps * n_s)

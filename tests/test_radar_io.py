@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,17 +17,68 @@ from fmcwhar.radar_io import (
     parse_dat,
     write_dat,
 )
+from oracles import parse_ascii_reference
 
 GLASGOW = RadarParams(5.8e9, 1e-3, 128, 4e8)
+
+# What an ASCII stream is built from: the ASCII line boundaries of
+# splitlines(), the in-line whitespace it keeps, numbers with the spellings
+# complex() knows, and the imaginary markers.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+INLINE_SPACE = [" ", "\t", "\x1f"]
+FINITE = ["0", "1", "2.5", "0.0", "-0.0", "+0.0", "-3e-2", "1e300", "7_5"]
+NUMBERS = FINITE + ["inf", "Inf", "-infinity", "nan", "NaN"]
+MARKERS = ["i", "I", "j", "J"]
+ASCII_ALPHABET = "".join(sorted(set("".join(
+    LINE_BREAKS + INLINE_SPACE + NUMBERS + MARKERS + ["()+-x"]))))
+VALID_HEADER = "5.8e9\n1e-3\n2\n4e8\n"
 
 
 def ascii_stream(header, entries):
     lines = [repr(float(h)) for h in header]
-    for v in entries:
-        v = complex(v)
-        sign = "+" if v.imag >= 0 else ""
-        lines.append(f"{v.real!r}{sign}{v.imag!r}i")
+    lines.extend(f"{v.real!r}{v.imag:+}i" for v in map(complex, entries))
     return ("\n".join(lines) + "\n").encode()
+
+
+def _random_line(rng, noise):
+    """One line of a stream: a real, imaginary or complex entry, sometimes
+    parenthesized or garbage, with in-line whitespace strewn in; the more
+    noise, the more garbage and non-finite numbers."""
+    if rng.random() < noise:
+        return "".join(rng.choices(ASCII_ALPHABET, k=rng.randint(0, 6)))
+    numbers = NUMBERS if rng.random() < noise else FINITE
+    parts = [rng.choice(numbers)]
+    form = rng.choices(["real", "imag", "complex", "paren"], weights=[4, 4, 10, 1])[0]
+    if form != "real":
+        if form != "imag":
+            parts += [rng.choice("+-"), rng.choice(numbers).lstrip("+-")]
+        parts.append(rng.choice(MARKERS))
+    if form == "paren":
+        parts = ["(", *parts, ")"]
+    spaced = []
+    for part in parts:
+        if rng.random() < 0.2:
+            spaced.append(rng.choice(INLINE_SPACE))
+        spaced.append(part)
+    return "".join(spaced)
+
+
+def _random_ascii_stream(rng):
+    noise = rng.choice([0.0, 0.02, 0.1, 0.3])
+    lines = [] if rng.random() < 0.2 else VALID_HEADER.split()
+    lines += [_random_line(rng, noise) for _ in range(rng.randint(0, 8))]
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", *INLINE_SPACE]))
+    text = "".join(line + rng.choice(LINE_BREAKS) for line in lines)
+    return text[:-1] if text and rng.random() < 0.3 else text
+
+
+def _outcome(parse, raw):
+    try:
+        params, echo, discarded = parse(raw)
+    except RadarIoError as exc:
+        return type(exc), str(exc)
+    return params, echo.data.tobytes(), discarded
 
 
 def test_parse_exact_division():
@@ -137,6 +190,59 @@ def test_round_trip_synth_fall_scene(tmp_path):
         np.testing.assert_array_equal(echo2.data, echo.data)
 
 
+@pytest.mark.parametrize("codec", ["ascii", "binary"])
+def test_round_trip_keeps_signed_zeros(codec):
+    params = RadarParams(5.8e9, 1e-3, 3, 4e8)
+    data = np.empty((2, 3), dtype=np.complex128)
+    data.real = [[0.0, -0.0, 0.0], [-0.0, 2.0, -2.0]]
+    data.imag = [[0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
+    raw = write_dat(params, EchoMatrix(params=params, data=data), codec=codec)
+    _, echo2, _ = parse_dat(raw, codec=codec)
+    np.testing.assert_array_equal(echo2.data, data)
+    np.testing.assert_array_equal(np.signbit(echo2.data.real), np.signbit(data.real))
+    np.testing.assert_array_equal(np.signbit(echo2.data.imag), np.signbit(data.imag))
+    assert write_dat(params, echo2, codec=codec) == raw
+
+
+def test_bulk_pass_agrees_with_per_line_rule():
+    rng = random.Random(7)
+    accepted = rejected = parsed = 0
+    for _ in range(3000):
+        raw = _random_ascii_stream(rng).encode("ascii")
+        bulk = radar_io._entries_bulk(raw)
+        if bulk is None:
+            rejected += 1
+        else:
+            accepted += 1
+            header, payload = radar_io._entries_per_line(raw)
+            assert np.array(bulk[0], np.complex128).tobytes() == \
+                np.array(header, np.complex128).tobytes(), raw
+            assert bulk[1].tobytes() == payload.tobytes(), raw
+        outcome = _outcome(parse_dat, raw)
+        assert outcome == _outcome(parse_ascii_reference, raw), raw
+        parsed += isinstance(outcome[0], RadarParams)
+    # Each side of the split, and the whole parse, is exercised.
+    assert min(accepted, rejected, parsed) > 500, (accepted, rejected, parsed)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_clean_input_takes_the_bulk_pass(monkeypatch, newline):
+    from fmcwhar import synth
+
+    params = RadarParams(5.8e9, 1e-3, 64, 4e8)
+    echo = synth.generate(synth.activity_template("walk", seed=3), params)
+    raw = write_dat(params, echo, codec="ascii").replace(b"\n", newline)
+
+    def per_line_rule(token, lineno):
+        raise AssertionError(f"line {lineno} fell back to the per-line rule")
+
+    monkeypatch.setattr(radar_io, "_parse_complex_token", per_line_rule)
+    params2, echo2, discarded = parse_dat(raw)
+    assert params2 == params
+    assert discarded == 0
+    np.testing.assert_array_equal(echo2.data, echo.data)
+
+
 def test_write_rejects_mismatched_params():
     other = RadarParams(2.4e9, 1e-3, 128, 4e8)
     echo = EchoMatrix(params=GLASGOW, data=np.zeros((1, 128), dtype=complex))
@@ -152,6 +258,15 @@ def test_parser_never_panics_on_garbage(raw):
             parse_dat(raw, codec=codec)
         except RadarIoError:
             pass
+
+
+@given(st.sampled_from(["", VALID_HEADER]), st.text(ASCII_ALPHABET, max_size=256))
+@settings(max_examples=200, deadline=None)
+def test_parser_never_panics_on_ascii_garbage(header, text):
+    try:
+        parse_dat((header + text).encode("ascii"))
+    except RadarIoError:
+        pass
 
 
 @given(
