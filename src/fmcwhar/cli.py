@@ -82,9 +82,9 @@ def _manifest(command, args_payload, seeds, inputs, outputs, started) -> RunMani
 
 def _cmd_parse(args) -> int:
     started = time.time()
+    params, echo, discarded = radar_io.load_recording(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, echo, discarded = radar_io.load_recording(args.input)
 
     header = {
         "carrier_freq_hz": params.carrier_freq_hz,
@@ -157,9 +157,9 @@ def _cmd_maps(args) -> int:
         raise CliInputError(
             f"--domains must list rt, dt or rd, each at most once, got {args.domains!r}")
 
+    _, echo, _ = radar_io.load_recording(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, echo, _ = radar_io.load_recording(args.input)
     outputs = []
     for key, spectro in zip(domains, dm.domain_maps(echo, mti=not args.no_mti,
                                                      domains=domains)):

@@ -8,15 +8,27 @@ Two codecs are supported, selected by file extension:
   as ``re+imi`` (Matlab-style trailing ``i``; ``j`` is accepted too).
 - ``.datb`` binary, little-endian: magic ``FMCW``, u32 version=1,
   4 x f64 header, u64 payload count, then interleaved (re, im) f64
-  pairs.
+  pairs. The stream must hold exactly the bytes its header declares.
+
+Both codecs work in bounded blocks. The ASCII parser cuts the raw bytes
+right after a ``\n`` once a block reaches ``_PARSE_BLOCK_BYTES``, so no
+entry straddles two blocks, and runs its translate-and-split pass on one
+block at a time. The writer yields the header, then the ASCII payload in
+blocks of ``_WRITE_BLOCK_ENTRIES`` entries or the binary payload as one
+view of the echo's buffer. ``write_dat`` joins the blocks once;
+``save_recording`` writes them to a temporary sibling file that replaces
+the target only when every block is written.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
+import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +38,11 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _DATB_MAGIC = b"FMCW"
 _DATB_VERSION = 1
 _DATB_HEADER = struct.Struct("<4sI4dQ")
+
+# Block sizes of the ASCII codec: the parser's blocks end at the first '\n'
+# this many bytes in or later, the writer formats this many entries at a time.
+_PARSE_BLOCK_BYTES = 256 * 1024
+_WRITE_BLOCK_ENTRIES = 8192
 
 
 class RadarIoError(ValueError):
@@ -164,19 +181,33 @@ def _parse_complex_token(token: str, lineno: int) -> complex:
 _BULK_TABLE = str.maketrans("iI", "jj", " \t\x1f")
 
 
+def _line_blocks(raw: bytes) -> Iterator[bytes]:
+    """``raw`` in consecutive blocks, each cut right after the first '\n' at
+    or beyond ``_PARSE_BLOCK_BYTES`` into it; a stream with no later '\n'
+    (a CR-only one, say) ends in one block."""
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + _PARSE_BLOCK_BYTES - 1) + 1 or len(raw)
+        yield raw[start:end]
+        start = end
+
+
 def _entries_bulk(raw: bytes) -> tuple[list[complex], np.ndarray] | None:
-    """The entries of an ASCII stream in one pass over the whole text, or None
+    """The entries of an ASCII stream in one pass over its text, or None
     where the pass cannot take the stream and the per-line rule must run.
 
     After the translation the only whitespace left is the line boundaries,
-    so ``split()`` yields the non-blank lines. A valid entry holds a 'j'
+    so ``split()`` yields the non-blank lines. Every block ends in a '\n',
+    so the blocks' tokens are the whole text's. A valid entry holds a 'j'
     only at its end, unless it is parenthesized: '(1+2i)', which the
     per-line rule rejects, is left to that rule.
     """
     if b")" in raw:
         return None
+    tokens = itertools.chain.from_iterable(
+        block.decode("ascii").translate(_BULK_TABLE).split() for block in _line_blocks(raw))
+    values = map(complex, tokens)
     try:
-        values = map(complex, raw.decode("ascii").translate(_BULK_TABLE).split())
         return list(itertools.islice(values, 4)), np.fromiter(values, dtype=np.complex128)
     except ValueError:  # not ASCII, or an entry complex() rejects
         return None
@@ -215,6 +246,11 @@ def _entries_from_binary(raw: bytes) -> tuple[list[complex], np.ndarray]:
     if len(raw) < expected:
         raise RadarIoError(
             f"payload truncated: header declares {count} entries "
+            f"({expected} bytes), stream holds {len(raw)}"
+        )
+    if len(raw) > expected:
+        raise RadarIoError(
+            f"trailing bytes: header declares {count} entries "
             f"({expected} bytes), stream holds {len(raw)}"
         )
     payload = np.frombuffer(raw, dtype="<c16", count=count, offset=_DATB_HEADER.size)
@@ -264,23 +300,24 @@ def parse_dat(raw: bytes, codec: str = "ascii") -> ParsedRecording:
     return ParsedRecording(params, echo, discarded)
 
 
-def write_dat(params: RadarParams, echo: EchoMatrix, codec: str = "ascii") -> bytes:
-    """Serialize a recording; parse_dat(write_dat(p, e)) reproduces both values."""
+def _ascii_blocks(params: RadarParams, flat: np.ndarray) -> Iterator[bytes]:
+    header = (params.carrier_freq_hz, params.chirp_duration_s,
+              params.samples_per_chirp, params.bandwidth_hz)
+    yield "".join(f"{float(value)!r}\n" for value in header).encode("ascii")
+    for start in range(0, flat.size, _WRITE_BLOCK_ENTRIES):
+        entries = flat[start:start + _WRITE_BLOCK_ENTRIES].tolist()
+        # The '+' flag writes a sign before every imaginary part, -0.0's too.
+        yield "".join(map("{0.real!r}{0.imag:+}i\n".format, entries)).encode("ascii")
+
+
+def _encode_blocks(params: RadarParams, echo: EchoMatrix, codec: str) -> Iterable[bytes]:
+    """The bytes of a recording as a sequence of bytes-like blocks. Checks the
+    arguments at once; the ASCII blocks are formatted as they are taken."""
     if echo.params != params:
         raise ShapeMismatch("echo parameter block differs from the one being written")
     flat = echo.data.reshape(-1)
-
     if codec == "ascii":
-        lines = [
-            repr(float(params.carrier_freq_hz)),
-            repr(float(params.chirp_duration_s)),
-            repr(float(params.samples_per_chirp)),
-            repr(float(params.bandwidth_hz)),
-        ]
-        # The '+' flag writes a sign before every imaginary part, -0.0's too.
-        lines.extend(map("{0.real!r}{0.imag:+}i".format, flat.tolist()))
-        return ("\n".join(lines) + "\n").encode("ascii")
-
+        return _ascii_blocks(params, flat)
     if codec == "binary":
         head = _DATB_HEADER.pack(
             _DATB_MAGIC,
@@ -291,12 +328,14 @@ def write_dat(params: RadarParams, echo: EchoMatrix, codec: str = "ascii") -> by
             float(params.bandwidth_hz),
             flat.size,
         )
-        interleaved = np.empty(2 * flat.size, dtype="<f8")
-        interleaved[0::2] = flat.real
-        interleaved[1::2] = flat.imag
-        return head + interleaved.tobytes()
-
+        # '<c16' is the interleaved (re, im) f64 layout: the payload is a view.
+        return head, np.ascontiguousarray(flat, dtype="<c16").data
     raise ValueError(f"unknown codec {codec!r}")
+
+
+def write_dat(params: RadarParams, echo: EchoMatrix, codec: str = "ascii") -> bytes:
+    """Serialize a recording; parse_dat(write_dat(p, e)) reproduces both values."""
+    return b"".join(_encode_blocks(params, echo, codec))
 
 
 def codec_for_path(path) -> str:
@@ -311,5 +350,15 @@ def load_recording(path) -> ParsedRecording:
 
 
 def save_recording(path, params: RadarParams, echo: EchoMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_dat(params, echo, codec=codec_for_path(path)))
+    """Write a recording block by block to a temporary sibling of ``path``,
+    then move it into place: a failed save leaves ``path`` as it was."""
+    blocks = _encode_blocks(params, echo, codec_for_path(path))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(blocks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -33,12 +33,16 @@ through its own forward and backward. ``Conv2d`` has no bias, so
 ``_SpatialAttentionReference`` adds the gate's bias itself.
 
 The ASCII ``.dat`` reference is the parser as it ran before the bulk
-pass: every non-blank line goes through its own ``complex()`` call.
+pass: every non-blank line goes through its own ``complex()`` call. The
+writer reference is ``write_dat`` as it ran before the block writer: the
+whole ASCII text is formatted as one list of lines, and the binary payload
+is interleaved into a float64 copy.
 """
 
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -420,3 +424,19 @@ def parse_ascii_reference(raw):
         )
     echo = EchoMatrix(params, payload[: n_chirps * n_s].reshape(n_chirps, n_s))
     return ParsedRecording(params, echo, payload.size - n_chirps * n_s)
+
+
+def write_dat_reference(params, echo, codec="ascii"):
+    """``radar_io.write_dat`` in one piece, without blocks."""
+    header = [float(params.carrier_freq_hz), float(params.chirp_duration_s),
+              float(params.samples_per_chirp), float(params.bandwidth_hz)]
+    flat = echo.data.reshape(-1)
+    if codec == "ascii":
+        lines = [repr(value) for value in header]
+        lines.extend(map("{0.real!r}{0.imag:+}i".format, flat.tolist()))
+        return ("\n".join(lines) + "\n").encode("ascii")
+    head = struct.pack("<4sI4dQ", b"FMCW", 1, *header, flat.size)
+    interleaved = np.empty(2 * flat.size, dtype="<f8")
+    interleaved[0::2] = flat.real
+    interleaved[1::2] = flat.imag
+    return head + interleaved.tobytes()

@@ -494,6 +494,17 @@ class TestMalformedRecordings:
         raw = radar_io.write_dat(SMALL, echo, codec="binary")
         assert parse_exit_code("rec.datb", raw[: len(raw) - cut]) == 2
 
+    @pytest.mark.parametrize("command", ["parse", "maps"])
+    def test_datb_with_trailing_bytes(self, tmp_path, command, capsys):
+        echo = radar_io.EchoMatrix(params=SMALL, data=np.ones((4, 8), dtype=complex))
+        path = tmp_path / "rec.datb"
+        path.write_bytes(radar_io.write_dat(SMALL, echo, codec="binary") + bytes(24))
+        code = cli.main([command, str(path), "--out", str(tmp_path / "out"), "--json"])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["error"]) == (2, "RadarIoError")
+        assert err["message"].startswith("trailing bytes: header declares 32 entries")
+        assert [p.name for p in tmp_path.iterdir()] == ["rec.datb"]
+
 
 def test_manifest_contents(tmp_path, echo_file):
     out = tmp_path / "maps"

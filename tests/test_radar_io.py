@@ -1,4 +1,6 @@
+import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from fmcwhar.radar_io import (
     parse_dat,
     write_dat,
 )
-from oracles import parse_ascii_reference
+from oracles import parse_ascii_reference, write_dat_reference
 
 GLASGOW = RadarParams(5.8e9, 1e-3, 128, 4e8)
 
@@ -32,6 +34,8 @@ MARKERS = ["i", "I", "j", "J"]
 ASCII_ALPHABET = "".join(sorted(set("".join(
     LINE_BREAKS + INLINE_SPACE + NUMBERS + MARKERS + ["()+-x"]))))
 VALID_HEADER = "5.8e9\n1e-3\n2\n4e8\n"
+# Parser block sizes that put a block edge after nearly every line.
+SMALL_BLOCKS = [1, 7]
 
 
 def ascii_stream(header, entries):
@@ -241,6 +245,162 @@ def test_clean_input_takes_the_bulk_pass(monkeypatch, newline):
     assert params2 == params
     assert discarded == 0
     np.testing.assert_array_equal(echo2.data, echo.data)
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCKS)
+def test_bulk_pass_agrees_with_per_line_rule_in_small_blocks(monkeypatch, block_bytes):
+    monkeypatch.setattr(radar_io, "_PARSE_BLOCK_BYTES", block_bytes)
+    test_bulk_pass_agrees_with_per_line_rule()
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCKS)
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_clean_input_takes_the_bulk_pass_in_small_blocks(monkeypatch, newline, block_bytes):
+    monkeypatch.setattr(radar_io, "_PARSE_BLOCK_BYTES", block_bytes)
+    test_clean_input_takes_the_bulk_pass(monkeypatch, newline)
+
+
+@pytest.mark.parametrize("block_bytes", [radar_io._PARSE_BLOCK_BYTES, *SMALL_BLOCKS])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_line_blocks_end_after_a_newline(monkeypatch, newline, block_bytes):
+    monkeypatch.setattr(radar_io, "_PARSE_BLOCK_BYTES", block_bytes)
+    raw = ascii_stream([5.8e9, 1e-3, 2, 4e8], np.arange(40) * (1 - 0.5j))
+    raw = raw.replace(b"\n", newline)
+    blocks = list(radar_io._line_blocks(raw))
+    assert b"".join(blocks) == raw
+    assert all(block.endswith(b"\n") for block in blocks[:-1])
+    # Every line is its own block at one byte; a CR-only stream is one block.
+    if newline == b"\r":
+        assert blocks == [raw]
+    elif block_bytes == 1:
+        assert len(blocks) == raw.count(b"\n")
+
+
+# Values whose text is hardest to get right: signed zeros, subnormals, exact
+# integers beyond 2**53, the extremes of the float range.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+            9007199254740994.0, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.1, -1 / 3, 1e-7, 123456789.125]
+
+
+def _values_echo(n_s=8, n_random=3000, seed=11):
+    rng = np.random.default_rng(seed)
+    parts = np.array(EXTREMES)
+    extreme = (parts[:, None] + 1j * parts[None, :]).reshape(-1)
+    scale = 10.0 ** rng.integers(-300, 300, size=n_random)
+    noisy = (rng.standard_normal(n_random) * scale
+             + 1j * rng.standard_normal(n_random) * scale[::-1])
+    flat = np.concatenate([extreme, noisy])
+    flat = flat[: flat.size // n_s * n_s]
+    params = RadarParams(5.8e9, 1e-3, n_s, 4e8)
+    return params, EchoMatrix(params=params, data=flat.reshape(-1, n_s))
+
+
+@pytest.mark.parametrize("block_entries", [radar_io._WRITE_BLOCK_ENTRIES, 1, 7])
+@pytest.mark.parametrize("codec", ["ascii", "binary"])
+def test_write_matches_unblocked_writer(monkeypatch, codec, block_entries):
+    monkeypatch.setattr(radar_io, "_WRITE_BLOCK_ENTRIES", block_entries)
+    params, echo = _values_echo()
+    assert np.signbit(echo.data.imag).any() and (echo.data.imag == 0).any()
+    raw = write_dat(params, echo, codec=codec)
+    assert raw == write_dat_reference(params, echo, codec=codec)
+    _, echo2, _ = parse_dat(raw, codec=codec)
+    assert echo2.data.tobytes() == echo.data.tobytes()
+
+
+@pytest.mark.parametrize("codec", ["ascii", "binary"])
+def test_write_of_a_strided_echo(codec):
+    params, echo = _values_echo(n_s=4)
+    strided = EchoMatrix(params=params, data=echo.data[::2])
+    assert not strided.data.flags.c_contiguous
+    assert write_dat(params, strided, codec) == write_dat_reference(params, strided, codec)
+
+
+@pytest.mark.parametrize("name", ["rec.dat", "rec.datb"])
+def test_saved_file_holds_the_written_bytes(tmp_path, name):
+    params, echo = _values_echo()
+    radar_io.save_recording(tmp_path / name, params, echo)
+    codec = radar_io.codec_for_path(name)
+    assert (tmp_path / name).read_bytes() == write_dat(params, echo, codec=codec)
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("previous", [None, b"previous recording"], ids=["new", "existing"])
+@pytest.mark.parametrize("name", ["rec.dat", "rec.datb"])
+def test_failed_save_leaves_the_target_as_it_was(monkeypatch, tmp_path, name, previous):
+    params, echo = _values_echo()
+    path = tmp_path / name
+    if previous is not None:
+        path.write_bytes(previous)
+    encode = radar_io._encode_blocks
+
+    def fail_after_first_block(params, echo, codec):
+        yield next(iter(encode(params, echo, codec)))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(radar_io, "_encode_blocks", fail_after_first_block)
+    with pytest.raises(OSError, match="disk full"):
+        radar_io.save_recording(path, params, echo)
+    if previous is None:
+        assert os.listdir(tmp_path) == []
+    else:
+        assert os.listdir(tmp_path) == [name]
+        assert path.read_bytes() == previous
+
+
+def test_save_with_mismatched_params_writes_nothing(tmp_path):
+    path = tmp_path / "rec.dat"
+    path.write_bytes(b"previous recording")
+    other = RadarParams(2.4e9, 1e-3, 128, 4e8)
+    echo = EchoMatrix(params=GLASGOW, data=np.zeros((1, 128), dtype=complex))
+    with pytest.raises(ShapeMismatch):
+        radar_io.save_recording(path, other, echo)
+    assert os.listdir(tmp_path) == ["rec.dat"]
+    assert path.read_bytes() == b"previous recording"
+
+
+def test_binary_rejects_trailing_bytes():
+    echo = EchoMatrix(params=GLASGOW, data=np.ones((2, 128), dtype=complex))
+    raw = write_dat(GLASGOW, echo, codec="binary")
+    assert parse_dat(raw, codec="binary").discarded_entries == 0
+    expected = len(raw)
+    for tail in (b"\0", bytes(16), bytes(24)):
+        with pytest.raises(RadarIoError, match=f"trailing bytes: header declares 256 "
+                                               f"entries \\({expected} bytes\\), "
+                                               f"stream holds {expected + len(tail)}"):
+            parse_dat(raw + tail, codec="binary")
+
+
+@pytest.fixture(scope="module")
+def toy_walk():
+    from fmcwhar import synth, training
+
+    params = training.TOY_RADAR_PARAMS
+    return params, synth.generate(synth.activity_template("walk", seed=3), params)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ascii_parse_memory(toy_walk):
+    params, echo = toy_walk
+    raw = write_dat(params, echo, codec="ascii")
+    parsed, peak = _traced_peak(parse_dat, raw, "ascii")
+    assert parsed.echo.data.tobytes() == echo.data.tobytes()
+    assert peak <= 2.0 * echo.data.nbytes, peak / echo.data.nbytes
+
+
+@pytest.mark.parametrize("codec, bound", [("ascii", 2.5), ("binary", 1.5)])
+def test_write_memory(toy_walk, codec, bound):
+    params, echo = toy_walk
+    raw, peak = _traced_peak(write_dat, params, echo, codec)
+    assert peak <= bound * len(raw), peak / len(raw)
 
 
 def test_write_rejects_mismatched_params():

@@ -1,6 +1,7 @@
 """Seeded commands are bit-reproducible across processes.
 
-The same command sequence (synth, maps, augment, train-toy) runs twice,
+The same command sequence (synth and parse of an ASCII recording, then
+synth, maps, augment and train-toy from a binary one) runs twice,
 each command in a fresh ``python -m fmcwhar.cli`` process, under two
 different ``PYTHONHASHSEED`` values. Every output file must match byte
 for byte; only the manifests' ``wall_time_s`` may differ.
@@ -16,6 +17,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 COMMANDS = [
+    ["synth", "--kind", "walk", "--seed", "3", "--out", "walk.dat"],
+    ["parse", "walk.dat", "--out", "parsed"],
     ["synth", "--kind", "walk", "--seed", "3", "--out", "walk.datb"],
     ["maps", "walk.datb", "--out", "maps", "--pgm"],
     ["augment", "maps/dt.smap", "--seed", "5", "--out", "aug/dt.smap"],
@@ -48,7 +51,7 @@ def run_sequence(workdir: Path, hash_seed: str) -> dict:
 def test_command_sequence_is_bit_identical_across_processes(tmp_path):
     first = run_sequence(tmp_path / "a", "1")
     second = run_sequence(tmp_path / "b", "2")
-    assert {"walk.datb", "maps/rd.smap", "aug/dt.smap", "run/metrics.csv",
+    assert {"walk.dat", "parsed/echo.datb", "walk.datb", "maps/rd.smap", "aug/dt.smap", "run/metrics.csv",
             "run/checkpoint/manifest.json"} <= set(first)
     assert sorted(first) == sorted(second)
     differing = [name for name in first if first[name] != second[name]]
