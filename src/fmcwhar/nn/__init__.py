@@ -4,8 +4,9 @@ Layers compute in float64, so finite-difference gradient checks are
 meaningful: the model casts its input maps to float64 and ``sigmoid``
 returns float64. Backbone layers pass channel-major (C, B, H, W)
 arrays. Forward and backward are single-threaded by contract: each
-layer caches its forward activations and consumes them in the matching
-backward call.
+layer caches its forward activations and its backward consumes them, so
+a second backward without a new forward raises ``NoForwardCache``;
+``MultiDomainModel.predict`` runs a forward that caches nothing.
 """
 
 from .config import ModelConfig, StageSpec
@@ -17,6 +18,7 @@ from .layers import (
     Dropout,
     Layer,
     Linear,
+    NoForwardCache,
     Sequential,
     ShapeMismatch,
     Swish,
@@ -33,7 +35,7 @@ __all__ = [
     "Backbone", "BatchNorm2d", "Cbam", "ChannelAttention", "Conv2d",
     "DepthwiseConv2d", "Dropout", "FusionClassifier", "GradCheckResult",
     "Layer", "Linear", "Lstm", "MBConv", "ModelConfig", "MultiDomainModel",
-    "RdHead", "Sequential", "SequenceReshape", "ShapeMismatch",
+    "NoForwardCache", "RdHead", "Sequential", "SequenceReshape", "ShapeMismatch",
     "SpatialAttention", "StageSpec", "Swish",
     "count_flops", "count_params", "load_checkpoint", "run_gradcheck",
     "save_checkpoint",

@@ -85,12 +85,12 @@ class ChannelAttention(Layer):
         out_avg, cache_avg = self._mlp(avg)
         out_max, cache_max = self._mlp(mx)
         gate = sigmoid(out_avg + out_max)
-        self._cache = (x.shape, mx_idx, cache_avg, cache_max, gate)
+        self._stash((x.shape, mx_idx, cache_avg, cache_max, gate))
         return gate[:, :, None, None]
 
     def backward(self, dout, dx=None):
         """The input gradient, added in place into ``dx`` when given."""
-        x_shape, mx_idx, cache_avg, cache_max, gate = self._cache
+        x_shape, mx_idx, cache_avg, cache_max, gate = self._take()
         dgate = dout[:, :, 0, 0] * gate * (1.0 - gate)
         davg = self._mlp_backward(dgate, cache_avg)
         dmax = self._mlp_backward(dgate, cache_max)
@@ -136,12 +136,12 @@ class SpatialAttention(Layer):
         pre = toeplitz_conv(rows, self.conv.w[:, None], 1, h)
         pre += self.conv.b[:, None, None, None]
         gate = sigmoid(pre)
-        self._cache = (x5, rows, planes, gate)
+        self._stash((x5, rows, planes, gate))
         return gate
 
     def backward(self, dout, dx=None):
         """The input gradient, added in place into ``dx`` when given."""
-        x5, rows, planes, gate = self._cache
+        x5, rows, planes, gate = self._take()
         g, c, b, h, w = x5.shape
         dpre = dout * gate
         dpre *= 1.0 - gate
@@ -183,12 +183,12 @@ class Cbam(Layer):
         m_c = self.channel.forward(x, train=train)
         gated = m_c * x
         m_s = self.spatial.forward(gated, train=train)
-        self._cache = (x, m_c, gated, m_s)
+        self._stash((x, m_c, gated, m_s))
         # A group of channels is a block of rows: (G, C / G, B, H, W).
         return (gated.reshape(self.groups, -1, *x.shape[1:]) * m_s[:, None]).reshape(x.shape)
 
     def backward(self, dout):
-        x, m_c, gated, m_s = self._cache
+        x, m_c, gated, m_s = self._take()
         dout5 = dout.reshape(self.groups, -1, *dout.shape[1:])
         dgated = (dout5 * m_s[:, None]).reshape(x.shape)
         dm_s = (dout5 * gated.reshape(dout5.shape)).sum(axis=1)

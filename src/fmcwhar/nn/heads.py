@@ -29,18 +29,18 @@ class SequenceReshape(Layer):
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
         c, b, h, w = x.shape
-        self._shape = x.shape
+        self._stash(x.shape)
         if self.rule == "hxc":
             # (B, W, H*C), h-major c-minor within each step.
             return x.transpose(1, 3, 2, 0).reshape(b, w, h * c)
         return x.mean(axis=2).transpose(1, 2, 0)
 
     def backward(self, dout):
-        c, b, h, w = self._shape
+        c, b, h, w = shape = self._take()
         if self.rule == "hxc":
             dx = dout.reshape(b, w, h, c).transpose(3, 0, 2, 1)
         else:
-            dx = np.broadcast_to((dout / h).transpose(2, 0, 1)[:, :, None], self._shape)
+            dx = np.broadcast_to((dout / h).transpose(2, 0, 1)[:, :, None], shape)
         return np.ascontiguousarray(dx)
 
 
@@ -56,15 +56,16 @@ class RdHead(Layer):
 
     def forward(self, x, train: bool = False):
         y = self.linear.forward(x, train)  # (B, T, K)
-        self._t_idx = y.argmax(axis=1)
-        self._y_shape = y.shape
+        t_idx = y.argmax(axis=1)
+        self._stash((t_idx, y.shape))
         b, _, k = y.shape
-        return y[np.arange(b)[:, None], self._t_idx, np.arange(k)[None, :]]
+        return y[np.arange(b)[:, None], t_idx, np.arange(k)[None, :]]
 
     def backward(self, dout):
-        b, t, k = self._y_shape
-        dy = np.zeros(self._y_shape)
-        dy[np.arange(b)[:, None], self._t_idx, np.arange(k)[None, :]] = dout
+        t_idx, y_shape = self._take()
+        b, t, k = y_shape
+        dy = np.zeros(y_shape)
+        dy[np.arange(b)[:, None], t_idx, np.arange(k)[None, :]] = dout
         return self.linear.backward(dy)
 
 

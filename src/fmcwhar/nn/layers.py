@@ -2,8 +2,11 @@
 
 Every layer follows the same contract: ``forward(x, train=False)``
 returns the output and stashes whatever the backward pass needs;
-``backward(dout)`` returns the gradient with respect to the input and
-accumulates parameter gradients into ``self.g_*`` arrays. Parameters
+``backward(dout)`` consumes that cache, returns the gradient with
+respect to the input and accumulates parameter gradients into
+``self.g_*`` arrays. A second backward without a new forward raises
+``NoForwardCache``, and a layer whose ``store_cache`` is off keeps no
+cache at all (``MultiDomainModel.predict`` runs that way). Parameters
 and their gradients are exposed through ``params()`` / ``grads()`` as
 flat name->array dicts, with child layers namespaced by dots.
 
@@ -20,6 +23,11 @@ from numpy.lib.stride_tricks import as_strided
 
 class ShapeMismatch(ValueError):
     pass
+
+
+class NoForwardCache(RuntimeError):
+    """A backward found no forward state: none ran since the last backward,
+    or it ran with ``store_cache`` off."""
 
 
 def check_tensor4(x, channels=None) -> np.ndarray:
@@ -45,6 +53,24 @@ class Layer:
         self._param_names: list[str] = []
         self._buffer_names: list[str] = []
         self._children: list[tuple[str, "Layer"]] = []
+        self.store_cache = True
+
+    def _stash(self, state) -> None:
+        """Keep ``state`` for the next backward, unless ``store_cache`` is
+        off; either way the state of an earlier forward goes."""
+        if self.store_cache:
+            self._cache = state
+        else:
+            self.__dict__.pop("_cache", None)
+
+    def _take(self):
+        """The state the last forward stashed, removed: a backward consumes
+        it, so it is freed as soon as that backward returns."""
+        try:
+            return self.__dict__.pop("_cache")
+        except KeyError:
+            raise NoForwardCache(
+                f"{type(self).__name__}.backward has no forward cache to consume") from None
 
     def register_param(self, name: str, value: np.ndarray) -> np.ndarray:
         setattr(self, name, value)
@@ -256,7 +282,7 @@ class Conv2d(Layer):
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x, self.in_channels)
-        self._cache = x
+        self._stash(x)
         if self._pointwise:
             out = self._w5()[..., 0, 0] @ x.reshape(self.groups, -1, x[0].size)
             return out.reshape(self.out_channels, *x.shape[1:])
@@ -264,7 +290,7 @@ class Conv2d(Layer):
         return toeplitz_conv(rows, self._w5(), self.stride, x.shape[2])
 
     def backward(self, dout):
-        x = self._cache
+        x = self._take()
         if self._pointwise:
             x3 = x.reshape(self.groups, -1, x[0].size)
             d3 = dout.reshape(self.groups, -1, x[0].size)
@@ -295,12 +321,12 @@ class DepthwiseConv2d(Layer):
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x, self.channels)
-        self._cache = x
+        self._stash(x)
         rows = _input_rows(x, self.channels, self.kernel, self.stride)
         return toeplitz_conv(rows, self.w[:, None, None], self.stride, x.shape[2])
 
     def backward(self, dout):
-        x = self._cache
+        x = self._take()
         rows = _input_rows(x, self.channels, self.kernel, self.stride)
         g_w5, dx = toeplitz_conv_backward(rows, self.w[:, None, None], dout, self.stride,
                                           x.shape[2])
@@ -343,13 +369,13 @@ class BatchNorm2d(Layer):
             x_hat = x2 - self.running_mean[:, None]
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat *= inv_std[:, None]
-        self._cache = (x_hat, inv_std, train)
+        self._stash((x_hat, inv_std, train))
         out = x_hat * self.gamma[:, None]
         out += self.beta[:, None]
         return out.reshape(x.shape)
 
     def backward(self, dout):
-        x_hat, inv_std, train = self._cache
+        x_hat, inv_std, train = self._take()
         d2 = dout.reshape(x_hat.shape)
         sum_d, sum_d_xhat = d2.sum(axis=1), np.vecdot(d2, x_hat)
         self.g_gamma += sum_d_xhat
@@ -369,15 +395,16 @@ class Swish(Layer):
     """x * sigmoid(x), the EfficientNet backbone activation."""
 
     def forward(self, x, train: bool = False):
-        self._sig = sigmoid(x)
-        self._y = x * self._sig
-        return self._y
+        s = sigmoid(x)
+        y = x * s
+        self._stash((s, y))
+        return y
 
     def backward(self, dout):
         # s + x s (1 - s) written as (1 - s) y + s with y = x s, so the
         # input need not be kept.
-        s = self._sig
-        return dout * ((1.0 - s) * self._y + s)
+        s, y = self._take()
+        return dout * ((1.0 - s) * y + s)
 
 
 def sigmoid(x):
@@ -407,11 +434,11 @@ class Linear(Layer):
             raise ShapeMismatch(
                 f"linear expects {self.in_features} features, got {x.shape[-1]}"
             )
-        self._x = x
+        self._stash(x)
         return x @ self.w.T + self.b
 
     def backward(self, dout):
-        x2 = self._x.reshape(-1, self.in_features)
+        x2 = self._take().reshape(-1, self.in_features)
         d2 = dout.reshape(-1, self.out_features)
         self.g_w += d2.T @ x2
         self.g_b += d2.sum(axis=0)
@@ -430,13 +457,15 @@ class Dropout(Layer):
 
     def forward(self, x, train: bool = False):
         if not train or self.p == 0.0:
-            self._mask = None
+            self._stash(None)
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = (self.rng.random(x.shape) < keep) / keep
+        self._stash(mask)
+        return x * mask
 
     def backward(self, dout):
-        if self._mask is None:
+        mask = self._take()
+        if mask is None:
             return dout
-        return dout * self._mask
+        return dout * mask

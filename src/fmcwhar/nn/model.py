@@ -48,10 +48,12 @@ def _grouped_backbone(cfg, branches):
     grouped = Backbone(cfg, groups=len(branches), rng=_Unset())
     for (_, layer), *parts in zip(grouped._layers(), *(b._layers() for b in branches)):
         names = layer._param_names + layer._buffer_names
+        for name in names:
+            np.concatenate([getattr(part, name) for _, part in parts], out=getattr(layer, name))
+        # The gradients are np.zeros on both sides: their pages stay
+        # untouched until a backward writes them.
         for name in names + ["g_" + n for n in layer._param_names]:
-            whole = getattr(layer, name)
-            np.concatenate([getattr(part, name) for _, part in parts], out=whole)
-            for (_, part), view in zip(parts, np.split(whole, len(parts))):
+            for (_, part), view in zip(parts, np.split(getattr(layer, name), len(parts))):
                 setattr(part, name, view)
     return grouped
 
@@ -98,6 +100,19 @@ class MultiDomainModel(Layer):
         maps = np.split(self._backbone.forward(np.concatenate(xs), train), len(xs))
         feats = [tail.forward(m, train) for tail, m in zip(self._tails, maps)]
         return self.fusion.forward(*feats, train)
+
+    def predict(self, x_rt, x_dt, x_rd):
+        """The logits of ``forward(..., train=False)``, bit for bit, from a
+        pass in which no layer stores a cache: memory follows the layer that
+        runs, and no backward can follow."""
+        layers = [layer for _, layer in (*self._layers(), *self._backbone._layers())]
+        for layer in layers:
+            layer.store_cache = False
+        try:
+            return self.forward(x_rt, x_dt, x_rd, train=False)
+        finally:
+            for layer in layers:
+                layer.store_cache = True
 
     def backward(self, dlogits):
         """Accumulates every parameter gradient; returns None, because the

@@ -49,11 +49,11 @@ class Lstm(Layer):
             h_next = o * tanh_c
             cache.append((x[:, t], h, c, i, f, g, o, tanh_c))
             h, c = h_next, c_next
-        self._cache = (x.shape, cache)
+        self._stash((x.shape, cache))
         return h
 
     def backward(self, dout):
-        x_shape, cache = self._cache
+        x_shape, cache = self._take()
         batch, steps, _ = x_shape
         hd = self.hidden_dim
         dx = np.zeros(x_shape)

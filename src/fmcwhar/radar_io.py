@@ -12,8 +12,9 @@ Two codecs are supported, selected by file extension:
 
 Both codecs work in bounded blocks. The ASCII parser cuts the raw bytes
 right after a ``\n`` once a block reaches ``_PARSE_BLOCK_BYTES``, so no
-entry straddles two blocks, and runs its translate-and-split pass on one
-block at a time. The writer yields the header, then the ASCII payload in
+entry straddles two blocks, and runs its translate-and-split pass, or
+the per-line rule where that pass cannot take the stream, on one block
+at a time. The writer yields the header, then the ASCII payload in
 blocks of ``_WRITE_BLOCK_ENTRIES`` entries or the binary payload as one
 view of the echo's buffer. ``write_dat`` joins the blocks once;
 ``save_recording`` writes them to a temporary sibling file that replaces
@@ -215,11 +216,24 @@ def _entries_bulk(raw: bytes) -> tuple[list[complex], np.ndarray] | None:
 
 def _entries_per_line(raw: bytes) -> tuple[list[complex], np.ndarray]:
     """The entries of an ASCII stream one line at a time: the definition of
-    the format, whose errors name their line."""
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise RadarIoError(f"not an ASCII recording: {exc}") from exc
+    the format, whose errors name their line.
+
+    It holds one ``_line_blocks`` block's text at a time. Every block ends a
+    line, so the running line numbers are the whole text's, and a non-ASCII
+    byte is reported at its place in the whole stream, before any line is
+    read, as a decode of the whole text would report it."""
+    if not raw.isascii():
+        offset = 0
+        for block in _line_blocks(raw):
+            try:
+                block.decode("ascii")
+            except UnicodeDecodeError as exc:
+                exc = UnicodeDecodeError(exc.encoding, raw, offset + exc.start,
+                                         offset + exc.end, exc.reason)
+                raise RadarIoError(f"not an ASCII recording: {exc}") from exc
+            offset += len(block)
+    lines = itertools.chain.from_iterable(
+        block.decode("ascii").splitlines() for block in _line_blocks(raw))
     entries = (_parse_complex_token(line, lineno)
                for lineno, line in enumerate(lines, start=1) if line.strip())
     return list(itertools.islice(entries, 4)), np.fromiter(entries, dtype=np.complex128)

@@ -277,7 +277,7 @@ def evaluate(model: MultiDomainModel, dataset, batch_size: int = 8) -> MetricsRe
     predicted = []
     for start in range(0, len(labels), batch_size):
         sl = slice(start, start + batch_size)
-        logits = model.forward(x_rt[sl], x_dt[sl], x_rd[sl], train=False)
+        logits = model.predict(x_rt[sl], x_dt[sl], x_rd[sl])
         predicted.extend(np.argmax(logits, axis=1))
     return MetricsReport.from_predictions(labels, predicted, model.cfg.num_classes)
 

@@ -25,6 +25,9 @@ per-class train/val/test partition; only tests use them.
 
 The per-branch model reference runs each branch's backbone on its own,
 as three passes, where the model runs them as one grouped pass.
+``layer_attributes`` lists the attribute names of every layer of a model,
+the grouped backbone's included, so a test can compare a used model with
+a freshly built one and find any forward state that outlived its use.
 
 The CBAM reference is the gate as it ran before the fused pass: each max
 pool keeps its argmax index, every pool gradient is scattered into a
@@ -288,6 +291,14 @@ def per_branch_forward(model, xs, train):
     feats = [getattr(model, name).forward(x.transpose(1, 0, 2, 3), train)
              for name, x in zip(BRANCHES, xs)]
     return model.fusion.forward(*feats, train)
+
+
+def layer_attributes(model):
+    """{(root, layer path): sorted attribute names} over every layer of the
+    model and of its grouped backbone."""
+    return {(root, prefix): sorted(vars(layer))
+            for root, top in (("model", model), ("grouped", model._backbone))
+            for prefix, layer in top._layers()}
 
 
 def per_branch_backward(model, dlogits):

@@ -13,8 +13,14 @@ from fmcwhar.nn import (
     Dropout,
     Layer,
     Linear,
+    Lstm,
+    MBConv,
+    NoForwardCache,
+    RdHead,
     Sequential,
+    SequenceReshape,
     ShapeMismatch,
+    SpatialAttention,
     Swish,
 )
 from fmcwhar.nn.gradcheck import run_gradcheck
@@ -29,14 +35,60 @@ def suite_passes(module):
 
 
 # Every layer that is built for C channels checks them through check_tensor4.
+CHANNEL_LAYERS = [Conv2d(3, 4, 3), DepthwiseConv2d(3, 3), BatchNorm2d(3), ChannelAttention(3)]
+
+
 @pytest.mark.parametrize("x", [np.zeros((2, 1, 8, 8)), np.zeros((3, 8, 8))],
                          ids=["channels", "ndim3"])
-@pytest.mark.parametrize("layer", [
-    Conv2d(3, 4, 3), DepthwiseConv2d(3, 3), BatchNorm2d(3), ChannelAttention(3),
-], ids=lambda layer: type(layer).__name__)
+@pytest.mark.parametrize("layer", CHANNEL_LAYERS, ids=lambda layer: type(layer).__name__)
 def test_channel_mismatch_raises(layer, x):
     with pytest.raises(ShapeMismatch, match=r"\(3, B, H, W\)"):
         layer.forward(x)
+
+
+MAP = (3, 2, 6, 6)
+# Every layer kind that keeps forward state, with an input shape it takes.
+CACHE_CASES = [pytest.param(layer, MAP, id=type(layer).__name__) for layer in CHANNEL_LAYERS] + [
+    pytest.param(layer, shape, id=name) for name, layer, shape in [
+        ("Conv2d_k1", Conv2d(3, 4, 1), MAP),
+        ("Swish", Swish(), MAP),
+        ("SpatialAttention", SpatialAttention(), MAP),
+        ("Cbam", Cbam(3), MAP),
+        ("MBConv", MBConv(3, 3, 3, 2, 1), MAP),
+        ("SequenceReshape", SequenceReshape(), MAP),
+        ("Linear", Linear(5, 4), (2, 5)),
+        ("Dropout", Dropout(0.5), (2, 5)),
+        ("Lstm", Lstm(5, 4), (2, 3, 5)),
+        ("RdHead", RdHead(5, 4), (2, 3, 5)),
+    ]]
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("layer, shape", CACHE_CASES)
+def test_backward_consumes_the_cache(layer, shape, train):
+    x = np.random.default_rng(0).standard_normal(shape)
+    dout = np.ones_like(layer.forward(x, train))
+    layer.backward(dout)
+    assert not any("_cache" in vars(part) for _, part in layer._layers())
+    with pytest.raises(NoForwardCache):
+        layer.backward(dout)
+
+
+@pytest.mark.parametrize("layer, shape", CACHE_CASES)
+def test_forward_without_store_cache_keeps_none(layer, shape):
+    x = np.random.default_rng(0).standard_normal(shape)
+    layer.forward(x, True)  # the cache of an earlier forward goes too
+    parts = [part for _, part in layer._layers()]
+    for part in parts:
+        part.store_cache = False
+    try:
+        dout = np.ones_like(layer.forward(x))
+        assert not any("_cache" in vars(part) for part in parts)
+        with pytest.raises(NoForwardCache):
+            layer.backward(dout)
+    finally:
+        for part in parts:
+            part.store_cache = True
 
 
 class TestConv:

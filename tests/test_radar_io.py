@@ -396,6 +396,20 @@ def test_ascii_parse_memory(toy_walk):
     assert peak <= 2.0 * echo.data.nbytes, peak / echo.data.nbytes
 
 
+# One bad last line, for each way a stream falls back to the per-line rule:
+# a parenthesized entry, an entry only the per-line rule reads, a garbage
+# entry, a non-ASCII byte.
+@pytest.mark.parametrize("bad_line", [b"(1+2i)\n", b"1+infi\n", b"3-4x\n", b"\xff\n"],
+                         ids=["paren", "inf", "garbage", "non_ascii"])
+def test_rejected_ascii_parse_memory(toy_walk, bad_line):
+    params, echo = toy_walk
+    raw = write_dat(params, echo, codec="ascii") + bad_line
+    outcome, peak = _traced_peak(_outcome, parse_dat, raw)
+    assert outcome == _outcome(parse_ascii_reference, raw)
+    assert issubclass(outcome[0], RadarIoError), outcome
+    assert peak <= 2.0 * echo.data.nbytes, peak / echo.data.nbytes
+
+
 @pytest.mark.parametrize("codec, bound", [("ascii", 2.5), ("binary", 1.5)])
 def test_write_memory(toy_walk, codec, bound):
     params, echo = toy_walk

@@ -1,7 +1,8 @@
 """Seeded commands are bit-reproducible across processes.
 
 The same command sequence (synth and parse of an ASCII recording, then
-synth, maps, augment and train-toy from a binary one) runs twice,
+synth, maps, augment and train-toy from a binary one, then eval of the
+trained checkpoint) runs twice,
 each command in a fresh ``python -m fmcwhar.cli`` process, under two
 different ``PYTHONHASHSEED`` values. Every output file must match byte
 for byte; only the manifests' ``wall_time_s`` may differ.
@@ -23,6 +24,7 @@ COMMANDS = [
     ["maps", "walk.datb", "--out", "maps", "--pgm"],
     ["augment", "maps/dt.smap", "--seed", "5", "--out", "aug/dt.smap"],
     ["train-toy", "--config", "train.json", "--out", "run"],
+    ["eval", "--ckpt", "run/checkpoint", "--data", "run/dataset", "--out", "evaluated"],
 ]
 TRAIN_CONFIG = {"epochs": 1, "samples_per_class": 1, "map_size": 32, "seed": 2}
 WALL_TIME = re.compile(rb'"wall_time_s": [-+.0-9eE]+')
@@ -52,7 +54,8 @@ def test_command_sequence_is_bit_identical_across_processes(tmp_path):
     first = run_sequence(tmp_path / "a", "1")
     second = run_sequence(tmp_path / "b", "2")
     assert {"walk.dat", "parsed/echo.datb", "walk.datb", "maps/rd.smap", "aug/dt.smap", "run/metrics.csv",
-            "run/checkpoint/manifest.json"} <= set(first)
+            "run/checkpoint/manifest.json", "evaluated/metrics.csv",
+            "evaluated/confusion.csv"} <= set(first)
     assert sorted(first) == sorted(second)
     differing = [name for name in first if first[name] != second[name]]
     assert not differing, f"{len(differing)} outputs differ between processes: {differing[:5]}"

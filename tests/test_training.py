@@ -285,6 +285,21 @@ def test_train_matches_a_loop_that_walks_the_model_each_step():
         np.testing.assert_array_equal(value, walked.buffers()[name], err_msg=name)
 
 
+def test_predict_matches_forward_on_the_trained_model(trained):
+    from oracles import layer_attributes
+
+    from fmcwhar.nn import MultiDomainModel
+    from fmcwhar.nn.config import preset
+
+    model, dataset, _ = trained
+    x = dataset[:3]
+    logits = model.predict(*x)
+    # predict leaves no cache, whatever ran on the model before it.
+    assert layer_attributes(model) == layer_attributes(
+        MultiDomainModel(preset("toy", in_channels=1), seed=2))
+    assert logits.tobytes() == model.forward(*x, train=False).tobytes()
+
+
 def test_checkpoint_logit_tolerance(trained, tmp_path):
     # Checkpoints store float32 and the model runs in float64, so a
     # reloaded model is close to the trained one but not identical. On
