@@ -192,12 +192,10 @@ def _front_end(echo: EchoMatrix, rt: bool, doppler: bool, rt_mti: bool = True):
     # need them, so no second full-size complex copy exists.
     profiles = range_profiles(echo, out=lanes[:, :n] if doppler else None)
     if rt:
-        mags = np.abs(profiles)
         packed = lanes[:, lanes.shape[1] - half:]
-        packed.real = mags[:, :half]
-        packed.imag[:, : n - half] = mags[:, half:]
+        np.abs(profiles[:, :half], out=packed.real)
+        np.abs(profiles[:, half:], out=packed.imag[:, : n - half])
         packed.imag[:, n - half:] = 0.0
-        del mags
     del profiles
     filtered = lanes if rt_mti or not rt else lanes[:, : lanes.shape[1] - half]
     if filtered.shape[1]:
@@ -292,11 +290,13 @@ def doppler_time_map(
     return (result, selections) if return_selection else result
 
 
-def _range_doppler(params: RadarParams, profiles: np.ndarray) -> SpectroMap:
+def _range_doppler(params: RadarParams, profiles: np.ndarray, out=None) -> SpectroMap:
+    """The RD map; ``out``, as in numpy, receives the slow-time DFT and
+    may be ``profiles`` itself once nothing else reads them."""
     n_c = profiles.shape[0]
     # dB before the shift: the shift only permutes, and it then copies
     # real values instead of complex ones.
-    doppler_db = dsp.log_magnitude(np.fft.fft(profiles, axis=0))
+    doppler_db = dsp.log_magnitude(np.fft.fft(profiles, axis=0, out=out))
     values = np.fft.fftshift(doppler_db, axes=0)  # (n_doppler, n_range)
     doppler_step = params.chirp_rate_hz / n_c
     return SpectroMap(
@@ -311,7 +311,7 @@ def _range_doppler(params: RadarParams, profiles: np.ndarray) -> SpectroMap:
 def range_doppler_map(echo: EchoMatrix) -> SpectroMap:
     """Range-Doppler map: slow-time DFT of the MTI-filtered range profiles."""
     profiles, _ = _front_end(echo, rt=False, doppler=True)
-    return _range_doppler(echo.params, profiles)
+    return _range_doppler(echo.params, profiles, out=profiles)
 
 
 def domain_maps(echo: EchoMatrix, mti: bool = True, domains=tuple(Domain)):
@@ -323,19 +323,26 @@ def domain_maps(echo: EchoMatrix, mti: bool = True, domains=tuple(Domain)):
     ``range_doppler_map(echo)``; ``mti`` applies to the RT map only, as
     there. Maps are built one at a time, so a caller can shrink or store
     each before the next exists.
+
+    The generator drops ``echo`` once the range FFT has read it, and the
+    RD map's slow-time DFT overwrites the profiles when no later map
+    reads them; the maps are the same either way.
     """
     domains = [Domain(d) for d in domains]
     doppler = any(d is not Domain.RANGE_TIME for d in domains)
     cfg = _astft_config(echo, None) if Domain.DOPPLER_TIME in domains else None
     profiles, packed = _front_end(echo, rt=Domain.RANGE_TIME in domains,
                                   doppler=doppler, rt_mti=mti)
-    for domain in domains:
+    params = echo.params
+    del echo
+    for i, domain in enumerate(domains):
         if domain is Domain.RANGE_TIME:
-            yield _range_time(echo.params, packed)
+            yield _range_time(params, packed)
         elif domain is Domain.DOPPLER_TIME:
-            yield _doppler_time(echo.params, profiles, cfg)[0]
+            yield _doppler_time(params, profiles, cfg)[0]
         else:
-            yield _range_doppler(echo.params, profiles)
+            reread = any(d is not Domain.RANGE_TIME for d in domains[i + 1:])
+            yield _range_doppler(params, profiles, out=None if reread else profiles)
 
 
 def resize_bilinear(spectro: SpectroMap, out_h: int, out_w: int) -> SpectroMap:

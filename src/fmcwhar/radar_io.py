@@ -23,6 +23,7 @@ the target only when every block is written.
 
 from __future__ import annotations
 
+import io
 import itertools
 import numbers
 import os
@@ -349,7 +350,11 @@ def _encode_blocks(params: RadarParams, echo: EchoMatrix, codec: str) -> Iterabl
 
 def write_dat(params: RadarParams, echo: EchoMatrix, codec: str = "ascii") -> bytes:
     """Serialize a recording; parse_dat(write_dat(p, e)) reproduces both values."""
-    return b"".join(_encode_blocks(params, echo, codec))
+    # Each block goes into the buffer as it is formatted, and getvalue()
+    # hands that buffer over: no list of blocks beside a joined copy.
+    out = io.BytesIO()
+    out.writelines(_encode_blocks(params, echo, codec))
+    return out.getvalue()
 
 
 def codec_for_path(path) -> str:

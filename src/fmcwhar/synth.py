@@ -29,6 +29,9 @@ from .radar_io import EchoMatrix, RadarParams, SPEED_OF_LIGHT
 
 RNG_ALGORITHM = "philox4x64"
 
+# Samples per render block of ``generate``: 256 KiB of complex output.
+_RENDER_BLOCK_SAMPLES = 1 << 14
+
 
 class SynthError(ValueError):
     pass
@@ -160,11 +163,18 @@ def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
     a * exp(j(2 pi f_b t_m - 4 pi R(t_n) / lambda)) with beat frequency
     f_b = 2 k R(t_n) / c. The analytic (complex-exponential) signal keeps
     the Doppler sign recoverable.
+
+    Scatterers render in blocks of whole chirps of about
+    ``_RENDER_BLOCK_SAMPLES`` samples, so the phase and exponential
+    temporaries stay block-sized. Noise draws every real part, then
+    every imaginary part, one block at a time into one reused buffer.
     """
     n_c = scene.n_chirps(params)
     n_s = params.samples_per_chirp
     t_chirp = np.arange(n_c) * params.chirp_duration_s
     t_fast = np.arange(n_s) / params.sample_rate_hz
+    rows = max(1, _RENDER_BLOCK_SAMPLES // n_s)
+    blocks = [slice(start, start + rows) for start in range(0, n_c, rows)]
 
     data = np.zeros((n_c, n_s), dtype=np.complex128)
     k_slope = params.chirp_slope_hz_per_s
@@ -176,15 +186,21 @@ def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
                 f"scatterer starting at {sc.r0_m} m reached R <= 0 during the scene"
             )
         f_beat = 2.0 * k_slope * r / SPEED_OF_LIGHT
-        phase = (2.0 * math.pi) * f_beat[:, None] * t_fast[None, :] \
-            - (4.0 * math.pi / lam) * r[:, None]
-        data += sc.amplitude * np.exp(1j * phase)
+        for block in blocks:
+            phase = (2.0 * math.pi) * f_beat[block, None] * t_fast[None, :] \
+                - (4.0 * math.pi / lam) * r[block, None]
+            data[block] += sc.amplitude * np.exp(1j * phase)
 
     if scene.noise_std > 0:
         rng = seeded_rng(scene.seed)
-        data += scene.noise_std * (
-            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
-        )
+        draws = np.empty((rows, n_s))
+        for part in (data.real, data.imag):
+            for block in blocks:
+                target = part[block]
+                drawn = draws[: len(target)]
+                rng.standard_normal(out=drawn)
+                drawn *= scene.noise_std
+                target += drawn
 
     return EchoMatrix(params=params, data=data)
 

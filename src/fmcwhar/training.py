@@ -193,18 +193,23 @@ def min_max_normalize(values: np.ndarray) -> np.ndarray:
 
 
 def maps_for_echo(echo, map_size: int):
-    """The three resized domain maps of one echo, in rt/dt/rd order."""
+    """The three resized domain maps of one echo, in rt/dt/rd order.
+
+    Holds the echo no longer than ``domain_maps`` does: a caller that
+    keeps no reference of its own frees it after the range FFT.
+    """
+    maps = dm.domain_maps(echo)
+    del echo
     # map() drops each full-size map before the next one is built.
-    return list(map(lambda m: dm.resize_bilinear(m, map_size, map_size),
-                    dm.domain_maps(echo)))
+    return list(map(lambda m: dm.resize_bilinear(m, map_size, map_size), maps))
 
 
 def _render_samples(samples_per_class: int, seed: int, map_size: int):
     for label, kind in enumerate(synth.ActivityKind):
         for i in range(samples_per_class):
             scene = synth.activity_template(kind, seed=seed * 1000 + label * 100 + i)
-            echo = synth.generate(scene, TOY_RADAR_PARAMS)
-            yield f"{kind.value}_{i:03d}", label, maps_for_echo(echo, map_size)
+            yield (f"{kind.value}_{i:03d}", label,
+                   maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), map_size))
 
 
 def save_toy_dataset(out_dir, samples_per_class: int, seed: int,

@@ -40,12 +40,21 @@ pass: every non-blank line goes through its own ``complex()`` call. The
 writer reference is ``write_dat`` as it ran before the block writer: the
 whole ASCII text is formatted as one list of lines, and the binary payload
 is interleaved into a float64 copy.
+
+The synth reference is ``synth.generate`` as it ran before the block
+render: each scatterer's phase, exponential and product are full-size
+(n_chirps, samples_per_chirp) arrays, and the noise is drawn as two
+full-size normal arrays, the real parts first.
+
+``_traced_peak`` is the one ``tracemalloc`` probe behind the memory
+guards: it reports the peak bytes a call allocated while it ran.
 """
 
 import cmath
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -451,3 +460,43 @@ def write_dat_reference(params, echo, codec="ascii"):
     interleaved[0::2] = flat.real
     interleaved[1::2] = flat.imag
     return head + interleaved.tobytes()
+
+
+def generate_reference(scene, params):
+    """``synth.generate`` in one piece, without render blocks."""
+    n_c = scene.n_chirps(params)
+    n_s = params.samples_per_chirp
+    t_chirp = np.arange(n_c) * params.chirp_duration_s
+    t_fast = np.arange(n_s) / params.sample_rate_hz
+
+    data = np.zeros((n_c, n_s), dtype=np.complex128)
+    k_slope = params.chirp_slope_hz_per_s
+    lam = params.wavelength_m
+    for sc in scene.scatterers:
+        r = sc.range_at(t_chirp)
+        if np.any(r <= 0):
+            raise synth.RangeWentNonpositive(
+                f"scatterer starting at {sc.r0_m} m reached R <= 0 during the scene"
+            )
+        f_beat = 2.0 * k_slope * r / SPEED_OF_LIGHT
+        phase = (2.0 * math.pi) * f_beat[:, None] * t_fast[None, :] \
+            - (4.0 * math.pi / lam) * r[:, None]
+        data += sc.amplitude * np.exp(1j * phase)
+
+    if scene.noise_std > 0:
+        rng = synth.seeded_rng(scene.seed)
+        data += scene.noise_std * (
+            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
+        )
+
+    return EchoMatrix(params=params, data=data)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran. ``fn`` may
+    call ``tracemalloc.reset_peak()`` to leave its set-up out of the peak."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

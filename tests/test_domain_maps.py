@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,29 @@ class TestSharedFrontEnd:
         assert [m.domain for m in maps] == [dm.Domain.RANGE_DOPPLER, dm.Domain.RANGE_TIME]
         assert_same_map(maps[0], dm.range_doppler_map(echo))
         assert_same_map(maps[1], dm.range_time_map(echo, mti=False))
+
+    @pytest.fixture(scope="class")
+    def echo_and_maps(self):
+        params = RadarParams(5.8e9, 1e-3, 37, 4e8)
+        full = synth.generate(synth.activity_template("pick", seed=4), params)
+        echo = EchoMatrix(params=params, data=full.data[:512])
+        single = {(d, mti): next(dm.domain_maps(echo, mti=mti, domains=[d]))
+                  for d in ("rt", "dt", "rd") for mti in (True, False)}
+        return echo, single
+
+    # The RD map's slow-time DFT runs in place only when no later map
+    # reads the profiles; no order may let it feed the DT map.
+    @pytest.mark.parametrize("domains", [
+        order for r in (1, 2, 3) for order in itertools.permutations(("rt", "dt", "rd"), r)
+    ], ids="-".join)
+    def test_every_order_and_subset_gives_the_same_maps(self, echo_and_maps, domains):
+        echo, single = echo_and_maps
+        for mti in (True, False):
+            maps = list(dm.domain_maps(echo, mti=mti, domains=domains))
+            assert [m.domain.value for m in maps] == list(domains)
+            for d, got in zip(domains, maps):
+                assert_same_map(got, single[d, mti])
+                assert got.values.tobytes() == single[d, mti].values.tobytes()
 
     def test_one_range_fft_and_one_filter_pass(self, monkeypatch):
         calls = {"iir_filter": 0, "range_profiles": 0}

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import layer_attributes, per_branch_backward, per_branch_forward
+from oracles import _traced_peak, layer_attributes, per_branch_backward, per_branch_forward
 
 from fmcwhar import nn
 from fmcwhar.nn import (
@@ -102,16 +102,16 @@ STEP_PEAK_RATIO = 1.10
 def test_train_step_backward_peak_stays_near_the_forward_cache():
     model = MultiDomainModel(preset("toy", input_hw=64, in_channels=1), seed=0)
     x = tuple(np.random.default_rng(0).random((8, 1, 64, 64)) for _ in range(3))
-    tracemalloc.start()
-    try:
+
+    def step():
         logits = model.forward(*x, train=True)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         _, dlogits = cross_entropy(logits, np.arange(8) % 6)
         model.backward(dlogits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return held
+
+    held, peak = _traced_peak(step)
     assert peak <= STEP_PEAK_RATIO * held, peak / held
 
 

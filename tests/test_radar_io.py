@@ -1,6 +1,5 @@
 import os
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from fmcwhar.radar_io import (
     parse_dat,
     write_dat,
 )
-from oracles import parse_ascii_reference, write_dat_reference
+from oracles import _traced_peak, parse_ascii_reference, write_dat_reference
 
 GLASGOW = RadarParams(5.8e9, 1e-3, 128, 4e8)
 
@@ -379,15 +378,6 @@ def toy_walk():
     return params, synth.generate(synth.activity_template("walk", seed=3), params)
 
 
-def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes it allocated while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_ascii_parse_memory(toy_walk):
     params, echo = toy_walk
     raw = write_dat(params, echo, codec="ascii")
@@ -410,7 +400,7 @@ def test_rejected_ascii_parse_memory(toy_walk, bad_line):
     assert peak <= 2.0 * echo.data.nbytes, peak / echo.data.nbytes
 
 
-@pytest.mark.parametrize("codec, bound", [("ascii", 2.5), ("binary", 1.5)])
+@pytest.mark.parametrize("codec, bound", [("ascii", 1.5), ("binary", 1.5)])
 def test_write_memory(toy_walk, codec, bound):
     params, echo = toy_walk
     raw, peak = _traced_peak(write_dat, params, echo, codec)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import _traced_peak, generate_reference
 
 from fmcwhar import synth
 from fmcwhar.radar_io import RadarParams, SPEED_OF_LIGHT
@@ -56,6 +57,43 @@ def test_determinism_bit_identical():
     e1 = generate(scene, PARAMS)
     e2 = generate(scene, PARAMS)
     np.testing.assert_array_equal(e1.data, e2.data)
+
+
+class TestBlockRender:
+    """``generate`` renders in chirp blocks; its echoes must equal the
+    one-piece reference byte for byte."""
+
+    @pytest.mark.parametrize("n_s", [128, 37])
+    @pytest.mark.parametrize("kind", list(ActivityKind), ids=lambda k: k.value)
+    def test_templates_match_reference(self, kind, n_s):
+        params = RadarParams(5.8e9, 1e-3, n_s, 4e8)
+        for seed in (1, 2, 3):
+            scene = activity_template(kind, seed)
+            assert generate(scene, params).data.tobytes() == \
+                generate_reference(scene, params).data.tobytes()
+
+    # 37 samples make blocks of 442 chirps, so 1000 chirps end in a part
+    # block; one sample above the block size makes one-chirp blocks.
+    @pytest.mark.parametrize("n_s, n_chirps", [(37, 1000),
+                                               (synth._RENDER_BLOCK_SAMPLES + 1, 3)])
+    def test_block_edges_match_reference(self, n_s, n_chirps):
+        params = RadarParams(5.8e9, 1e-3, n_s, 4e8)
+        scene = Scene(scatterers=(Scatterer(2.0, 0.7),
+                                  Scatterer(5.0, ((0.0, -1.2), (0.002, 0.4)), amplitude=0.5)),
+                      duration_s=n_chirps * 1e-3, noise_std=0.05, seed=9)
+        assert generate(scene, params).data.tobytes() == \
+            generate_reference(scene, params).data.tobytes()
+
+
+# Peak traced bytes of one toy render, as a multiple of the echo's own
+# bytes. Measured: 3.55 with full-size phase, exponential and noise
+# arrays; 1.18 rendering in blocks.
+GENERATE_PEAK_RATIO = 2.0
+
+
+def test_generate_peak_memory():
+    echo, peak = _traced_peak(generate, activity_template("walk", seed=3), PARAMS)
+    assert peak <= GENERATE_PEAK_RATIO * echo.data.nbytes, peak / echo.data.nbytes
 
 
 def test_range_went_nonpositive():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import TooFewSamples, adam_reference, stratified_split
+from oracles import TooFewSamples, _traced_peak, adam_reference, stratified_split
 
 from fmcwhar.training import (
     AdamState,
@@ -348,3 +348,35 @@ def test_dataset_save_load_round_trip(tmp_path):
         for loaded, spectro in zip((x_rt, x_dt, x_rd), maps):
             np.testing.assert_allclose(loaded[label, 0], min_max_normalize(spectro.values),
                                        atol=1e-6)
+
+
+# Peak traced bytes of the render chain, as multiples of one toy echo's
+# bytes. Measured: 4.05 and 4.58 while the echo lived beside the maps'
+# working set; 2.73 and 2.73 with the echo freed after the range FFT.
+MAPS_FOR_ECHO_PEAK_RATIO = 3.0
+TOY_DATASET_PEAK_RATIO = 3.0
+
+
+def _toy_echo_bytes():
+    from fmcwhar import synth
+    from fmcwhar.training import TOY_RADAR_PARAMS
+
+    n_chirps = synth.activity_template("walk", seed=3).n_chirps(TOY_RADAR_PARAMS)
+    return n_chirps * TOY_RADAR_PARAMS.samples_per_chirp * np.dtype(complex).itemsize
+
+
+def test_maps_for_echo_peak_memory():
+    from fmcwhar import synth
+    from fmcwhar.training import TOY_RADAR_PARAMS, maps_for_echo
+
+    scene = synth.activity_template("walk", seed=3)
+    _, peak = _traced_peak(
+        lambda: maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), 64))
+    assert peak <= MAPS_FOR_ECHO_PEAK_RATIO * _toy_echo_bytes(), peak / _toy_echo_bytes()
+
+
+def test_toy_dataset_peak_memory(tmp_path):
+    from fmcwhar.training import save_toy_dataset
+
+    _, peak = _traced_peak(save_toy_dataset, tmp_path / "ds", 1, 5, 64)
+    assert peak <= TOY_DATASET_PEAK_RATIO * _toy_echo_bytes(), peak / _toy_echo_bytes()
