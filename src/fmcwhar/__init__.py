@@ -3,12 +3,12 @@
 Subpackages and modules:
 
 - ``radar_io``: raw recording parsing and lossless writing (.dat / .datb)
-- ``dsp``: DFT, window functions, Butterworth high-pass design, filtering
+- ``dsp``: Gaussian windows, Butterworth high-pass design, IIR filtering
 - ``domain_maps``: Range-Time, Doppler-Time and Range-Doppler spectrograms
 - ``synth``: point-scatterer echo synthesis, the oracle for all DSP tests
 - ``augment``: power-stratified Gaussian noise injection on spectrograms
 - ``nn``: from-scratch network building blocks with exact backward passes
-- ``training``: Adam loop, cross-entropy, splits and metrics
+- ``training``: the toy dataset, Adam loop, cross-entropy and metrics
 - ``cli``: command-line front door
 """
 

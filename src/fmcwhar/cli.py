@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .nn.counting import (
     count_params,
     count_se_baseline,
 )
-from .nn.gradcheck import DEFAULT_TOLERANCE, MODULE_GROUPS, run_gradcheck
+from .nn.gradcheck import DEFAULT_TOLERANCE, GROUPS, run_gradcheck
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -48,36 +48,22 @@ class CliInputError(ValueError):
     pass
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    seeds: dict
-    inputs: list
-    outputs: list
-    tool_version: str
-    wall_time_s: float
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-
-
-def _config_hash(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _manifest(command, args_payload, seeds, inputs, outputs, started) -> RunManifest:
-    return RunManifest(
-        command=command,
-        config_hash=_config_hash(args_payload),
-        seeds=seeds,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        tool_version=__version__,
-        wall_time_s=round(time.time() - started, 3),
-    )
+def _write_manifest(path, command, config, seeds, inputs, outputs, started, **extra) -> None:
+    """Write a run manifest: the hash of ``config``, seeds, paths, tool
+    version and wall time, then each ``extra`` section in order."""
+    canonical = json.dumps(config, sort_keys=True, default=str)
+    manifest = {
+        "command": command,
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
+        "seeds": seeds,
+        "inputs": [str(p) for p in inputs],
+        "outputs": [str(p) for p in outputs],
+        "tool_version": __version__,
+        "wall_time_s": round(time.time() - started, 3),
+        **extra,
+    }
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2)
 
 
 def _cmd_parse(args) -> int:
@@ -87,10 +73,7 @@ def _cmd_parse(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     header = {
-        "carrier_freq_hz": params.carrier_freq_hz,
-        "chirp_duration_s": params.chirp_duration_s,
-        "samples_per_chirp": params.samples_per_chirp,
-        "bandwidth_hz": params.bandwidth_hz,
+        **asdict(params),
         "sample_rate_hz": params.sample_rate_hz,
         "chirp_slope_hz_per_s": params.chirp_slope_hz_per_s,
         "wavelength_m": params.wavelength_m,
@@ -112,8 +95,8 @@ def _cmd_parse(args) -> int:
     dm.save_spectro_map(magnitude, out_dir / "raw_magnitude.smap")
 
     outputs = ["header.json", "echo.datb", "raw_magnitude.smap", "raw_magnitude.json"]
-    _manifest("parse", {"input": args.input}, {}, [args.input],
-              [out_dir / o for o in outputs], started).write(out_dir / "manifest.json")
+    _write_manifest(out_dir / "manifest.json", "parse", {"input": args.input}, {},
+                    [args.input], [out_dir / o for o in outputs], started)
     print(f"parsed {args.input}: {echo.n_chirps} chirps x "
           f"{params.samples_per_chirp} samples, {discarded} entries discarded")
     return EXIT_OK
@@ -130,19 +113,18 @@ def _radar_params_from(args) -> radar_io.RadarParams:
 
 def _cmd_synth(args) -> int:
     started = time.time()
+    params = _radar_params_from(args)
+    scene = synth.activity_template(args.kind, args.seed)
+    echo = synth.generate(scene, params)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    scene = synth.activity_template(args.kind, args.seed)
-    params = _radar_params_from(args)
-    echo = synth.generate(scene, params)
     radar_io.save_recording(out_path, params, echo)
     scene_path = out_path.with_suffix(out_path.suffix + ".scene.json")
     scene_path.write_text(scene.to_json())
 
     payload = {"kind": args.kind, "seed": args.seed, "params": asdict(params)}
-    _manifest("synth", payload, {"scene_seed": args.seed}, [],
-              [out_path, scene_path], started).write(
-        out_path.with_suffix(out_path.suffix + ".manifest.json"))
+    _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "synth",
+                    payload, {"scene_seed": args.seed}, [], [out_path, scene_path], started)
     print(f"wrote {out_path} ({echo.n_chirps} chirps) and {scene_path.name}")
     return EXIT_OK
 
@@ -150,19 +132,23 @@ def _cmd_synth(args) -> int:
 def _cmd_maps(args) -> int:
     started = time.time()
     domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    unknown = set(domains) - {"rt", "dt", "rd"}
+    unknown = set(domains) - set(training.DOMAIN_KEYS)
     if unknown:
         raise CliInputError(f"unknown domains {sorted(unknown)}; use rt, dt, rd")
     if not domains or len(set(domains)) != len(domains):
         raise CliInputError(
             f"--domains must list rt, dt or rd, each at most once, got {args.domains!r}")
 
-    _, echo, _ = radar_io.load_recording(args.input)
+    # No reference to the echo is kept here, so the maps free it after the
+    # range FFT; the first map is built, and a bad recording rejected,
+    # before --out exists.
+    maps = dm.domain_maps(radar_io.load_recording(args.input).echo,
+                          mti=not args.no_mti, domains=domains)
+    spectro = next(maps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for key, spectro in zip(domains, dm.domain_maps(echo, mti=not args.no_mti,
-                                                     domains=domains)):
+    for key in domains:
         path = out_dir / f"{key}.smap"
         dm.save_spectro_map(spectro, path)
         outputs += [path, out_dir / f"{key}.json"]
@@ -170,10 +156,11 @@ def _cmd_maps(args) -> int:
             pgm = out_dir / f"{key}.pgm"
             dm.write_pgm(spectro, pgm)
             outputs.append(pgm)
+        spectro = next(maps, None)
 
-    _manifest("maps", {"input": args.input, "domains": domains,
-                       "no_mti": args.no_mti, "pgm": args.pgm},
-              {}, [args.input], outputs, started).write(out_dir / "manifest.json")
+    _write_manifest(out_dir / "manifest.json", "maps",
+                    {"input": args.input, "domains": domains, "no_mti": args.no_mti,
+                     "pgm": args.pgm}, {}, [args.input], outputs, started)
     print(f"wrote {len(outputs)} files to {out_dir}")
     return EXIT_OK
 
@@ -190,10 +177,9 @@ def _cmd_augment(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     dm.save_spectro_map(noised, out_path)
 
-    _manifest("augment", {"input": args.input, "policy": json.loads(policy.to_json())},
-              {"noise_seed": policy.seed}, [args.input],
-              [out_path], started).write(
-        out_path.with_suffix(out_path.suffix + ".manifest.json"))
+    _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "augment",
+                    {"input": args.input, "policy": asdict(policy)},
+                    {"noise_seed": policy.seed}, [args.input], [out_path], started)
     print(f"wrote {out_path} (seed {policy.seed})")
     return EXIT_OK
 
@@ -205,18 +191,14 @@ def _cmd_train_toy(args) -> int:
            if args.config else training.TrainConfig())
     summary = training.run_toy_training(cfg, out_dir)
 
-    manifest = _manifest(
-        "train-toy", json.loads(cfg.to_json()), {"train_seed": cfg.seed},
+    _write_manifest(
+        out_dir / "manifest.json", "train-toy", asdict(cfg), {"train_seed": cfg.seed},
         [args.config] if args.config else [],
         [out_dir / name for name in
          ("dataset", "metrics.csv", "train_metrics.csv", "train_confusion.csv",
           "checkpoint")],
-        started,
+        started, summary=summary,
     )
-    payload = asdict(manifest)
-    payload["summary"] = summary
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
     print(f"train accuracy {summary['train_accuracy']:.3f} after "
           f"{summary['epochs']} epochs "
           f"(loss {summary['first_epoch_loss']:.4f} -> {summary['final_loss']:.4f})")
@@ -232,10 +214,9 @@ def _cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_csv(out_dir / "metrics.csv", out_dir / "confusion.csv")
 
-    _manifest("eval", {"ckpt": args.ckpt, "data": args.data}, {},
-              [args.ckpt, args.data],
-              [out_dir / "metrics.csv", out_dir / "confusion.csv"],
-              started).write(out_dir / "manifest.json")
+    _write_manifest(out_dir / "manifest.json", "eval", {"ckpt": args.ckpt, "data": args.data},
+                    {}, [args.ckpt, args.data],
+                    [out_dir / "metrics.csv", out_dir / "confusion.csv"], started)
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"on {int(report.confusion.sum())} samples")
     return EXIT_OK
@@ -354,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     p.add_argument("--module", default="all",
-                   choices=sorted(MODULE_GROUPS))
+                   choices=sorted(["all", *GROUPS]))
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

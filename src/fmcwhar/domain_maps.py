@@ -77,8 +77,11 @@ class Axis:
 
     def __post_init__(self):
         for value in (self.start, self.step):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainMapError(f"axis start and step must be numbers, got {value!r}")
+            # The chained comparison is False for NaN, and exact for any int.
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -np.inf < value < np.inf):
+                raise DomainMapError(
+                    f"axis start and step must be finite numbers, got {value!r}")
         if not self.step > 0:
             raise DomainMapError(f"axis step must be > 0, got {self.step}")
 

@@ -75,7 +75,7 @@ class IirCoeffs:
         object.__setattr__(self, "a", a)
 
 
-def butterworth_highpass(order: int = 4, cutoff_norm: float = 0.0075) -> IirCoeffs:
+def butterworth_highpass(order: int, cutoff_norm: float) -> IirCoeffs:
     """Digital Butterworth high-pass via analog prototype + bilinear transform.
 
     ``cutoff_norm`` is the -3 dB frequency as a fraction of Nyquist. The

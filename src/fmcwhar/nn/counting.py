@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .attention import CBAM_REDUCTION, SPATIAL_KERNEL, mlp_width
 from .config import BlockSpec, ModelConfig, block_plan
+from .model import BRANCHES
 
 # Audit targets: published totals for the full-scale three-branch network
 # (params / MAC-FLOPs) and the trainable count of one stock single-branch
@@ -100,11 +101,10 @@ def _network_tallies(cfg: ModelConfig) -> list[tuple[str, _Tally]]:
     """(module, tally) for every part of the three-branch network; a
     module's parts add up, each backbone being many parts."""
     backbone = [tally for _, tally in _backbone_tallies(cfg, se=False)]
-    tallies = [(f"{branch}.backbone", tally) for branch in ("rt", "dt", "rd")
-               for tally in backbone]
+    tallies = [(f"{branch}.backbone", tally) for branch in BRANCHES for tally in backbone]
     # The RD head and each fusion input share the LSTM hidden width.
     steps, hidden = cfg.feature_hw, cfg.lstm_hidden
-    for branch in ("rt", "dt"):
+    for branch in BRANCHES[:2]:  # RT and DT; RD has the linear+max head
         lstm = _Tally()
         # Each step maps its input and the last hidden state to four gates.
         lstm.dense(cfg.lstm_feature_dim(), 4 * hidden, bias=True, calls=steps)

@@ -255,59 +255,28 @@ def _case_cross_entropy(rng):
     return Layer(), logits, fwd, bwd
 
 
-CASES = {
-    "conv": _case_conv,
-    "conv_pointwise": _case_conv_pointwise,
-    "conv_stride1": _case_conv_stride1,
-    "conv_grouped": _case_conv_grouped,
-    "conv_grouped_pointwise": _case_conv_grouped_pointwise,
-    "depthwise": _case_depthwise,
-    "batchnorm": _case_batchnorm,
-    "batchnorm_train": _case_batchnorm_train,
-    "swish": _case_swish,
-    "linear": _case_linear,
-    "cbam_channel": _case_cbam_channel,
-    "cbam_spatial": _case_cbam_spatial,
-    "cbam": _case_cbam,
-    "cbam_grouped": _case_cbam_grouped,
-    "mbconv": _case_mbconv,
-    "mbconv_stride2": _case_mbconv_stride2,
-    "mbconv_grouped": _case_mbconv_grouped,
-    "lstm": _case_lstm,
-    "sequence_reshape": _case_sequence_reshape,
-    "sequence_reshape_pooled": _case_sequence_reshape_pooled,
-    "rd_head": _case_rd_head,
-    "fusion": _case_fusion,
-    "cross_entropy": _case_cross_entropy,
-}
-
-MODULE_GROUPS = {
-    "all": list(CASES),
-    "conv": ["conv", "conv_pointwise", "conv_stride1", "conv_grouped",
-             "conv_grouped_pointwise", "depthwise"],
-    "bn": ["batchnorm", "batchnorm_train"],
-    "activations": ["swish"],
-    "cbam": ["cbam_channel", "cbam_spatial", "cbam", "cbam_grouped"],
-    "mbconv": ["mbconv", "mbconv_stride2", "mbconv_grouped"],
-    "lstm": ["lstm"],
-    "heads": ["sequence_reshape", "sequence_reshape_pooled", "rd_head", "fusion"],
-    "loss": ["cross_entropy"],
+# Each case in exactly one group; ``run_gradcheck("all")`` runs every group.
+GROUPS = {
+    "conv": {"conv": _case_conv, "conv_pointwise": _case_conv_pointwise,
+             "conv_stride1": _case_conv_stride1, "conv_grouped": _case_conv_grouped,
+             "conv_grouped_pointwise": _case_conv_grouped_pointwise,
+             "depthwise": _case_depthwise},
+    "bn": {"batchnorm": _case_batchnorm, "batchnorm_train": _case_batchnorm_train},
+    "activations": {"swish": _case_swish},
+    "cbam": {"cbam_channel": _case_cbam_channel, "cbam_spatial": _case_cbam_spatial,
+             "cbam": _case_cbam, "cbam_grouped": _case_cbam_grouped},
+    "mbconv": {"mbconv": _case_mbconv, "mbconv_stride2": _case_mbconv_stride2,
+               "mbconv_grouped": _case_mbconv_grouped},
+    "lstm": {"lstm": _case_lstm},
+    "heads": {"linear": _case_linear, "sequence_reshape": _case_sequence_reshape,
+              "sequence_reshape_pooled": _case_sequence_reshape_pooled,
+              "rd_head": _case_rd_head, "fusion": _case_fusion},
+    "loss": {"cross_entropy": _case_cross_entropy},
 }
 
 
 def run_gradcheck(module: str = "all") -> list[GradCheckResult]:
-    """Run the finite-difference suite for one module group (or everything)."""
-    if module in MODULE_GROUPS:
-        names = MODULE_GROUPS[module]
-    elif module in CASES:
-        names = [module]
-    else:
-        raise KeyError(
-            f"unknown gradcheck module {module!r}; "
-            f"choose from {sorted(set(MODULE_GROUPS) | set(CASES))}"
-        )
-    results = []
-    for name in names:
-        built = CASES[name](np.random.default_rng(7))
-        results.append(check_layer(name, *built))
-    return results
+    """Run the finite-difference suite for one group of ``GROUPS``, or "all"."""
+    groups = GROUPS.values() if module == "all" else [GROUPS[module]]
+    return [check_layer(name, *build(np.random.default_rng(7)))
+            for cases in groups for name, build in cases.items()]

@@ -50,7 +50,7 @@ class RdHead(Layer):
     Gradient at a tie goes to the lowest time index (argmax convention).
     """
 
-    def __init__(self, input_dim, output_dim=128, rng=None):
+    def __init__(self, input_dim, output_dim, rng=None):
         super().__init__()
         self.register_child("linear", Linear(input_dim, output_dim, rng=rng))
 

@@ -135,26 +135,6 @@ class Scene:
         }
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scene":
-        payload = json.loads(text)
-        scatterers = tuple(
-            Scatterer(
-                r0_m=sc["r0_m"],
-                velocity_mps=sc["velocity_mps"]
-                if isinstance(sc["velocity_mps"], (int, float))
-                else tuple(tuple(seg) for seg in sc["velocity_mps"]),
-                amplitude=sc.get("amplitude", 1.0),
-            )
-            for sc in payload["scatterers"]
-        )
-        return cls(
-            scatterers=scatterers,
-            duration_s=payload["duration_s"],
-            noise_std=payload.get("noise_std", 0.0),
-            seed=payload.get("seed", 0),
-        )
-
 
 def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
     """Render a scene into an echo matrix.

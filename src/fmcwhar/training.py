@@ -182,7 +182,7 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # Toy dataset: synthetic scenes -> three map domains -> normalized tensors.
 
-DOMAIN_KEYS = ("rt", "dt", "rd")
+DOMAIN_KEYS = tuple(d.value for d in dm.Domain)
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:
@@ -212,8 +212,7 @@ def _render_samples(samples_per_class: int, seed: int, map_size: int):
                    maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), map_size))
 
 
-def save_toy_dataset(out_dir, samples_per_class: int, seed: int,
-                     map_size: int = 64) -> Path:
+def save_toy_dataset(out_dir, samples_per_class: int, seed: int, map_size: int) -> Path:
     """Render the toy dataset to disk as .smap triplets plus an index."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -355,7 +354,7 @@ def run_toy_training(cfg: TrainConfig, out_dir) -> dict:
     report = evaluate(model, dataset, cfg.batch_size)
     report.write_csv(out_dir / "train_metrics.csv", out_dir / "train_confusion.csv")
     save_checkpoint(out_dir / "checkpoint", model,
-                    extra={"train_config": json.loads(cfg.to_json())})
+                    extra={"train_config": asdict(cfg)})
 
     return {
         "final_loss": history[-1].loss,
