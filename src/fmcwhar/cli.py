@@ -66,6 +66,14 @@ def _write_manifest(path, command, config, seeds, inputs, outputs, started, **ex
         json.dump(manifest, fh, indent=2)
 
 
+def _read_record(path, cls, error):
+    """The ``cls`` record spelled out by the JSON object in the file at ``path``."""
+    try:
+        return cls(**json.loads(Path(path).read_text()))
+    except TypeError as exc:  # not an object, or unknown keys
+        raise error(f"{path}: bad {cls.__name__}: {exc}") from exc
+
+
 def _cmd_parse(args) -> int:
     started = time.time()
     params, echo, discarded = radar_io.load_recording(args.input)
@@ -168,7 +176,7 @@ def _cmd_maps(args) -> int:
 def _cmd_augment(args) -> int:
     started = time.time()
     out_path = Path(args.out)
-    policy = (augment_mod.AugmentPolicy.from_json(Path(args.policy).read_text())
+    policy = (_read_record(args.policy, augment_mod.AugmentPolicy, augment_mod.AugmentError)
               if args.policy else augment_mod.AugmentPolicy())
     if args.seed is not None:
         policy = replace(policy, seed=args.seed)
@@ -187,7 +195,7 @@ def _cmd_augment(args) -> int:
 def _cmd_train_toy(args) -> int:
     started = time.time()
     out_dir = Path(args.out)
-    cfg = (training.TrainConfig.from_json(Path(args.config).read_text())
+    cfg = (_read_record(args.config, training.TrainConfig, training.TrainingError)
            if args.config else training.TrainConfig())
     summary = training.run_toy_training(cfg, out_dir)
 
@@ -350,6 +358,9 @@ _INPUT_ERRORS = (
     training.TrainingError,
     CheckpointError,
     FileNotFoundError,
+    FileExistsError,
+    IsADirectoryError,
+    NotADirectoryError,
     json.JSONDecodeError,
 )
 

@@ -29,14 +29,13 @@ All map values are stored in dB so every domain shares one value scale.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import dsp
-from .radar_io import EchoMatrix, RadarParams
+from .radar_io import EchoMatrix, RadarParams, check_field_types
 
 MTI_ORDER = 4
 MTI_CUTOFF_NORM = 0.0075
@@ -76,12 +75,7 @@ class Axis:
     step: float
 
     def __post_init__(self):
-        for value in (self.start, self.step):
-            # The chained comparison is False for NaN, and exact for any int.
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -np.inf < value < np.inf):
-                raise DomainMapError(
-                    f"axis start and step must be finite numbers, got {value!r}")
+        check_field_types(self, DomainMapError)
         if not self.step > 0:
             raise DomainMapError(f"axis step must be > 0, got {self.step}")
 

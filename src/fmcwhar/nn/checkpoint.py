@@ -13,11 +13,12 @@ they stay valid filenames.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, StageSpec
 from .model import MultiDomainModel
 
 # Version 2 keeps only the eight ModelConfig fields in the config block.
@@ -38,7 +39,7 @@ def save_checkpoint(directory, model: MultiDomainModel, extra: dict | None = Non
     buffers = model.buffers()
     manifest = {
         "format_version": FORMAT_VERSION,
-        "config": json.loads(model.cfg.to_json()),
+        "config": asdict(model.cfg),
         "seed": model.seed,
         "params": [
             {"name": name, "shape": list(value.shape)} for name, value in params.items()
@@ -71,7 +72,8 @@ def load_checkpoint(directory) -> MultiDomainModel:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise CheckpointError(f"{directory}: seed {seed!r} is not an integer")
     try:
-        cfg = ModelConfig.from_json(json.dumps(manifest["config"]))
+        config = manifest["config"]
+        cfg = ModelConfig(**{**config, "stages": tuple(StageSpec(**s) for s in config["stages"])})
         model = MultiDomainModel(cfg, seed=seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc

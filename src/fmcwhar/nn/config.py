@@ -15,7 +15,6 @@ Presets:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from ..radar_io import check_field_types
@@ -97,17 +96,6 @@ class ModelConfig:
     def rd_feature_dim(self) -> int:
         # The linear+max head always consumes the h-major flattening.
         return self.head_channels * self.feature_hw
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["stages"] = [asdict(s) for s in self.stages]
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        payload = json.loads(text)
-        payload["stages"] = tuple(StageSpec(**s) for s in payload["stages"])
-        return cls(**payload)
 
 
 def block_plan(cfg: ModelConfig) -> tuple[BlockSpec, ...]:

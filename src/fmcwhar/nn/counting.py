@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .attention import CBAM_REDUCTION, SPATIAL_KERNEL, mlp_width
 from .config import BlockSpec, ModelConfig, block_plan
-from .model import BRANCHES
+from .model import BRANCHES, LSTM_BRANCHES
 
 # Audit targets: published totals for the full-scale three-branch network
 # (params / MAC-FLOPs) and the trainable count of one stock single-branch
@@ -104,7 +104,7 @@ def _network_tallies(cfg: ModelConfig) -> list[tuple[str, _Tally]]:
     tallies = [(f"{branch}.backbone", tally) for branch in BRANCHES for tally in backbone]
     # The RD head and each fusion input share the LSTM hidden width.
     steps, hidden = cfg.feature_hw, cfg.lstm_hidden
-    for branch in BRANCHES[:2]:  # RT and DT; RD has the linear+max head
+    for branch in LSTM_BRANCHES:
         lstm = _Tally()
         # Each step maps its input and the last hidden state to four gates.
         lstm.dense(cfg.lstm_feature_dim(), 4 * hidden, bias=True, calls=steps)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..domain_maps import Domain
 from ..synth import seeded_rng
 from .blocks import Backbone
 from .config import ModelConfig
@@ -30,7 +31,9 @@ from .heads import FusionClassifier, RdHead, SequenceReshape
 from .layers import Layer, Sequential, ShapeMismatch
 from .recurrent import Lstm
 
-BRANCHES = ("rt", "dt", "rd")
+BRANCHES = tuple(d.value for d in Domain)
+# The branches that feed an LSTM; the RD branch has the linear+max head.
+LSTM_BRANCHES = (Domain.RANGE_TIME.value, Domain.DOPPLER_TIME.value)
 
 
 class _Unset:
@@ -64,13 +67,13 @@ class MultiDomainModel(Layer):
         self.cfg = cfg
         self.seed = seed
         rng = seeded_rng(seed)
-        for name in ("rt", "dt"):
+        for name in LSTM_BRANCHES:
             self.register_child(name, Sequential(
                 backbone=Backbone(cfg, rng=rng),
                 reshape=SequenceReshape(cfg.lstm_feature_dim_rule),
                 lstm=Lstm(cfg.lstm_feature_dim(), cfg.lstm_hidden, rng=rng),
             ))
-        self.register_child("rd", Sequential(
+        self.register_child(Domain.RANGE_DOPPLER.value, Sequential(
             backbone=Backbone(cfg, rng=rng),
             reshape=SequenceReshape("hxc"),
             head=RdHead(cfg.rd_feature_dim(), cfg.lstm_hidden, rng=rng),

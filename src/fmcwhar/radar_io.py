@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import numbers
 import os
 import struct
@@ -71,21 +72,38 @@ class ShapeMismatch(RadarIoError):
     """Echo matrix does not agree with its parameter block."""
 
 
+def _finite(value) -> bool:
+    """Whether the number ``value`` is finite as a float; an int too large
+    for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_field_types(record, error, minimum=None) -> None:
-    """Raise ``error`` for the first field of the dataclass ``record`` whose
-    value does not fit its declared ``int`` or ``float`` type, or, given
-    ``minimum``, is an integer below it. Configs arrive as JSON, and bool
-    subclasses int, but a JSON true is no count, seed or rate.
+    """Raise ``error`` for the first ``int`` or ``float`` field of the
+    dataclass ``record`` that breaks the one rule for numeric fields:
+
+    - the value is a number, never a bool, string or None: configs arrive
+      as JSON, and bool subclasses int, but a JSON true is no count, seed
+      or rate;
+    - an ``int`` field holds an integer, at least ``minimum`` when given;
+    - a ``float`` field is finite as a float, so NaN, an infinity and a
+      JSON integer too large for a float are all rejected.
     """
     for f in fields(record):
+        if f.type not in ("int", "float"):
+            continue
         value = getattr(record, f.name)
-        if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{f.name} must be a number, got {value!r}")
+        if f.type == "int" and not isinstance(value, int):
             raise error(f"{f.name} must be an integer, got {value!r}")
         if f.type == "int" and minimum is not None and value < minimum:
             raise error(f"{f.name} must be >= {minimum}, got {value!r}")
-        if f.type == "float" and (not isinstance(value, (int, float))
-                                  or isinstance(value, bool)):
-            raise error(f"{f.name} must be a number, got {value!r}")
+        if f.type == "float" and not _finite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,18 +116,15 @@ class RadarParams:
     bandwidth_hz: float
 
     def __post_init__(self):
-        for name in ("carrier_freq_hz", "chirp_duration_s", "samples_per_chirp", "bandwidth_hz"):
-            value = getattr(self, name)
-            # bool subclasses int, but a JSON true is no radar parameter.
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise NonPositiveParam(f"{name} must be a number, got {value!r}")
-            if not (np.isfinite(value) and value > 0):
-                raise NonPositiveParam(f"{name} must be finite and > 0, got {value!r}")
-        if int(self.samples_per_chirp) != self.samples_per_chirp:
-            raise NonPositiveParam(
-                f"samples_per_chirp must be an integer, got {self.samples_per_chirp!r}"
-            )
-        object.__setattr__(self, "samples_per_chirp", int(self.samples_per_chirp))
+        # The parsers read every header entry as a float: 128.0 samples is 128.
+        if isinstance(self.samples_per_chirp, float) and self.samples_per_chirp.is_integer():
+            object.__setattr__(self, "samples_per_chirp", int(self.samples_per_chirp))
+        check_field_types(self, NonPositiveParam)
+        # Every rate derives from the sample count as a float, so it must fit one too.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value > 0 and _finite(value)):
+                raise NonPositiveParam(f"{f.name} must be finite and > 0, got {value!r}")
 
     @property
     def sample_rate_hz(self) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import numpy as np
 from . import domain_maps as dm
 from . import synth
 from .nn import MultiDomainModel
+from .nn.model import BRANCHES
 from .nn.config import PRESETS, preset
 from .radar_io import RadarParams, check_field_types
 
@@ -52,12 +52,11 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self, TrainingError)
-        # The chained comparisons are False for NaN, so NaN is rejected too.
-        if (not 0 < self.lr0 < math.inf or not 0 < self.decay_factor < math.inf
+        if (self.lr0 <= 0 or self.decay_factor <= 0
                 or self.batch_size < 1 or self.epochs < 1
                 or self.decay_every_epochs < 1 or self.samples_per_class < 1
                 or self.map_size < 1):
-            raise TrainingError("all training settings must be positive and finite")
+            raise TrainingError("all training settings must be positive")
         if self.model_preset not in PRESETS:
             raise TrainingError(
                 f"unknown model_preset {self.model_preset!r}; choose from {sorted(PRESETS)}"
@@ -65,17 +64,6 @@ class TrainConfig:
 
     def lr_at_epoch(self, epoch: int) -> float:
         return self.lr0 * self.decay_factor ** (epoch // self.decay_every_epochs)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        payload = json.loads(text)
-        try:
-            return cls(**payload)
-        except TypeError as exc:  # unknown keys or values of the wrong type
-            raise TrainingError(f"bad training config: {exc}") from exc
 
 
 @dataclass
@@ -182,7 +170,8 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # Toy dataset: synthetic scenes -> three map domains -> normalized tensors.
 
-DOMAIN_KEYS = tuple(d.value for d in dm.Domain)
+# A sample holds one map per model branch, stored under the branch's name.
+DOMAIN_KEYS = BRANCHES
 
 
 def min_max_normalize(values: np.ndarray) -> np.ndarray:

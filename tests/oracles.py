@@ -63,6 +63,7 @@ from fmcwhar import dsp, synth
 from fmcwhar.nn import ChannelAttention, Conv2d, Layer
 from fmcwhar.nn.attention import CBAM_REDUCTION, SPATIAL_KERNEL
 from fmcwhar.nn.layers import sigmoid
+from fmcwhar.nn.model import BRANCHES
 from fmcwhar.radar_io import (
     EchoMatrix,
     EmptyPayload,
@@ -289,9 +290,6 @@ def df2t_rows(b, a, x, axis=0):
             state[-1] = b[-1] * xn - a[-1] * yn
         y[n] = yn
     return np.moveaxis(y, 0, axis)
-
-
-BRANCHES = ("rt", "dt", "rd")
 
 
 def per_branch_forward(model, xs, train):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -138,9 +141,9 @@ class TestPolicy:
                                       '{"var_low": true}', '{"var_mid": false}'])
     def test_variance_must_be_a_finite_number(self, text):
         with pytest.raises(AugmentError):
-            AugmentPolicy.from_json(text)
+            AugmentPolicy(**json.loads(text))
 
     def test_json_round_trip(self):
         policy = AugmentPolicy(low_threshold=0.25, high_threshold=0.7,
                                var_low=0.9, var_mid=0.3, seed=42)
-        assert AugmentPolicy.from_json(policy.to_json()) == policy
+        assert AugmentPolicy(**json.loads(json.dumps(asdict(policy)))) == policy

@@ -2,6 +2,7 @@ import argparse
 import json
 import shutil
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ class TestAugment:
         maps_dir = tmp_path / "maps"
         cli.main(["maps", str(echo_file), "--domains", "rt", "--out", str(maps_dir)])
         policy_path = tmp_path / "p.json"
-        policy_path.write_text(AugmentPolicy(var_mid=0.25, seed=9).to_json())
+        policy_path.write_text(json.dumps(asdict(AugmentPolicy(var_mid=0.25, seed=9))))
         out = tmp_path / "aug.smap"
         assert cli.main(["augment", str(maps_dir / "rt.smap"),
                          "--policy", str(policy_path), "--out", str(out)]) == 0
@@ -198,10 +199,11 @@ class TestAugment:
                                         '{"seed": 1.5}', '{"seed": true}',
                                         '{"var_low": true}', '{"var_mid": false}',
                                         '{"var_low": NaN}',
-                                        '{"var_mid": Infinity}'],
+                                        '{"var_mid": Infinity}',
+                                        '{"var_mid": 1%s}' % ("0" * 400)],
                              ids=["unknown_key", "string_threshold", "float_seed",
                                   "bool_seed", "bool_var_low", "bool_var_mid",
-                                  "nan_var_low", "infinite_var_mid"])
+                                  "nan_var_low", "infinite_var_mid", "huge_int_var_mid"])
     def test_bad_policy(self, tmp_path, echo_file, policy):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
@@ -239,6 +241,29 @@ class TestAugment:
                          "--out", str(out), "--json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DomainMapError"
         assert not out.parent.exists()
+
+
+# Each names a path of the wrong kind: a directory where a file is read or
+# replaced, a file where a directory is read or made.
+@pytest.mark.parametrize("argv", [
+    lambda echo, d, f, tmp: ["parse", str(d), "--out", str(tmp / "out")],
+    lambda echo, d, f, tmp: ["maps", str(d), "--out", str(tmp / "out")],
+    lambda echo, d, f, tmp: ["train-toy", "--config", str(d), "--out", str(tmp / "out")],
+    lambda echo, d, f, tmp: ["augment", str(tmp / "in.smap"), "--policy", str(d),
+                             "--out", str(tmp / "out.smap")],
+    lambda echo, d, f, tmp: ["eval", "--ckpt", str(f), "--data", str(d),
+                             "--out", str(tmp / "out")],
+    lambda echo, d, f, tmp: ["parse", str(echo), "--out", str(f)],
+    lambda echo, d, f, tmp: ["synth", "--kind", "sit", "--samples", "16", "--out", str(d)],
+], ids=["parse_dir", "maps_dir", "config_dir", "policy_dir", "ckpt_file", "parse_out_file",
+        "synth_out_dir"])
+def test_path_of_the_wrong_kind(tmp_path, echo_file, argv):
+    directory, file = tmp_path / "rec.datb", tmp_path / "file"
+    directory.mkdir()
+    file.write_text("{}")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv(echo_file, directory, file, tmp_path)) == 2
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestParams:
@@ -331,10 +356,13 @@ class TestTrainEval:
         {"seed": True},
         {"lr0": True},
         {"decay_factor": True},
+        {"lr0": 10**400},
+        {"decay_factor": 10**400},
     ], ids=["zero_decay_period", "no_samples", "unknown_preset", "unknown_key",
             "string_epochs", "no_op_split", "negative_decay", "zero_decay", "nan_lr",
             "infinite_decay", "float_epochs", "float_map_size", "float_batch_size",
-            "float_samples", "float_seed", "bool_seed", "bool_lr", "bool_decay"])
+            "float_samples", "float_seed", "bool_seed", "bool_lr", "bool_decay",
+            "huge_int_lr", "huge_int_decay"])
     def test_bad_config(self, tmp_path, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"samples_per_class": 5, "map_size": 32, **config}))

@@ -5,7 +5,13 @@ from pathlib import Path
 import pytest
 
 import fmcwhar
-from fmcwhar.nn import MultiDomainModel, count_flops, count_params
+from fmcwhar.nn import (
+    MultiDomainModel,
+    count_flops,
+    count_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from fmcwhar.nn.config import ModelConfig, StageSpec, preset
 from fmcwhar.nn.counting import (
     REFERENCE_SE_BASELINE_TRAINABLE,
@@ -133,10 +139,11 @@ def test_config_validation():
         ModelConfig(stages=(StageSpec(8, 3, 1, 1, repeats=0),))
 
 
-def test_config_json_round_trip():
-    cfg = preset("b0", lstm_feature_dim_rule="c")
-    again = ModelConfig.from_json(cfg.to_json())
-    assert again == cfg
+def test_config_json_round_trip(tmp_path):
+    # A checkpoint's manifest is where a config is stored as JSON.
+    cfg = preset("toy", lstm_feature_dim_rule="c")
+    save_checkpoint(tmp_path, MultiDomainModel(cfg))
+    assert load_checkpoint(tmp_path).cfg == cfg
 
 
 def test_every_config_field_is_read():

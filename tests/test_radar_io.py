@@ -1,12 +1,17 @@
+import math
 import os
 import random
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmcwhar import domain_maps as dm
 from fmcwhar import radar_io
+from fmcwhar.augment import AugmentError, AugmentPolicy
+from fmcwhar.nn.config import StageSpec, preset
 from fmcwhar.radar_io import (
     EchoMatrix,
     EmptyPayload,
@@ -18,6 +23,7 @@ from fmcwhar.radar_io import (
     parse_dat,
     write_dat,
 )
+from fmcwhar.training import TrainConfig, TrainingError
 from oracles import _traced_peak, parse_ascii_reference, write_dat_reference
 
 GLASGOW = RadarParams(5.8e9, 1e-3, 128, 4e8)
@@ -142,6 +148,39 @@ def test_param_must_be_a_number(field):
         values[field] = bad
         with pytest.raises(NonPositiveParam, match="must be a number"):
             RadarParams(*values)
+
+
+def test_sample_count_must_fit_a_float():
+    with pytest.raises(NonPositiveParam, match="finite and > 0"):
+        RadarParams(5.8e9, 1e-3, 10**400, 4e8)
+
+
+def _numeric_field_cases():
+    """One case per numeric field of every record that ``check_field_types``
+    guards, and per value that the rule rejects there."""
+    records = [
+        (GLASGOW, NonPositiveParam),
+        (dm.Axis("time", "s", 0.0, 1.0), dm.DomainMapError),
+        (StageSpec(8, 3, 1, 1), ValueError),
+        (preset("toy"), ValueError),
+        (TrainConfig(), TrainingError),
+        (AugmentPolicy(), AugmentError),
+    ]
+    common = [("true", True), ("string", "1"), ("null", None), ("nan", math.nan),
+              ("inf", math.inf), ("minus_inf", -math.inf)]
+    extra = {"int": [("fraction", 1.5)], "float": [("huge_int", 10**400)]}
+    for record, error in records:
+        for f in fields(record):
+            if f.type in extra:
+                for label, value in common + extra[f.type]:
+                    yield pytest.param(record, f.name, value, error,
+                                       id=f"{type(record).__name__}.{f.name}-{label}")
+
+
+@pytest.mark.parametrize("record, name, value, error", _numeric_field_cases())
+def test_numeric_field_rule(record, name, value, error):
+    with pytest.raises(error):
+        replace(record, **{name: value})
 
 
 def test_empty_payload():

