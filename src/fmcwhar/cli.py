@@ -68,9 +68,10 @@ def _write_manifest(path, command, config, seeds, inputs, outputs, started, **ex
 
 def _read_record(path, cls, error):
     """The ``cls`` record spelled out by the JSON object in the file at ``path``."""
+    fields = radar_io.read_json_object(path, error)
     try:
-        return cls(**json.loads(Path(path).read_text()))
-    except TypeError as exc:  # not an object, or unknown keys
+        return cls(**fields)
+    except TypeError as exc:  # unknown keys
         raise error(f"{path}: bad {cls.__name__}: {exc}") from exc
 
 
@@ -361,7 +362,6 @@ _INPUT_ERRORS = (
     FileExistsError,
     IsADirectoryError,
     NotADirectoryError,
-    json.JSONDecodeError,
 )
 
 

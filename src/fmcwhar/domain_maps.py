@@ -29,13 +29,15 @@ All map values are stored in dB so every domain shares one value scale.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
 from . import dsp
-from .radar_io import EchoMatrix, RadarParams, check_field_types
+from .radar_io import EchoMatrix, RadarParams, check_field_types, read_json_object
 
 MTI_ORDER = 4
 MTI_CUTOFF_NORM = 0.0075
@@ -395,6 +397,8 @@ def _sidecar_path(path) -> str:
 
 
 def save_spectro_map(spectro: SpectroMap, path) -> None:
+    """Write the payload at ``path``, then its sidecar. A save that fails
+    removes each of the two files that it created."""
     meta = {
         "domain": spectro.domain.value,
         "shape": list(spectro.shape),
@@ -402,14 +406,20 @@ def save_spectro_map(spectro: SpectroMap, path) -> None:
         "col_axis": asdict(spectro.col_axis),
         "params": asdict(spectro.params),
     }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2)
-    spectro.values.astype("<f4").tofile(path)
+    sidecar = _sidecar_path(path)
+    created = [p for p in (path, sidecar) if not os.path.lexists(p)]
+    try:
+        spectro.values.astype("<f4").tofile(path)
+        with open(sidecar, "w") as fh:
+            json.dump(meta, fh, indent=2)
+    except BaseException:
+        for p in created:
+            Path(p).unlink(missing_ok=True)
+        raise
 
 
 def load_spectro_map(path) -> SpectroMap:
-    with open(_sidecar_path(path)) as fh:
-        meta = json.load(fh)
+    meta = read_json_object(_sidecar_path(path), DomainMapError)
     try:
         domain = Domain(meta["domain"])
         rows, cols = meta["shape"]

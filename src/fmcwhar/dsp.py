@@ -150,7 +150,8 @@ def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     Samples run in chunks of ``DF2T_CHUNK``. One multiply per chunk takes
     every ``b[j] * x[n]`` product into ``tb``. The state has no array of
     its own: it is a window ``w = buf[i:i+p+1]`` sliding down one chunk
-    buffer, so each step makes three numpy calls over all lanes:
+    buffer, so each step makes three numpy calls over all lanes into
+    buffers allocated once per call:
 
         w += tb[:, i]         # w[0] is y[n]; w[j] is s[j] + b[j] x[n]
         t_a = a[1:] * w[0]

@@ -1,12 +1,17 @@
-"""From-scratch neural building blocks with exact analytic backward passes.
+"""From-scratch numpy layers with exact analytic backward passes, and the
+three-branch network built from them.
 
-Layers compute in float64, so finite-difference gradient checks are
-meaningful: the model casts its input maps to float64 and ``sigmoid``
-returns float64. Backbone layers pass channel-major (C, B, H, W)
-arrays. Forward and backward are single-threaded by contract: each
-layer caches its forward activations and its backward consumes them, so
-a second backward without a new forward raises ``NoForwardCache``;
-``MultiDomainModel.predict`` runs a forward that caches nothing.
+- ``layers``: the ``Layer`` contract, ``Sequential``, the row-tap conv
+  kernel, convs, batch norm, Swish, linear and dropout;
+- ``attention``: the CBAM channel and spatial gates;
+- ``blocks``: MBConv blocks and the backbone;
+- ``recurrent``: the LSTM;
+- ``heads``: the sequence reshape, the RD head and the fusion classifier;
+- ``model``: ``MultiDomainModel`` and its grouped three-branch pass;
+- ``config``: the stage table, ``ModelConfig`` and the presets;
+- ``counting``: the static parameter and FLOP audit;
+- ``checkpoint``: saving and loading weights;
+- ``gradcheck``: finite-difference verification of every backward.
 """
 
 from .config import ModelConfig, StageSpec

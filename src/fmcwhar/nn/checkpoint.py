@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..radar_io import read_json_object
 from .config import ModelConfig, StageSpec
 from .model import MultiDomainModel
 
@@ -60,10 +61,7 @@ def save_checkpoint(directory, model: MultiDomainModel, extra: dict | None = Non
 
 def load_checkpoint(directory) -> MultiDomainModel:
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"{directory}: manifest.json is not a JSON object")
+    manifest = read_json_object(directory / "manifest.json", CheckpointError)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{directory}: unsupported checkpoint version {manifest.get('format_version')}"

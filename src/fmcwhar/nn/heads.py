@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..domain_maps import Domain
 from .layers import Dropout, Layer, Linear, ShapeMismatch, check_tensor4
 
 FEATURE_RULES = ("hxc", "c")
@@ -79,10 +80,10 @@ class FusionClassifier(Layer):
         self.register_child("linear", Linear(3 * branch_dim, num_classes, rng=rng))
 
     def forward(self, f_rt, f_dt, f_rd, train: bool = False):
-        for name, f in (("rt", f_rt), ("dt", f_dt), ("rd", f_rd)):
+        for domain, f in zip(Domain, (f_rt, f_dt, f_rd)):
             if f.ndim != 2 or f.shape[1] != self.branch_dim:
                 raise ShapeMismatch(
-                    f"{name} branch feature must be (B, {self.branch_dim}), "
+                    f"{domain.value} branch feature must be (B, {self.branch_dim}), "
                     f"got {f.shape}"
                 )
         fused = np.concatenate([f_rt, f_dt, f_rd], axis=1)

@@ -1,18 +1,12 @@
-"""Core layers: convolutions, batch norm, activations, linear, dropout.
+"""Core layers: convolutions, batch norm, activations, linear, dropout,
+and the row-tap kernel that runs every windowed conv.
 
-Every layer follows the same contract: ``forward(x, train=False)``
-returns the output and stashes whatever the backward pass needs;
-``backward(dout)`` consumes that cache, returns the gradient with
-respect to the input and accumulates parameter gradients into
-``self.g_*`` arrays. A second backward without a new forward raises
-``NoForwardCache``, and a layer whose ``store_cache`` is off keeps no
-cache at all (``MultiDomainModel.predict`` runs that way). Parameters
-and their gradients are exposed through ``params()`` / ``grads()`` as
-flat name->array dicts, with child layers namespaced by dots.
-
-Feature maps are channel-major: every conv, batch norm and activation
-takes and returns C-contiguous (C, B, H, W) arrays, so a channel is one
-row of B*H*W values and a block of channels is a block of rows.
+Layers compute in float64, so finite-difference gradient checks are
+meaningful: the model casts its input maps to float64 and ``sigmoid``
+returns float64. Feature maps are channel-major: every conv, batch norm
+and activation takes and returns C-contiguous (C, B, H, W) arrays, so a
+channel is one row of B*H*W values and a block of channels is a block
+of rows.
 """
 
 from __future__ import annotations
@@ -47,7 +41,20 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base class: parameter registry plus child namespacing."""
+    """Base class: parameter registry, child namespacing and the cache
+    contract.
+
+    ``forward(x, train=False)`` returns the output and stashes what the
+    backward needs; ``backward(dout)`` consumes that cache, returns the
+    gradient with respect to the input and accumulates parameter
+    gradients into ``self.g_*`` arrays. A second backward without a new
+    forward raises ``NoForwardCache``, and a layer whose ``store_cache``
+    is off keeps no cache at all (``MultiDomainModel.predict`` runs that
+    way). Forward and backward are single-threaded. Parameters, buffers
+    and gradients are exposed through ``params()``, ``buffers()`` and
+    ``grads()`` as flat name->array dicts, child layers namespaced by
+    dots.
+    """
 
     def __init__(self):
         self._param_names: list[str] = []
@@ -253,6 +260,10 @@ class Conv2d(Layer):
     (out_channels, in_channels / G, k, k), group g's filters in rows
     g * out_channels / G onward. With ``input_grad`` cleared, backward
     accumulates the weight gradients only and returns None.
+
+    A 1x1 stride-1 conv is one (G, O/G, C/G) @ (G, C/G, B*H*W) matmul;
+    every other one runs ``toeplitz_conv``. Forward keeps only its input,
+    and backward refills the padded buffer from it.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, groups=1, rng=None):
@@ -306,7 +317,8 @@ class Conv2d(Layer):
 
 
 class DepthwiseConv2d(Layer):
-    """Per-channel k x k convolution, padded like ``Conv2d``."""
+    """Per-channel k x k convolution, padded like ``Conv2d``: ``toeplitz_conv``
+    with C groups of one channel, its (C, k, k) weight given unit axes."""
 
     def __init__(self, channels, kernel, stride=1, rng=None):
         super().__init__()
@@ -339,7 +351,9 @@ class BatchNorm2d(Layer):
 
     Training mode normalizes with batch statistics and updates the
     running averages; inference mode uses the stored averages, which
-    keeps the layer a fixed deterministic function.
+    keeps the layer a fixed deterministic function. Each channel is one
+    row of B*H*W values: the statistics and the backward's two channel
+    sums are row reductions, and dx is one fused expression.
     """
 
     MOMENTUM = 0.1
@@ -392,7 +406,8 @@ class BatchNorm2d(Layer):
 
 
 class Swish(Layer):
-    """x * sigmoid(x), the EfficientNet backbone activation."""
+    """x * sigmoid(x), the EfficientNet backbone activation. It keeps its
+    output and its sigmoid for backward, not its input."""
 
     def forward(self, x, train: bool = False):
         s = sigmoid(x)

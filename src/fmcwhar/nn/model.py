@@ -12,11 +12,10 @@ group per branch (ResNeXt's grouped-convolution identity, Xie et al.,
 2017), so each layer makes one set of numpy calls per step instead of
 three. Its arrays concatenate the branch arrays along axis 0, and the
 branch layers hold views into them: names, checkpoints and in-place
-updates through ``model.rt.backbone`` reach the grouped pass.
-
-The model takes batch-major (B, C, H, W) maps; the backbone runs
-channel-major (C, B, H, W), so the three transposed inputs concatenate
-along axis 0 and each branch is a contiguous block of rows.
+updates through ``model.rt.backbone`` reach the grouped pass. The model
+takes batch-major (B, C, H, W) maps; the grouped pass concatenates the
+three transposed inputs along axis 0, so each branch is a contiguous
+block of rows and reduces in the same order as it does alone.
 """
 
 from __future__ import annotations

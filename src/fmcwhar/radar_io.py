@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import math
 import numbers
 import os
@@ -104,6 +105,21 @@ def check_field_types(record, error, minimum=None) -> None:
             raise error(f"{f.name} must be >= {minimum}, got {value!r}")
         if f.type == "float" and not _finite(value):
             raise error(f"{f.name} must be finite, got {value!r}")
+
+
+def read_json_object(path, error) -> dict:
+    """The JSON object in the file at ``path``. Raises ``error`` for a file
+    that does not decode, whatever the cause (bad syntax or encoding, an
+    integer of more digits than Python converts, nesting too deep), and for
+    a value that is not an object; a missing file raises as ``open`` does."""
+    raw = Path(path).read_bytes()
+    try:
+        value = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{path}: not a JSON object")
+    return value
 
 
 @dataclass(frozen=True)

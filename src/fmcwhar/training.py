@@ -22,7 +22,7 @@ from . import synth
 from .nn import MultiDomainModel
 from .nn.model import BRANCHES
 from .nn.config import PRESETS, preset
-from .radar_io import RadarParams, check_field_types
+from .radar_io import RadarParams, check_field_types, read_json_object
 
 TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 ADAM_BETA1 = 0.9
@@ -228,9 +228,7 @@ def load_dataset(directory):
     name for each map, and every map has the first map's shape.
     """
     directory = Path(directory)
-    with open(directory / "index.json") as fh:
-        index = json.load(fh)
-    samples = index.get("samples") if isinstance(index, dict) else None
+    samples = read_json_object(directory / "index.json", TrainingError).get("samples")
     if not isinstance(samples, list) or not samples:
         raise TrainingError(f"{directory}: index.json needs a non-empty samples list")
     stacks = {key: [] for key in DOMAIN_KEYS}

@@ -243,6 +243,17 @@ class TestAugment:
         assert not out.parent.exists()
 
 
+    @pytest.mark.parametrize("blocked", ["aug.smap", "aug.json"])
+    def test_failed_map_save_leaves_nothing(self, tmp_path, echo_file, blocked):
+        maps_dir = tmp_path / "maps"
+        assert cli.main(["maps", str(echo_file), "--domains", "dt",
+                         "--out", str(maps_dir)]) == 0
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert cli.main(["augment", str(maps_dir / "dt.smap"), "--seed", "5",
+                         "--out", str(out / "aug.smap")]) == 2
+        assert sorted(out.iterdir()) == [out / blocked]
+
 # Each names a path of the wrong kind: a directory where a file is read or
 # replaced, a file where a directory is read or made.
 @pytest.mark.parametrize("argv", [
@@ -294,6 +305,20 @@ class TestGradcheckCommand:
     def test_unknown_module_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["gradcheck", "--module", "bogus"])
+
+    def test_failed_check_exits_3(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "check_layer",
+                            lambda name, *built: gradcheck.GradCheckResult(name, 1.0))
+        assert cli.main(["gradcheck", "--module", "loss"]) == 3
+
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "count_params", fail)
+        assert cli.main(["params", "--preset", "toy", "--json"]) == 4
+        assert json.loads(capsys.readouterr().err) == {"error": "RuntimeError",
+                                                       "message": "boom"}
 
     def test_groups_partition_the_cases(self, monkeypatch):
         # Each case runs in exactly one --module group, and "all" runs their union.
@@ -533,6 +558,39 @@ def test_eval_rejects_bad_label(tmp_path, toy_run, label, capsys):
                      "--out", str(tmp_path / "eval"), "--json"])
     assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "LabelOutOfRange")
     assert not (tmp_path / "eval").exists()
+
+
+# More digits than Python converts to an int: json.loads raises ValueError.
+HUGE = "1" + "0" * 5000
+MAP = "dataset/walk_000_dt.smap"
+EVAL = ["eval", "--ckpt", "checkpoint", "--data", "dataset", "--out", "eval"]
+
+
+# Each sets one value of one JSON input to HUGE; paths are relative to the
+# run directory, which holds a copy of the toy checkpoint and dataset.
+@pytest.mark.parametrize("target, keys, argv", [
+    ("cfg.json", ["lr0"], ["train-toy", "--config", "cfg.json", "--out", "run"]),
+    ("p.json", ["var_mid"], ["augment", MAP, "--policy", "p.json", "--out", "aug.smap"]),
+    ("dataset/walk_000_dt.json", ["params", "samples_per_chirp"],
+     ["augment", MAP, "--out", "aug.smap"]),
+    ("checkpoint/manifest.json", ["seed"], EVAL),
+    ("dataset/index.json", ["samples", 0, "label"], EVAL),
+], ids=["config", "policy", "sidecar", "checkpoint_seed", "dataset_label"])
+def test_json_integer_beyond_the_digit_limit(tmp_path, toy_run, monkeypatch,
+                                             target, keys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("checkpoint", "dataset"):
+        shutil.copytree(toy_run / name, name)
+    path = Path(target)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = "HUGE"
+    path.write_text(json.dumps(doc).replace('"HUGE"', HUGE))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 2
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 SMALL = radar_io.RadarParams(5.8e9, 1e-3, 8, 4e8)
