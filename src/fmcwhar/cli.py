@@ -15,8 +15,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -66,6 +69,25 @@ def _write_manifest(path, command, config, seeds, inputs, outputs, started, **ex
         json.dump(manifest, fh, indent=2)
 
 
+@contextmanager
+def _removed_on_error(*paths):
+    """Run the block; if it raises, remove what it made of ``paths``: each
+    path that did not exist before it, or the outermost directory above
+    that path that did not, with all it holds."""
+    made = []
+    for path in map(Path, paths):
+        made += [p for p in (path, *path.parents) if not os.path.lexists(p)][-1:]
+    try:
+        yield
+    except BaseException:
+        for path in made:
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
+        raise
+
+
 def _read_record(path, cls, error):
     """The ``cls`` record spelled out by the JSON object in the file at ``path``."""
     fields = radar_io.read_json_object(path, error)
@@ -79,8 +101,8 @@ def _cmd_parse(args) -> int:
     started = time.time()
     params, echo, discarded = radar_io.load_recording(args.input)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    outputs = [out_dir / name for name in
+               ("header.json", "echo.datb", "raw_magnitude.smap", "raw_magnitude.json")]
     header = {
         **asdict(params),
         "sample_rate_hz": params.sample_rate_hz,
@@ -90,22 +112,21 @@ def _cmd_parse(args) -> int:
         "n_chirps": echo.n_chirps,
         "discarded_entries": discarded,
     }
-    with open(out_dir / "header.json", "w") as fh:
-        json.dump(header, fh, indent=2)
-    radar_io.save_recording(out_dir / "echo.datb", params, echo)
-
-    magnitude = dm.SpectroMap(
-        domain=dm.Domain.RANGE_TIME,
-        values=dm.dsp.log_magnitude(np.abs(echo.data)),
-        row_axis=dm.Axis("slow time", "s", 0.0, params.chirp_duration_s),
-        col_axis=dm.Axis("fast time", "s", 0.0, 1.0 / params.sample_rate_hz),
-        params=params,
-    )
-    dm.save_spectro_map(magnitude, out_dir / "raw_magnitude.smap")
-
-    outputs = ["header.json", "echo.datb", "raw_magnitude.smap", "raw_magnitude.json"]
-    _write_manifest(out_dir / "manifest.json", "parse", {"input": args.input}, {},
-                    [args.input], [out_dir / o for o in outputs], started)
+    with _removed_on_error(*outputs, out_dir / "manifest.json"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "header.json", "w") as fh:
+            json.dump(header, fh, indent=2)
+        radar_io.save_recording(out_dir / "echo.datb", params, echo)
+        magnitude = dm.SpectroMap(
+            domain=dm.Domain.RANGE_TIME,
+            values=dm.dsp.log_magnitude(np.abs(echo.data)),
+            row_axis=dm.Axis("slow time", "s", 0.0, params.chirp_duration_s),
+            col_axis=dm.Axis("fast time", "s", 0.0, 1.0 / params.sample_rate_hz),
+            params=params,
+        )
+        dm.save_spectro_map(magnitude, out_dir / "raw_magnitude.smap")
+        _write_manifest(out_dir / "manifest.json", "parse", {"input": args.input}, {},
+                        [args.input], outputs, started)
     print(f"parsed {args.input}: {echo.n_chirps} chirps x "
           f"{params.samples_per_chirp} samples, {discarded} entries discarded")
     return EXIT_OK
@@ -126,14 +147,15 @@ def _cmd_synth(args) -> int:
     scene = synth.activity_template(args.kind, args.seed)
     echo = synth.generate(scene, params)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    radar_io.save_recording(out_path, params, echo)
     scene_path = out_path.with_suffix(out_path.suffix + ".scene.json")
-    scene_path.write_text(scene.to_json())
-
-    payload = {"kind": args.kind, "seed": args.seed, "params": asdict(params)}
-    _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "synth",
-                    payload, {"scene_seed": args.seed}, [], [out_path, scene_path], started)
+    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
+    with _removed_on_error(out_path, scene_path, manifest_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        radar_io.save_recording(out_path, params, echo)
+        scene_path.write_text(scene.to_json())
+        payload = {"kind": args.kind, "seed": args.seed, "params": asdict(params)}
+        _write_manifest(manifest_path, "synth", payload, {"scene_seed": args.seed}, [],
+                        [out_path, scene_path], started)
     print(f"wrote {out_path} ({echo.n_chirps} chirps) and {scene_path.name}")
     return EXIT_OK
 
@@ -155,21 +177,18 @@ def _cmd_maps(args) -> int:
                           mti=not args.no_mti, domains=domains)
     spectro = next(maps)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for key in domains:
-        path = out_dir / f"{key}.smap"
-        dm.save_spectro_map(spectro, path)
-        outputs += [path, out_dir / f"{key}.json"]
-        if args.pgm:
-            pgm = out_dir / f"{key}.pgm"
-            dm.write_pgm(spectro, pgm)
-            outputs.append(pgm)
-        spectro = next(maps, None)
-
-    _write_manifest(out_dir / "manifest.json", "maps",
-                    {"input": args.input, "domains": domains, "no_mti": args.no_mti,
-                     "pgm": args.pgm}, {}, [args.input], outputs, started)
+    suffixes = (".smap", ".json", ".pgm") if args.pgm else (".smap", ".json")
+    outputs = [out_dir / (key + suffix) for key in domains for suffix in suffixes]
+    with _removed_on_error(*outputs, out_dir / "manifest.json"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for key in domains:
+            dm.save_spectro_map(spectro, out_dir / f"{key}.smap")
+            if args.pgm:
+                dm.write_pgm(spectro, out_dir / f"{key}.pgm")
+            spectro = next(maps, None)
+        _write_manifest(out_dir / "manifest.json", "maps",
+                        {"input": args.input, "domains": domains, "no_mti": args.no_mti,
+                         "pgm": args.pgm}, {}, [args.input], outputs, started)
     print(f"wrote {len(outputs)} files to {out_dir}")
     return EXIT_OK
 
@@ -183,12 +202,13 @@ def _cmd_augment(args) -> int:
         policy = replace(policy, seed=args.seed)
     spectro = dm.load_spectro_map(args.input)
     noised = augment_mod.inject(spectro, policy)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    dm.save_spectro_map(noised, out_path)
-
-    _write_manifest(out_path.with_suffix(out_path.suffix + ".manifest.json"), "augment",
-                    {"input": args.input, "policy": asdict(policy)},
-                    {"noise_seed": policy.seed}, [args.input], [out_path], started)
+    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
+    with _removed_on_error(out_path, dm.sidecar_path(out_path), manifest_path):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        dm.save_spectro_map(noised, out_path)
+        _write_manifest(manifest_path, "augment",
+                        {"input": args.input, "policy": asdict(policy)},
+                        {"noise_seed": policy.seed}, [args.input], [out_path], started)
     print(f"wrote {out_path} (seed {policy.seed})")
     return EXIT_OK
 
@@ -198,16 +218,14 @@ def _cmd_train_toy(args) -> int:
     out_dir = Path(args.out)
     cfg = (_read_record(args.config, training.TrainConfig, training.TrainingError)
            if args.config else training.TrainConfig())
-    summary = training.run_toy_training(cfg, out_dir)
-
-    _write_manifest(
-        out_dir / "manifest.json", "train-toy", asdict(cfg), {"train_seed": cfg.seed},
-        [args.config] if args.config else [],
-        [out_dir / name for name in
-         ("dataset", "metrics.csv", "train_metrics.csv", "train_confusion.csv",
-          "checkpoint")],
-        started, summary=summary,
-    )
+    outputs = [out_dir / name for name in
+               ("dataset", "metrics.csv", "train_metrics.csv", "train_confusion.csv",
+                "checkpoint")]
+    with _removed_on_error(*outputs, out_dir / "manifest.json"):
+        summary = training.run_toy_training(cfg, out_dir)
+        _write_manifest(out_dir / "manifest.json", "train-toy", asdict(cfg),
+                        {"train_seed": cfg.seed}, [args.config] if args.config else [],
+                        outputs, started, summary=summary)
     print(f"train accuracy {summary['train_accuracy']:.3f} after "
           f"{summary['epochs']} epochs "
           f"(loss {summary['first_epoch_loss']:.4f} -> {summary['final_loss']:.4f})")
@@ -220,12 +238,13 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     dataset = training.load_dataset(args.data)
     report = training.evaluate(model, dataset)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out_dir / "metrics.csv", out_dir / "confusion.csv")
-
-    _write_manifest(out_dir / "manifest.json", "eval", {"ckpt": args.ckpt, "data": args.data},
-                    {}, [args.ckpt, args.data],
-                    [out_dir / "metrics.csv", out_dir / "confusion.csv"], started)
+    outputs = [out_dir / "metrics.csv", out_dir / "confusion.csv"]
+    with _removed_on_error(*outputs, out_dir / "manifest.json"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report.write_csv(*outputs)
+        _write_manifest(out_dir / "manifest.json", "eval",
+                        {"ckpt": args.ckpt, "data": args.data}, {}, [args.ckpt, args.data],
+                        outputs, started)
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"on {int(report.confusion.sum())} samples")
     return EXIT_OK

@@ -29,10 +29,8 @@ All map values are stored in dB so every domain shares one value scale.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -391,14 +389,14 @@ def _resize_bilinear_array(values: np.ndarray, out_h: int, out_w: int) -> np.nda
 # File formats: .smap (f32 little-endian, row-major) + JSON sidecar, and an
 # 8-bit min-max normalized PGM for eyeballing.
 
-def _sidecar_path(path) -> str:
+def sidecar_path(path) -> str:
+    """The JSON sidecar beside the .smap payload at ``path``."""
     base = str(path)
     return (base[: -len(".smap")] if base.endswith(".smap") else base) + ".json"
 
 
 def save_spectro_map(spectro: SpectroMap, path) -> None:
-    """Write the payload at ``path``, then its sidecar. A save that fails
-    removes each of the two files that it created."""
+    """Write the payload at ``path``, then its sidecar."""
     meta = {
         "domain": spectro.domain.value,
         "shape": list(spectro.shape),
@@ -406,20 +404,13 @@ def save_spectro_map(spectro: SpectroMap, path) -> None:
         "col_axis": asdict(spectro.col_axis),
         "params": asdict(spectro.params),
     }
-    sidecar = _sidecar_path(path)
-    created = [p for p in (path, sidecar) if not os.path.lexists(p)]
-    try:
-        spectro.values.astype("<f4").tofile(path)
-        with open(sidecar, "w") as fh:
-            json.dump(meta, fh, indent=2)
-    except BaseException:
-        for p in created:
-            Path(p).unlink(missing_ok=True)
-        raise
+    spectro.values.astype("<f4").tofile(path)
+    with open(sidecar_path(path), "w") as fh:
+        json.dump(meta, fh, indent=2)
 
 
 def load_spectro_map(path) -> SpectroMap:
-    meta = read_json_object(_sidecar_path(path), DomainMapError)
+    meta = read_json_object(sidecar_path(path), DomainMapError)
     try:
         domain = Domain(meta["domain"])
         rows, cols = meta["shape"]

@@ -10,12 +10,17 @@ dropout gate and project to class logits.
 The three backbones run as one pass of a grouped backbone, one channel
 group per branch (ResNeXt's grouped-convolution identity, Xie et al.,
 2017), so each layer makes one set of numpy calls per step instead of
-three. Its arrays concatenate the branch arrays along axis 0, and the
-branch layers hold views into them: names, checkpoints and in-place
-updates through ``model.rt.backbone`` reach the grouped pass. The model
-takes batch-major (B, C, H, W) maps; the grouped pass concatenates the
-three transposed inputs along axis 0, so each branch is a contiguous
-block of rows and reduces in the same order as it does alone.
+three. The model takes batch-major (B, C, H, W) maps; the grouped pass
+concatenates the three transposed inputs along axis 0, so each branch
+is a contiguous block of rows and reduces in the same order as it does
+alone.
+
+Storage rule: every parameter, gradient and buffer is a view into one
+flat vector of its kind: ``param_vector``, ``grad_vector`` or
+``buffer_vector``. A grouped backbone array is one block of its vector,
+and its rows are the branch backbones' arrays, which carry the names
+and the seeded init order. So a write through any name or vector
+reaches the grouped pass, and Adam steps the vectors as a whole.
 """
 
 from __future__ import annotations
@@ -43,21 +48,25 @@ class _Unset:
         return np.empty(size)
 
 
-def _grouped_backbone(cfg, branches):
-    """A backbone with one channel group per branch backbone, sharing their
-    storage: each array of it is the axis-0 concatenation of the branch
-    arrays, which are rebound as views into it."""
-    grouped = Backbone(cfg, groups=len(branches), rng=_Unset())
-    for (_, layer), *parts in zip(grouped._layers(), *(b._layers() for b in branches)):
-        names = layer._param_names + layer._buffer_names
-        for name in names:
-            np.concatenate([getattr(part, name) for _, part in parts], out=getattr(layer, name))
-        # The gradients are np.zeros on both sides: their pages stay
-        # untouched until a backward writes them.
-        for name in names + ["g_" + n for n in layer._param_names]:
-            for (_, part), view in zip(parts, np.split(getattr(layer, name), len(parts))):
-                setattr(part, name, view)
-    return grouped
+def _flat_vector(owners, registry, prefix=""):
+    """A flat vector, with a view of it in place of every array that
+    ``registry`` names (after ``prefix``) on the owners. An owner is
+    (layer, parts): the layer's array is the axis-0 concatenation of its
+    parts' arrays, and each part gets its block of rows. Gradients are not
+    copied: they are zeros on both sides, and the pages of the fresh
+    np.zeros stay untouched until a backward writes them."""
+    slots = [(layer, parts, prefix + name)
+             for layer, parts in owners for name in getattr(layer, registry)]
+    sizes = [getattr(layer, name).size for layer, _, name in slots]
+    flat = np.zeros(sum(sizes))
+    for (layer, parts, name), block in zip(slots, np.split(flat, np.cumsum(sizes)[:-1])):
+        view = block.reshape(getattr(layer, name).shape)
+        if not prefix:
+            np.concatenate([getattr(part, name) for part in parts], out=view)
+        setattr(layer, name, view)
+        for part, rows in zip(parts, np.split(view, len(parts))):
+            setattr(part, name, rows)
+    return flat
 
 
 class MultiDomainModel(Layer):
@@ -80,11 +89,18 @@ class MultiDomainModel(Layer):
         self.register_child(
             "fusion", FusionClassifier(cfg.lstm_hidden, cfg.num_classes, rng=rng))
         branches = [getattr(self, name) for name in BRANCHES]
-        self._backbone = _grouped_backbone(cfg, [branch.backbone for branch in branches])
+        self._backbone = Backbone(cfg, groups=len(branches), rng=_Unset())
         # Nothing reads the gradient of the input maps.
         self._backbone.stem_conv.input_grad = False
         # What each branch runs after its backbone: reshape, then LSTM or head.
         self._tails = [Sequential(**dict(branch._children[1:])) for branch in branches]
+        owners = [(layer, [part for _, part in parts]) for (_, layer), *parts in zip(
+            self._backbone._layers(), *(branch.backbone._layers() for branch in branches))]
+        owners += [(layer, [layer]) for top in (*self._tails, self.fusion)
+                   for _, layer in top._layers()]
+        self.param_vector = _flat_vector(owners, "_param_names")
+        self.grad_vector = _flat_vector(owners, "_param_names", prefix="g_")
+        self.buffer_vector = _flat_vector(owners, "_buffer_names")
 
     def _check_input(self, x, name):
         x = np.asarray(x, dtype=np.float64)

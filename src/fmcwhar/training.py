@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,46 +66,20 @@ class TrainConfig:
         return self.lr0 * self.decay_factor ** (epoch // self.decay_every_epochs)
 
 
-@dataclass
-class AdamState:
-    """Adam moments: rows of ``flat`` (2, n), with a view per parameter in m / v."""
-
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    flat: np.ndarray | None = None
-
-
-def adam_step(params, grads, state: AdamState, t: int, lr: float):
-    """One Adam update, in place over the parameter dict. t starts at 1.
-
-    All parameters step as one flat vector: a few whole-vector numpy calls
-    instead of a dozen per parameter. Every operation is elementwise, so
-    each parameter gets the same bits as a step of its own.
-    """
+def adam_step(params, grads, moments, t: int, lr: float):
+    """One Adam update, in place, of the flat vector ``params`` and its (2, n)
+    first and second ``moments``; t starts at 1. Every operation is
+    elementwise, so each element gets the bits of a step of its own."""
     if t < 1:
         raise TrainingError(f"step index must be >= 1, got {t}")
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise TrainingError(f"gradient shape mismatch for {name}")
-    if state.flat is None:
-        state.flat = np.zeros((2, sum(p.size for p in params.values())))
-        offset = 0
-        for name, p in params.items():
-            state.m[name], state.v[name] = state.flat[:, offset: offset + p.size].reshape(
-                2, *p.shape)
-            offset += p.size
-    elif list(state.m) != list(params):
-        raise TrainingError("this Adam state belongs to another parameter set")
-    m, v = state.flat
-    g = np.concatenate([grads[name].reshape(-1) for name in params])
-    m += (1.0 - ADAM_BETA1) * (g - m)
-    v += (1.0 - ADAM_BETA2) * (g * g - v)
-    step = lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
-    offset = 0
-    for p in params.values():
-        p -= step[offset: offset + p.size].reshape(p.shape)
-        offset += p.size
-    return params, state
+    if grads.shape != params.shape or moments.shape != (2, *params.shape):
+        raise TrainingError(f"shape mismatch: parameters {params.shape}, "
+                            f"gradients {grads.shape}, moments {moments.shape}")
+    m, v = moments
+    m += (1.0 - ADAM_BETA1) * (grads - m)
+    v += (1.0 - ADAM_BETA2) * (grads * grads - v)
+    params -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (
+        np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
@@ -287,8 +261,8 @@ def train(model: MultiDomainModel, dataset, cfg: TrainConfig,
     x_rt, x_dt, x_rd, labels = dataset
     n = len(labels)
     rng = synth.seeded_rng(cfg.seed, stream=1)
-    state = AdamState()
-    params, grads = model.params(), model.grads()
+    params, grads = model.param_vector, model.grad_vector
+    moments = np.zeros((2, params.size))
     history = []
     t = 0
     for epoch in range(cfg.epochs):
@@ -300,11 +274,10 @@ def train(model: MultiDomainModel, dataset, cfg: TrainConfig,
             idx = order[start: start + cfg.batch_size]
             logits = model.forward(x_rt[idx], x_dt[idx], x_rd[idx], train=True)
             loss, dlogits = cross_entropy(logits, labels[idx])
-            for grad in grads.values():
-                grad[...] = 0.0
+            grads.fill(0.0)
             model.backward(dlogits)
             t += 1
-            adam_step(params, grads, state, t, lr)
+            adam_step(params, grads, moments, t, lr)
             epoch_loss += loss * idx.size
             hits += int(np.sum(np.argmax(logits, axis=1) == labels[idx]))
         record = EpochRecord(epoch=epoch, loss=epoch_loss / n, accuracy=hits / n, lr=lr)

@@ -254,8 +254,21 @@ class TestAugment:
                          "--out", str(out / "aug.smap")]) == 2
         assert sorted(out.iterdir()) == [out / blocked]
 
+def _dt_map(echo, tmp):
+    """The DT map of ``echo``, written under ``tmp``."""
+    assert cli.main(["maps", str(echo), "--domains", "dt", "--out", str(tmp / "maps")]) == 0
+    return str(tmp / "maps" / "dt.smap")
+
+
+def _blocked(path, suffix):
+    """``path``, with a directory where a command writes ``path`` + ``suffix``."""
+    Path(f"{path}{suffix}").mkdir(parents=True)
+    return str(path)
+
+
 # Each names a path of the wrong kind: a directory where a file is read or
-# replaced, a file where a directory is read or made.
+# replaced, a file where a directory is read or made. The last three block
+# an output that a command writes after others, which it must then remove.
 @pytest.mark.parametrize("argv", [
     lambda echo, d, f, tmp: ["parse", str(d), "--out", str(tmp / "out")],
     lambda echo, d, f, tmp: ["maps", str(d), "--out", str(tmp / "out")],
@@ -266,14 +279,20 @@ class TestAugment:
                              "--out", str(tmp / "out")],
     lambda echo, d, f, tmp: ["parse", str(echo), "--out", str(f)],
     lambda echo, d, f, tmp: ["synth", "--kind", "sit", "--samples", "16", "--out", str(d)],
+    lambda echo, d, f, tmp: ["synth", "--kind", "walk", "--seed", "1", "--samples", "16",
+                             "--out", _blocked(tmp / "a.datb", ".scene.json")],
+    lambda echo, d, f, tmp: ["maps", str(echo), "--out", _blocked(tmp / "m", "/dt.smap")],
+    lambda echo, d, f, tmp: ["augment", _dt_map(echo, tmp),
+                             "--out", _blocked(tmp / "n.smap", ".manifest.json")],
 ], ids=["parse_dir", "maps_dir", "config_dir", "policy_dir", "ckpt_file", "parse_out_file",
-        "synth_out_dir"])
+        "synth_out_dir", "synth_scene_dir", "maps_dt_dir", "augment_manifest_dir"])
 def test_path_of_the_wrong_kind(tmp_path, echo_file, argv):
     directory, file = tmp_path / "rec.datb", tmp_path / "file"
     directory.mkdir()
     file.write_text("{}")
+    args = argv(echo_file, directory, file, tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    assert cli.main(argv(echo_file, directory, file, tmp_path)) == 2
+    assert cli.main(args) == 2
     assert sorted(tmp_path.rglob("*")) == before
 
 

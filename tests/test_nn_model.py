@@ -18,7 +18,8 @@ from fmcwhar.nn import (
 )
 from fmcwhar.nn.checkpoint import FORMAT_VERSION, CheckpointError
 from fmcwhar.nn.config import preset
-from fmcwhar.training import AdamState, TrainConfig, adam_step, cross_entropy, train
+from fmcwhar.nn.model import BRANCHES
+from fmcwhar.training import TrainConfig, adam_step, cross_entropy, train
 
 TOY = preset("toy")
 
@@ -190,10 +191,40 @@ def test_backbone_layers_pass_c_contiguous_channel_major_maps(batch, train):
     assert none == [("stem_conv.", "backward"), ("", "backward")]
 
 
-def test_assign_reaches_the_grouped_pass():
-    # Branch parameters are views into the grouped backbone's arrays, so a
-    # value written through the registry is what the next forward uses.
+def _assert_flat_storage(model):
+    """Every parameter, gradient and buffer is a view into its kind's flat
+    vector; together they tile it, and each grouped backbone array is one
+    block of it whose rows are the branch arrays."""
+    def offset(a, flat):
+        return (a.ctypes.data - flat.ctypes.data) // flat.itemsize
+
+    kinds = ((model.params(), model.param_vector), (model.grads(), model.grad_vector),
+             (model.buffers(), model.buffer_vector))
+    for arrays, flat in kinds:
+        assert all(a.base is flat and a.flags.c_contiguous for a in arrays.values())
+        spans = sorted((offset(a, flat), a.size) for a in arrays.values())
+        ends = [0] + [start + size for start, size in spans]
+        assert [start for start, _ in spans] == ends[:-1]
+        assert ends[-1] == flat.size
+    branches = [getattr(model, name).backbone._layers() for name in BRANCHES]
+    for (_, layer), *parts in zip(model._backbone._layers(), *branches):
+        for names, flat in ((layer._param_names, model.param_vector),
+                            (["g_" + n for n in layer._param_names], model.grad_vector),
+                            (layer._buffer_names, model.buffer_vector)):
+            for name in names:
+                block = getattr(layer, name)
+                assert block.base is flat and block.flags.c_contiguous
+                rows = block.size // len(parts)
+                assert [offset(getattr(part, name), flat) for _, part in parts] == [
+                    offset(block, flat) + i * rows for i in range(len(parts))]
+
+
+def test_assign_reaches_the_grouped_pass(tmp_path):
+    # Branch parameters are views into the grouped backbone's arrays, and
+    # all of them into the flat parameter vector, so a value written
+    # through the registry or the vector is what the next forward uses.
     model = MultiDomainModel(TOY, seed=0)
+    _assert_flat_storage(model)
     x = toy_inputs(seed=3)
     before = model.forward(*x)
     w = model.params()["dt.backbone.stage2_block0.expand_conv.w"]
@@ -201,6 +232,12 @@ def test_assign_reaches_the_grouped_pass():
     after = model.forward(*x)
     assert not np.array_equal(after, before)
     np.testing.assert_array_equal(after, per_branch_forward(model, x, train=False))
+    model.param_vector *= 0.5
+    halved = model.forward(*x)
+    assert not np.array_equal(halved, after)
+    np.testing.assert_array_equal(halved, per_branch_forward(model, x, train=False))
+    save_checkpoint(tmp_path / "ckpt", model)
+    _assert_flat_storage(load_checkpoint(tmp_path / "ckpt"))
 
 
 def _step(model, x, labels, forward, backward):
@@ -214,7 +251,8 @@ def _step(model, x, labels, forward, backward):
     model.zero_grads()
     backward(dlogits)
     grads = {k: g.copy() for k, g in model.grads().items()}
-    adam_step(model.params(), model.grads(), AdamState(), 1, 1e-3)
+    moments = np.zeros((2, model.param_vector.size))
+    adam_step(model.param_vector, model.grad_vector, moments, 1, 1e-3)
     return {"logits": logits, **{"grad " + k: g for k, g in grads.items()},
             **{"param " + k: p for k, p in model.params().items()},
             **{"buffer " + k: b for k, b in model.buffers().items()}}

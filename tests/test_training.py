@@ -7,7 +7,6 @@ import pytest
 from oracles import TooFewSamples, _traced_peak, adam_reference, stratified_split
 
 from fmcwhar.training import (
-    AdamState,
     LabelOutOfRange,
     MetricsReport,
     TrainConfig,
@@ -17,29 +16,29 @@ from fmcwhar.training import (
 )
 
 
+def _moments(n):
+    return np.zeros((2, n))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
-        state = AdamState()
-        adam_step(params, grads, state, t=1, lr=1e-3)
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
-        np.testing.assert_array_equal(state.m["w"], np.zeros(2))
+        params, moments = np.array([1.0, -2.0]), _moments(2)
+        adam_step(params, np.zeros(2), moments, t=1, lr=1e-3)
+        np.testing.assert_array_equal(params, [1.0, -2.0])
+        np.testing.assert_array_equal(moments[0], np.zeros(2))
 
     def test_first_step_magnitude(self):
         # Bias correction makes the first step ~lr regardless of gradient scale.
-        params = {"w": np.array([0.0])}
-        grads = {"w": np.array([1.0])}
-        adam_step(params, grads, AdamState(), t=1, lr=1e-3)
-        assert params["w"][0] == pytest.approx(-1e-3, rel=1e-6)
+        params = np.array([0.0])
+        adam_step(params, np.array([1.0]), _moments(1), t=1, lr=1e-3)
+        assert params[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_moments_decay(self):
-        params = {"w": np.array([0.0])}
-        state = AdamState()
-        adam_step(params, {"w": np.array([1.0])}, state, t=1, lr=0.0)
-        m1 = state.m["w"][0]
-        adam_step(params, {"w": np.array([0.0])}, state, t=2, lr=0.0)
-        assert 0 < state.m["w"][0] < m1
+        params, moments = np.array([0.0]), _moments(1)
+        adam_step(params, np.array([1.0]), moments, t=1, lr=0.0)
+        m1 = moments[0, 0]
+        adam_step(params, np.array([0.0]), moments, t=2, lr=0.0)
+        assert 0 < moments[0, 0] < m1
 
     def test_lr_schedule(self):
         cfg = TrainConfig()
@@ -50,33 +49,31 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         with pytest.raises(TrainingError):
-            adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState(), 1, 1e-3)
+            adam_step(np.zeros(2), np.zeros(3), _moments(2), 1, 1e-3)
 
     def test_step_index_positive(self):
         with pytest.raises(TrainingError):
-            adam_step({}, {}, AdamState(), t=0, lr=1e-3)
+            adam_step(np.zeros(0), np.zeros(0), _moments(0), t=0, lr=1e-3)
 
     def test_state_is_bound_to_one_parameter_set(self):
-        state = AdamState()
-        adam_step({"w": np.zeros(2)}, {"w": np.ones(2)}, state, 1, 1e-3)
+        # Moments sized for another parameter vector are refused.
+        moments = _moments(2)
+        adam_step(np.zeros(2), np.ones(2), moments, 1, 1e-3)
         with pytest.raises(TrainingError):
-            adam_step({"b": np.zeros(2)}, {"b": np.ones(2)}, state, 2, 1e-3)
+            adam_step(np.zeros(3), np.ones(3), moments, 2, 1e-3)
 
     def test_bit_identical_to_unfused_form(self):
         rng = np.random.default_rng(11)
-        params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
-        ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
-               for name, p in params.items()}
-        state = AdamState()
+        params = rng.standard_normal(15)
+        moments = _moments(15)
+        p, m, v = params.copy(), np.zeros(15), np.zeros(15)
         for t in range(1, 4):
-            grads = {name: rng.standard_normal(p.shape) * 10.0 ** -t
-                     for name, p in params.items()}
-            adam_step(params, grads, state, t, lr=3e-3)
-            for name, (p, m, v) in ref.items():
-                ref[name] = adam_reference(p, grads[name], m, v, t, lr=3e-3)
-                np.testing.assert_array_equal(params[name], ref[name][0])
-                np.testing.assert_array_equal(state.m[name], ref[name][1])
-                np.testing.assert_array_equal(state.v[name], ref[name][2])
+            grads = rng.standard_normal(15) * 10.0 ** -t
+            adam_step(params, grads, moments, t, lr=3e-3)
+            p, m, v = adam_reference(p, grads, m, v, t, lr=3e-3)
+            np.testing.assert_array_equal(params, p)
+            np.testing.assert_array_equal(moments[0], m)
+            np.testing.assert_array_equal(moments[1], v)
 
 
 class TestCrossEntropy:
@@ -251,12 +248,12 @@ class TestToyTrainingLoop:
 
 
 def test_train_matches_a_loop_that_walks_the_model_each_step():
-    # train() takes the parameter and gradient dicts once; a loop that
-    # walks the layer tree for them on every step gives the same model.
+    # train() zeroes the flat gradient vector with one fill; a loop that
+    # walks the layer tree to zero each gradient gives the same model.
     from fmcwhar import synth
     from fmcwhar.nn import MultiDomainModel
     from fmcwhar.nn.config import preset
-    from fmcwhar.training import AdamState, cross_entropy, train
+    from fmcwhar.training import cross_entropy, train
 
     rng = np.random.default_rng(8)
     dataset = tuple(rng.random((6, 1, 16, 16)) for _ in range(3)) + (
@@ -268,7 +265,7 @@ def test_train_matches_a_loop_that_walks_the_model_each_step():
 
     walked = MultiDomainModel(model_cfg, seed=3)
     order_rng = synth.seeded_rng(cfg.seed, stream=1)
-    state, t = AdamState(), 0
+    moments, t = np.zeros((2, walked.param_vector.size)), 0
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(6)
         for start in range(0, 6, cfg.batch_size):
@@ -278,7 +275,8 @@ def test_train_matches_a_loop_that_walks_the_model_each_step():
             walked.zero_grads()
             walked.backward(dlogits)
             t += 1
-            adam_step(walked.params(), walked.grads(), state, t, cfg.lr_at_epoch(epoch))
+            adam_step(walked.param_vector, walked.grad_vector, moments, t,
+                      cfg.lr_at_epoch(epoch))
     assert len(history) == 2
     for name, value in trained.params().items():
         np.testing.assert_array_equal(value, walked.params()[name], err_msg=name)
