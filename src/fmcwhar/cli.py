@@ -30,7 +30,7 @@ from . import augment as augment_mod
 from . import domain_maps as dm
 from . import radar_io, synth, training
 from .nn.checkpoint import CheckpointError, load_checkpoint
-from .nn.config import preset
+from .nn.config import PRESETS, preset
 from .nn.counting import (
     REFERENCE_SE_BASELINE_TRAINABLE,
     REFERENCE_TOTAL_FLOPS,
@@ -251,11 +251,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    cfg = preset(args.preset, lstm_feature_dim_rule=args.lstm_rule)
+    cfg = preset(args.preset)
     params = count_params(cfg)
     flops = count_flops(cfg)
 
-    lines = [f"preset {args.preset}  (feature rule {args.lstm_rule})", ""]
+    lines = [f"preset {args.preset}", ""]
     lines.append(f"{'module':<16} {'params':>12} {'MACs':>14}")
     for module in params.per_module:
         lines.append(f"{module:<16} {params.per_module[module]:>12,} "
@@ -263,7 +263,7 @@ def _cmd_params(args) -> int:
     lines.append(f"{'total':<16} {params.total:>12,} {flops.total:>14,}")
     lines.append(f"{'non-trainable':<16} {params.non_trainable:>12,}")
 
-    if args.preset in ("b0", "table1_literal"):
+    if args.preset == "b0":
         se = count_se_baseline(cfg)
         lines.append("")
         lines.append(
@@ -356,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("params", help="parameter/FLOP audit tables")
-    p.add_argument("--preset", default="b0", choices=["b0", "table1_literal", "toy"])
-    p.add_argument("--lstm-rule", default="hxc", choices=["hxc", "c"])
+    p.add_argument("--preset", default="b0", choices=sorted(PRESETS))
     p.add_argument("--out", help="also write the table to this file")
     p.set_defaults(func=_cmd_params)
 

@@ -22,8 +22,8 @@ from ..radar_io import read_json_object
 from .config import ModelConfig, StageSpec
 from .model import MultiDomainModel
 
-# Version 2 keeps only the eight ModelConfig fields in the config block.
-FORMAT_VERSION = 2
+# Version 3 keeps only the seven ModelConfig fields in the config block.
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):

@@ -3,12 +3,11 @@
 The stage table drives everything. ``block_plan`` walks it once into
 one record per MBConv block, and the backbone construction, the shape
 audit and the static parameter/FLOP counting all read that plan.
-Presets:
+Two presets:
 
 - ``b0``: the full-scale backbone stage table with canonical per-stage
   repeats (1, 2, 2, 3, 3, 4, 1) and 224 x 224 three-channel input, so
   the single-branch parameter audit is meaningful.
-- ``table1_literal``: same stage table, one block per stage.
 - ``toy``: channels capped at 8 and 32 x 32 single-channel input for
   desk-scale training and gradient checks.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..radar_io import check_field_types
-from .heads import FEATURE_RULES
 
 
 @dataclass(frozen=True)
@@ -48,19 +46,6 @@ class BlockSpec:
     hw_out: int
 
 
-# Backbone stage table shared by the full-scale presets.
-_FULL_STAGES_BASE = (
-    (16, 3, 1, 1),
-    (24, 3, 6, 2),
-    (40, 5, 6, 2),
-    (80, 3, 6, 2),
-    (112, 5, 6, 1),
-    (192, 5, 6, 2),
-    (320, 3, 6, 1),
-)
-_B0_REPEATS = (1, 2, 2, 3, 3, 4, 1)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     stages: tuple[StageSpec, ...]
@@ -70,15 +55,9 @@ class ModelConfig:
     input_hw: int = 224
     lstm_hidden: int = 128
     num_classes: int = 6
-    lstm_feature_dim_rule: str = "hxc"
 
     def __post_init__(self):
         check_field_types(self, ValueError, minimum=1)
-        if self.lstm_feature_dim_rule not in FEATURE_RULES:
-            raise ValueError(
-                f"lstm_feature_dim_rule must be one of {FEATURE_RULES}, "
-                f"got {self.lstm_feature_dim_rule!r}"
-            )
         if not self.stages:
             raise ValueError("the stage table needs at least one stage")
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -88,13 +67,9 @@ class ModelConfig:
         """Spatial size after the stem and all stage strides."""
         return block_plan(self)[-1].hw_out
 
-    def lstm_feature_dim(self) -> int:
-        if self.lstm_feature_dim_rule == "hxc":
-            return self.head_channels * self.feature_hw
-        return self.head_channels
-
-    def rd_feature_dim(self) -> int:
-        # The linear+max head always consumes the h-major flattening.
+    @property
+    def sequence_dim(self) -> int:
+        """Width of one sequence step: a feature-map column, H * C."""
         return self.head_channels * self.feature_hw
 
 
@@ -121,14 +96,35 @@ def block_plan(cfg: ModelConfig) -> tuple[BlockSpec, ...]:
     return tuple(plan)
 
 
-def _full_stages(repeats) -> tuple[StageSpec, ...]:
-    return tuple(
-        StageSpec(c, k, e, s, r)
-        for (c, k, e, s), r in zip(_FULL_STAGES_BASE, repeats)
-    )
-
-
-PRESETS = {}
+PRESETS = {
+    "b0": ModelConfig(
+        stages=(
+            StageSpec(16, 3, 1, 1, 1),
+            StageSpec(24, 3, 6, 2, 2),
+            StageSpec(40, 5, 6, 2, 2),
+            StageSpec(80, 3, 6, 2, 3),
+            StageSpec(112, 5, 6, 1, 3),
+            StageSpec(192, 5, 6, 2, 4),
+            StageSpec(320, 3, 6, 1, 1),
+        ),
+    ),
+    "toy": ModelConfig(
+        stages=(
+            StageSpec(4, 3, 1, 1),
+            StageSpec(4, 3, 2, 2),
+            StageSpec(8, 5, 2, 2),
+            StageSpec(8, 3, 2, 2),
+            StageSpec(8, 5, 2, 1),
+            StageSpec(8, 5, 2, 2),
+            StageSpec(8, 3, 2, 1),
+        ),
+        stem_channels=4,
+        head_channels=16,
+        in_channels=1,
+        input_hw=32,
+        lstm_hidden=16,
+    ),
+}
 
 
 def preset(name: str, **overrides) -> ModelConfig:
@@ -138,23 +134,3 @@ def preset(name: str, **overrides) -> ModelConfig:
     if overrides:
         cfg = ModelConfig(**{**asdict(cfg), "stages": cfg.stages, **overrides})
     return cfg
-
-
-PRESETS["b0"] = ModelConfig(stages=_full_stages(_B0_REPEATS))
-PRESETS["table1_literal"] = ModelConfig(stages=_full_stages((1,) * 7))
-PRESETS["toy"] = ModelConfig(
-    stages=(
-        StageSpec(4, 3, 1, 1),
-        StageSpec(4, 3, 2, 2),
-        StageSpec(8, 5, 2, 2),
-        StageSpec(8, 3, 2, 2),
-        StageSpec(8, 5, 2, 1),
-        StageSpec(8, 5, 2, 2),
-        StageSpec(8, 3, 2, 1),
-    ),
-    stem_channels=4,
-    head_channels=16,
-    in_channels=1,
-    input_hw=32,
-    lstm_hidden=16,
-)

@@ -107,11 +107,11 @@ def _network_tallies(cfg: ModelConfig) -> list[tuple[str, _Tally]]:
     for branch in LSTM_BRANCHES:
         lstm = _Tally()
         # Each step maps its input and the last hidden state to four gates.
-        lstm.dense(cfg.lstm_feature_dim(), 4 * hidden, bias=True, calls=steps)
+        lstm.dense(cfg.sequence_dim, 4 * hidden, bias=True, calls=steps)
         lstm.dense(hidden, 4 * hidden, calls=steps)
         tallies.append((f"{branch}.lstm", lstm))
     head, fusion = _Tally(), _Tally()
-    head.dense(cfg.rd_feature_dim(), hidden, bias=True, calls=steps)
+    head.dense(cfg.sequence_dim, hidden, bias=True, calls=steps)
     fusion.dense(3 * hidden, cfg.num_classes, bias=True)
     return tallies + [("rd.head", head), ("fusion", fusion)]
 

@@ -214,11 +214,7 @@ def _case_lstm(rng):
 
 
 def _case_sequence_reshape(rng):
-    return SequenceReshape("hxc"), _channel_first(rng.standard_normal((2, 3, 4, 5)))
-
-
-def _case_sequence_reshape_pooled(rng):
-    return SequenceReshape("c"), _channel_first(rng.standard_normal((2, 3, 4, 5)))
+    return SequenceReshape(), _channel_first(rng.standard_normal((2, 3, 4, 5)))
 
 
 def _case_rd_head(rng):
@@ -269,7 +265,6 @@ GROUPS = {
                "mbconv_grouped": _case_mbconv_grouped},
     "lstm": {"lstm": _case_lstm},
     "heads": {"linear": _case_linear, "sequence_reshape": _case_sequence_reshape,
-              "sequence_reshape_pooled": _case_sequence_reshape_pooled,
               "rd_head": _case_rd_head, "fusion": _case_fusion},
     "loss": {"cross_entropy": _case_cross_entropy},
 }

@@ -2,11 +2,8 @@
 
 A channel-major backbone feature map (C, B, H, W) turns into a
 batch-major sequence (B, T, D) whose time axis T is the map width; the
-LSTM, the RD head and the fusion work batch-major. Two feature rules
-exist:
-
-- ``hxc``: step t holds column t flattened h-major, c-minor, D = H * C
-- ``c``: column features are mean-pooled over height first, D = C
+LSTM, the RD head and the fusion work batch-major. Step t holds column t
+flattened h-major, c-minor, so D = H * C.
 """
 
 from __future__ import annotations
@@ -16,33 +13,19 @@ import numpy as np
 from ..domain_maps import Domain
 from .layers import Dropout, Layer, Linear, ShapeMismatch, check_tensor4
 
-FEATURE_RULES = ("hxc", "c")
 FUSION_DROPOUT = 0.2
 
 
 class SequenceReshape(Layer):
-    def __init__(self, rule: str = "hxc"):
-        super().__init__()
-        if rule not in FEATURE_RULES:
-            raise ValueError(f"rule must be one of {FEATURE_RULES}, got {rule!r}")
-        self.rule = rule
-
     def forward(self, x, train: bool = False):
         x = check_tensor4(x)
         c, b, h, w = x.shape
         self._stash(x.shape)
-        if self.rule == "hxc":
-            # (B, W, H*C), h-major c-minor within each step.
-            return x.transpose(1, 3, 2, 0).reshape(b, w, h * c)
-        return x.mean(axis=2).transpose(1, 2, 0)
+        return x.transpose(1, 3, 2, 0).reshape(b, w, h * c)
 
     def backward(self, dout):
-        c, b, h, w = shape = self._take()
-        if self.rule == "hxc":
-            dx = dout.reshape(b, w, h, c).transpose(3, 0, 2, 1)
-        else:
-            dx = np.broadcast_to((dout / h).transpose(2, 0, 1)[:, :, None], shape)
-        return np.ascontiguousarray(dx)
+        c, b, h, w = self._take()
+        return np.ascontiguousarray(dout.reshape(b, w, h, c).transpose(3, 0, 2, 1))
 
 
 class RdHead(Layer):

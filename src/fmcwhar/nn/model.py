@@ -78,13 +78,13 @@ class MultiDomainModel(Layer):
         for name in LSTM_BRANCHES:
             self.register_child(name, Sequential(
                 backbone=Backbone(cfg, rng=rng),
-                reshape=SequenceReshape(cfg.lstm_feature_dim_rule),
-                lstm=Lstm(cfg.lstm_feature_dim(), cfg.lstm_hidden, rng=rng),
+                reshape=SequenceReshape(),
+                lstm=Lstm(cfg.sequence_dim, cfg.lstm_hidden, rng=rng),
             ))
         self.register_child(Domain.RANGE_DOPPLER.value, Sequential(
             backbone=Backbone(cfg, rng=rng),
-            reshape=SequenceReshape("hxc"),
-            head=RdHead(cfg.rd_feature_dim(), cfg.lstm_hidden, rng=rng),
+            reshape=SequenceReshape(),
+            head=RdHead(cfg.sequence_dim, cfg.lstm_hidden, rng=rng),
         ))
         self.register_child(
             "fusion", FusionClassifier(cfg.lstm_hidden, cfg.num_classes, rng=rng))

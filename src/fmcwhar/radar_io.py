@@ -83,20 +83,23 @@ def _finite(value) -> bool:
 
 
 def check_field_types(record, error, minimum=None) -> None:
-    """Raise ``error`` for the first ``int`` or ``float`` field of the
-    dataclass ``record`` that breaks the one rule for numeric fields:
+    """Raise ``error`` for the first ``str``, ``int`` or ``float`` field of
+    the dataclass ``record`` that breaks the one field rule:
 
-    - the value is a number, never a bool, string or None: configs arrive
-      as JSON, and bool subclasses int, but a JSON true is no count, seed
-      or rate;
+    - a ``str`` field holds a string;
+    - a numeric field holds a number, never a bool, string or None: configs
+      arrive as JSON, and bool subclasses int, but a JSON true is no count,
+      seed or rate;
     - an ``int`` field holds an integer, at least ``minimum`` when given;
     - a ``float`` field is finite as a float, so NaN, an infinity and a
       JSON integer too large for a float are all rejected.
     """
     for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "str" and not isinstance(value, str):
+            raise error(f"{f.name} must be a string, got {value!r}")
         if f.type not in ("int", "float"):
             continue
-        value = getattr(record, f.name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise error(f"{f.name} must be a number, got {value!r}")
         if f.type == "int" and not isinstance(value, int):

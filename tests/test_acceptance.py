@@ -124,20 +124,14 @@ def test_criterion_5_parameter_audit():
     assert baseline_rel < 0.02, f"SE baseline {se.total:,} off by {baseline_rel:.2%}"
 
     target = 23.42e6
-    deltas = {}
-    for rule in ("hxc", "c"):
-        totals = count_params(preset("b0", lstm_feature_dim_rule=rule))
-        deltas[rule] = (totals.total - target) / target
-        print(f"  params[{rule}]: {totals.total:,} ({deltas[rule]:+.2%} vs 23.42M); "
-              f"breakdown: " + ", ".join(
-                  f"{k}={v:,}" for k, v in totals.per_module.items()))
+    totals = count_params(preset("b0"))
+    delta = (totals.total - target) / target
+    print(f"  params: {totals.total:,} ({delta:+.2%} vs 23.42M); breakdown: "
+          + ", ".join(f"{k}={v:,}" for k, v in totals.per_module.items()))
     flops = count_flops(preset("b0")).total
-    print(f"  flops[hxc]: {flops:,} ({(flops - 1324.82e6) / 1324.82e6:+.2%} "
-          f"vs 1324.82M)")
-    assert any(abs(d) <= 0.20 for d in deltas.values()), \
-        f"no feature rule lands within 20%: {deltas}"
-    report(5, f"SE baseline {se.total:,} ({baseline_rel:+.2%}), "
-              f"hxc delta {deltas['hxc']:+.2%}, c delta {deltas['c']:+.2%}")
+    print(f"  flops: {flops:,} ({(flops - 1324.82e6) / 1324.82e6:+.2%} vs 1324.82M)")
+    assert abs(delta) <= 0.20, f"parameter total off by {delta:+.2%}"
+    report(5, f"SE baseline {se.total:,} ({baseline_rel:+.2%}), params delta {delta:+.2%}")
 
 
 def test_criterion_6_augmentation_statistics():

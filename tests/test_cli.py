@@ -226,9 +226,11 @@ class TestAugment:
         lambda meta: meta["params"].update(samples_per_chirp=True),
         lambda meta: meta["row_axis"].update(start=float("nan")),
         lambda meta: meta["col_axis"].update(step=float("inf")),
+        lambda meta: meta["row_axis"].update(unit=None),
+        lambda meta: meta["col_axis"].update(name=5),
     ], ids=["unknown_domain", "unknown_param", "string_shape", "string_step",
             "string_start", "bool_step", "list_sidecar", "bool_samples", "nan_start",
-            "inf_step"])
+            "inf_step", "null_unit", "number_name"])
     def test_malformed_sidecar(self, tmp_path, echo_file, edit, capsys):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
@@ -306,9 +308,17 @@ class TestParams:
         assert "single-branch SE baseline" in text
         assert out.read_text().strip() in text
 
-    def test_c_rule(self, capsys):
-        assert cli.main(["params", "--preset", "b0", "--lstm-rule", "c"]) == 0
-        assert "15,530,390" in capsys.readouterr().out
+    # One reading of the network: no option picks another sequence layout
+    # or stage table.
+    def test_c_rule(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["params", "--preset", "b0", "--lstm-rule", "c"])
+        assert exc.value.code == 2
+
+    def test_table1_literal_preset(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["params", "--preset", "table1_literal"])
+        assert exc.value.code == 2
 
     def test_toy_preset(self, capsys):
         assert cli.main(["params", "--preset", "toy"]) == 0
@@ -501,13 +511,17 @@ class TestMalformedCheckpoints:
             2, "CheckpointError")
         assert not (tmp_path / "eval").exists()
 
-    def test_version_1_manifest(self, tmp_path, toy_run, capsys):
-        # Version 1 configs also held the derived widths and fixed options.
+    # Version 1 configs also held the derived widths and fixed options;
+    # version 2 configs held the sequence rule.
+    @pytest.mark.parametrize("version, old_fields", [
+        (1, dict(cbam_reduction=16, rd_linear_out=16, fused_dim=48, dropout_p=0.2,
+                 attention="cbam", include_classifier=False, name="toy")),
+        (2, dict(lstm_feature_dim_rule="hxc")),
+    ], ids=["version_1", "version_2"])
+    def test_old_version_manifest(self, tmp_path, toy_run, capsys, version, old_fields):
         def downgrade(manifest):
-            manifest["format_version"] = 1
-            manifest["config"].update(
-                cbam_reduction=16, rd_linear_out=16, fused_dim=48, dropout_p=0.2,
-                attention="cbam", include_classifier=False, name="toy")
+            manifest["format_version"] = version
+            manifest["config"].update(old_fields)
 
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(toy_run / "checkpoint", ckpt)
@@ -515,8 +529,8 @@ class TestMalformedCheckpoints:
         assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(toy_run / "dataset"),
                          "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
-        assert "unsupported checkpoint version 1" in err
-        assert "fused_dim" not in err
+        assert f"unsupported checkpoint version {version}" in err
+        assert "fused_dim" not in err and "lstm_feature_dim_rule" not in err
 
     def test_missing_blob(self, tmp_path, toy_run, capsys):
         code, _ = self.eval_exit_code(tmp_path, toy_run,

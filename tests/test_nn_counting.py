@@ -30,10 +30,9 @@ class TestBackboneParams:
         assert report.total == 5_288_548
         assert report.non_trainable == 42_016
 
-    @pytest.mark.parametrize("rule, total", [("hxc", 23_394_710), ("c", 15_530_390)])
-    def test_b0_totals_exact(self, rule, total):
-        report = count_params(preset("b0", lstm_feature_dim_rule=rule))
-        assert report.total == total
+    def test_b0_totals_exact(self):
+        report = count_params(preset("b0"))
+        assert report.total == 23_394_710
         assert report.non_trainable == 126_048
 
     def test_classifier_breakdown(self):
@@ -42,7 +41,9 @@ class TestBackboneParams:
         assert "classifier" not in count_params(preset("b0")).per_module
 
 
-WALK_CASES = [(name, rule) for name in ("toy", "table1_literal") for rule in ("hxc", "c")]
+# Configs small enough to build: the toy preset, and b0's stage table
+# (repeats > 1) on small single-channel maps.
+BUILT = {"toy": preset("toy"), "b0": preset("b0", input_hw=32, in_channels=1, lstm_hidden=16)}
 
 
 class TestFullModelParams:
@@ -51,14 +52,6 @@ class TestFullModelParams:
         assert abs(total - REFERENCE_TOTAL_PARAMS) / REFERENCE_TOTAL_PARAMS < 0.20
         # It actually lands within half a percent.
         assert abs(total - REFERENCE_TOTAL_PARAMS) / REFERENCE_TOTAL_PARAMS < 0.005
-
-    def test_c_rule_total_smaller(self):
-        hxc = count_params(preset("b0")).total
-        c = count_params(preset("b0", lstm_feature_dim_rule="c")).total
-        assert c < hxc
-        # Less recurrent input means exactly the LSTM input-map difference.
-        diff = 2 * 4 * (8960 - 1280) * 128
-        assert hxc - c == diff
 
     def test_breakdown_sums_to_total(self):
         report = count_params(preset("b0"))
@@ -70,18 +63,13 @@ class TestFullModelParams:
         assert report.per_module["rd.head"] == 8960 * 128 + 128 == 1_147_008
         assert report.per_module["fusion"] == 384 * 6 + 6 == 2310
 
-    # Ids name only what differs from the default hxc network.
-    @pytest.mark.parametrize("name, rule", WALK_CASES, ids=[
-        "-".join(v for v in case if v != "hxc") for case in WALK_CASES])
-    def test_static_walk_matches_instantiation(self, name, rule):
-        small = {} if name == "toy" else dict(input_hw=32, in_channels=1, lstm_hidden=16)
-        cfg = preset(name, lstm_feature_dim_rule=rule, **small)
+    @pytest.mark.parametrize("cfg", BUILT.values(), ids=BUILT.keys())
+    def test_static_walk_matches_instantiation(self, cfg):
         model = MultiDomainModel(cfg, seed=0)
         assert sum(p.size for p in model.params().values()) == count_params(cfg).total
 
-    @pytest.mark.parametrize("rule", ["hxc", "c"])
-    def test_per_module_rows_match_instantiation(self, rule):
-        cfg = preset("toy", lstm_feature_dim_rule=rule)
+    @pytest.mark.parametrize("cfg", BUILT.values(), ids=BUILT.keys())
+    def test_per_module_rows_match_instantiation(self, cfg):
         params = MultiDomainModel(cfg, seed=0).params()
         built = {module: sum(p.size for name, p in params.items()
                              if name.startswith(module + "."))
@@ -96,9 +84,8 @@ class TestFlops:
         # MAC convention: convolutions + linear/recurrent matrix products.
         assert abs(total - REFERENCE_TOTAL_FLOPS) / REFERENCE_TOTAL_FLOPS < 0.10
 
-    @pytest.mark.parametrize("rule, total", [("hxc", 1_236_947_534), ("c", 1_181_897_294)])
-    def test_b0_totals_exact(self, rule, total):
-        assert count_flops(preset("b0", lstm_feature_dim_rule=rule)).total == total
+    def test_b0_totals_exact(self):
+        assert count_flops(preset("b0")).total == 1_236_947_534
 
     def test_one_branch_magnitude(self):
         report = count_flops(preset("b0"))
@@ -120,8 +107,6 @@ def test_preset_table_matches_declared_stage_table():
     assert [(s.out_channels, s.kernel, s.expand_ratio, s.stride) for s in cfg.stages] \
         == declared
     assert [s.repeats for s in cfg.stages] == [1, 2, 2, 3, 3, 4, 1]
-    literal = preset("table1_literal")
-    assert all(s.repeats == 1 for s in literal.stages)
 
 
 def test_toy_preset_caps_channels():
@@ -131,8 +116,6 @@ def test_toy_preset_caps_channels():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(stages=(StageSpec(8, 3, 1, 1),), lstm_feature_dim_rule="bogus")
     with pytest.raises(ValueError, match="at least one stage"):
         ModelConfig(stages=())
     with pytest.raises(ValueError, match="repeats"):
@@ -141,7 +124,7 @@ def test_config_validation():
 
 def test_config_json_round_trip(tmp_path):
     # A checkpoint's manifest is where a config is stored as JSON.
-    cfg = preset("toy", lstm_feature_dim_rule="c")
+    cfg = preset("toy", lstm_hidden=8)
     save_checkpoint(tmp_path, MultiDomainModel(cfg))
     assert load_checkpoint(tmp_path).cfg == cfg
 

@@ -8,33 +8,19 @@ from fmcwhar.nn.gradcheck import run_gradcheck
 class TestSequenceReshape:
     def test_hxc_dimensions(self):
         x = np.random.default_rng(0).standard_normal((2, 1280, 7, 7)).transpose(1, 0, 2, 3)
-        seq = SequenceReshape("hxc").forward(x)
+        seq = SequenceReshape().forward(x)
         assert seq.shape == (2, 7, 8960)
-
-    def test_c_rule_dimensions(self):
-        x = np.random.default_rng(1).standard_normal((2, 1280, 7, 7)).transpose(1, 0, 2, 3)
-        seq = SequenceReshape("c").forward(x)
-        assert seq.shape == (2, 7, 1280)
 
     def test_hxc_ordering_h_major(self):
         # Step t carries column t; within a step, features run h-major,
         # c-minor: D index = h * C + c.
         b, c, h, w = 1, 3, 2, 4
         x = np.arange(b * c * h * w, dtype=float).reshape(b, c, h, w)
-        seq = SequenceReshape("hxc").forward(x.transpose(1, 0, 2, 3))
+        seq = SequenceReshape().forward(x.transpose(1, 0, 2, 3))
         for t in range(w):
             for hh in range(h):
                 for cc in range(c):
                     assert seq[0, t, hh * c + cc] == x[0, cc, hh, t]
-
-    def test_c_rule_pools_height(self):
-        x = np.random.default_rng(3).standard_normal((2, 4, 6, 5))
-        seq = SequenceReshape("c").forward(x.transpose(1, 0, 2, 3))
-        np.testing.assert_allclose(seq[:, 2, :], x.mean(axis=2)[:, :, 2], atol=1e-12)
-
-    def test_invalid_rule(self):
-        with pytest.raises(ValueError):
-            SequenceReshape("hw")
 
 
 class TestRdHead:

@@ -155,31 +155,46 @@ def test_sample_count_must_fit_a_float():
         RadarParams(5.8e9, 1e-3, 10**400, 4e8)
 
 
+# Every record that ``check_field_types`` guards, with the error it raises.
+FIELD_RULE_RECORDS = [
+    (GLASGOW, NonPositiveParam),
+    (dm.Axis("time", "s", 0.0, 1.0), dm.DomainMapError),
+    (StageSpec(8, 3, 1, 1), ValueError),
+    (preset("toy"), ValueError),
+    (TrainConfig(), TrainingError),
+    (AugmentPolicy(), AugmentError),
+]
+
+
+def _field_cases(types, values):
+    """One case per field of ``types`` in every guarded record, and per
+    (label, value) pair that ``values`` gives for the field's type."""
+    for record, error in FIELD_RULE_RECORDS:
+        for f in fields(record):
+            if f.type in types:
+                for label, value in values(f.type):
+                    yield pytest.param(record, f.name, value, error,
+                                       id=f"{type(record).__name__}.{f.name}-{label}")
+
+
 def _numeric_field_cases():
-    """One case per numeric field of every record that ``check_field_types``
-    guards, and per value that the rule rejects there."""
-    records = [
-        (GLASGOW, NonPositiveParam),
-        (dm.Axis("time", "s", 0.0, 1.0), dm.DomainMapError),
-        (StageSpec(8, 3, 1, 1), ValueError),
-        (preset("toy"), ValueError),
-        (TrainConfig(), TrainingError),
-        (AugmentPolicy(), AugmentError),
-    ]
+    """Every value the rule rejects in a numeric field."""
     common = [("true", True), ("string", "1"), ("null", None), ("nan", math.nan),
               ("inf", math.inf), ("minus_inf", -math.inf)]
     extra = {"int": [("fraction", 1.5)], "float": [("huge_int", 10**400)]}
-    for record, error in records:
-        for f in fields(record):
-            if f.type in extra:
-                for label, value in common + extra[f.type]:
-                    yield pytest.param(record, f.name, value, error,
-                                       id=f"{type(record).__name__}.{f.name}-{label}")
+    return _field_cases(extra, lambda kind: common + extra[kind])
 
 
 @pytest.mark.parametrize("record, name, value, error", _numeric_field_cases())
 def test_numeric_field_rule(record, name, value, error):
     with pytest.raises(error):
+        replace(record, **{name: value})
+
+
+@pytest.mark.parametrize("record, name, value, error", _field_cases(
+    {"str"}, lambda kind: [("null", None), ("int", 5), ("true", True), ("list", ["toy"])]))
+def test_string_field_rule(record, name, value, error):
+    with pytest.raises(error, match="must be a string"):
         replace(record, **{name: value})
 
 
