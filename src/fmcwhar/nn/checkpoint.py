@@ -1,13 +1,17 @@
-"""Weight checkpoints: JSON manifest plus one float32 blob per parameter.
+"""Weight checkpoints: a JSON manifest plus one float32 blob per store.
 
 Layout of a checkpoint directory:
 
-    manifest.json          config, seed, parameter/buffer names and shapes
-    params/<name>.f32      little-endian float32, row-major
-    buffers/<name>.f32     non-trainable state (batch-norm running stats)
+    manifest.json   config, seed, and the name and shape of every
+                    parameter and buffer, in the model's order
+    params.f32      every parameter, little-endian float32, row-major,
+                    end to end in manifest order
+    buffers.f32     the non-trainable state (batch-norm running
+                    statistics), laid out the same way
 
-Names are the model's dotted registry names with ``/`` substituted so
-they stay valid filenames.
+The blobs follow the manifest, not the model's flat storage, so a
+checkpoint describes itself. It loads only into a model whose names and
+shapes its manifest lists exactly, in the same order.
 """
 
 from __future__ import annotations
@@ -22,39 +26,38 @@ from ..radar_io import read_json_object
 from .config import ModelConfig, StageSpec
 from .model import MultiDomainModel
 
-# Version 3 keeps only the seven ModelConfig fields in the config block.
-FORMAT_VERSION = 3
+# Raised whenever the layout or the config block changes; other versions are refused.
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
     """A checkpoint whose manifest or blobs do not describe a loadable model."""
 
 
-def _blob_name(param_name: str) -> str:
-    return param_name.replace("/", "_") + ".f32"
+def _sections(model: MultiDomainModel) -> dict:
+    return {"params": model.params(), "buffers": model.buffers()}
+
+
+def _listing(arrays: dict) -> list:
+    return [{"name": name, "shape": list(value.shape)} for name, value in arrays.items()]
 
 
 def save_checkpoint(directory, model: MultiDomainModel, extra: dict | None = None) -> None:
     directory = Path(directory)
-    params = model.params()
-    buffers = model.buffers()
+    sections = _sections(model)
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.cfg),
         "seed": model.seed,
-        "params": [
-            {"name": name, "shape": list(value.shape)} for name, value in params.items()
-        ],
-        "buffers": [
-            {"name": name, "shape": list(value.shape)} for name, value in buffers.items()
-        ],
+        **{section: _listing(arrays) for section, arrays in sections.items()},
     }
     if extra:
         manifest["extra"] = extra
-    for section, values in (("params", params), ("buffers", buffers)):
-        (directory / section).mkdir(parents=True, exist_ok=True)
-        for name, value in values.items():
-            value.astype("<f4").tofile(directory / section / _blob_name(name))
+    directory.mkdir(parents=True, exist_ok=True)
+    for section, arrays in sections.items():
+        with open(directory / f"{section}.f32", "wb") as fh:
+            for value in arrays.values():
+                value.astype("<f4").tofile(fh)
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
@@ -66,52 +69,39 @@ def load_checkpoint(directory) -> MultiDomainModel:
         raise CheckpointError(
             f"{directory}: unsupported checkpoint version {manifest.get('format_version')}"
         )
-    seed = manifest.get("seed", 0)
+    seed = manifest.get("seed")
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise CheckpointError(f"{directory}: seed {seed!r} is not an integer")
+        raise CheckpointError(f"{directory}: manifest seed {seed!r} is not an integer")
     try:
         config = manifest["config"]
         cfg = ModelConfig(**{**config, "stages": tuple(StageSpec(**s) for s in config["stages"])})
         model = MultiDomainModel(cfg, seed=seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
-    for section, expected in (("params", model.params()), ("buffers", model.buffers())):
-        entries = manifest.get(section, [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise CheckpointError(f"{directory}: manifest {section} must be a list of objects")
-        for entry in entries:
-            target = _entry_target(directory, section, entry, expected)
-            blob = directory / section / _blob_name(entry["name"])
-            value = np.fromfile(blob, dtype="<f4").astype(np.float64)
-            if value.size != target.size:
-                raise CheckpointError(
-                    f"{blob}: holds {value.size} values, manifest shape is {entry['shape']}"
-                )
-            target[...] = value.reshape(target.shape)
-        missing = sorted(set(expected) - {entry["name"] for entry in entries})
-        if missing:
-            raise CheckpointError(
-                f"{directory}: manifest lists no {section} entry for {', '.join(missing)}"
-            )
+    for section, arrays in _sections(model).items():
+        _check_listing(directory, section, manifest.get(section), _listing(arrays))
+        blob = directory / f"{section}.f32"
+        values = np.fromfile(blob, dtype="<f4")
+        total = sum(value.size for value in arrays.values())
+        if values.size != total:
+            raise CheckpointError(f"{blob}: holds {values.size} values, the manifest lists {total}")
+        offset = 0
+        for value in arrays.values():
+            value[...] = values[offset:offset + value.size].reshape(value.shape)
+            offset += value.size
     return model
 
 
-def _entry_target(directory, section, entry, expected) -> np.ndarray:
-    """The model array that a manifest entry names, once its name and
-    shape are checked against the model's."""
-    name, shape = entry.get("name"), entry.get("shape")
-    if not isinstance(name, str):
-        raise CheckpointError(f"{directory}: manifest {section} entry {entry} has no name")
-    if not isinstance(shape, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
-        raise CheckpointError(
-            f"{directory}: manifest {section} entry {name} has shape {shape!r}, "
-            "not a list of non-negative integers"
-        )
-    if name not in expected:
-        raise CheckpointError(f"{directory}: the model has no {section} entry {name}")
-    if tuple(shape) != expected[name].shape:
-        raise CheckpointError(
-            f"{directory}: {name}: shape {tuple(shape)} != model shape {expected[name].shape}"
-        )
-    return expected[name]
+def _check_listing(directory, section, entries, expected) -> None:
+    """Raise ``CheckpointError`` unless the manifest's ``entries`` are the
+    model's ``expected`` names and integer shapes, in the same order."""
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{directory}: manifest {section} is not a list")
+    if entries == expected and all(type(n) is int for e in entries for n in e["shape"]):
+        return
+    listed = [e.get("name") for e in entries if isinstance(e, dict)]
+    missing = sorted(want["name"] for want in expected if want["name"] not in listed)
+    raise CheckpointError(
+        f"{directory}: the manifest's {section} are not the model's names and shapes "
+        "in order" + (f"; it lists no entry for {', '.join(missing)}" if missing else "")
+    )

@@ -21,7 +21,7 @@ from . import domain_maps as dm
 from . import synth
 from .nn import MultiDomainModel
 from .nn.model import BRANCHES
-from .nn.config import PRESETS, preset
+from .nn.config import preset
 from .radar_io import RadarParams, check_field_types, read_json_object
 
 TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
@@ -48,7 +48,6 @@ class TrainConfig:
     seed: int = 0
     samples_per_class: int = 10
     map_size: int = 64
-    model_preset: str = "toy"
 
     def __post_init__(self):
         check_field_types(self, TrainingError)
@@ -57,10 +56,6 @@ class TrainConfig:
                 or self.decay_every_epochs < 1 or self.samples_per_class < 1
                 or self.map_size < 1):
             raise TrainingError("all training settings must be positive")
-        if self.model_preset not in PRESETS:
-            raise TrainingError(
-                f"unknown model_preset {self.model_preset!r}; choose from {sorted(PRESETS)}"
-            )
 
     def lr_at_epoch(self, epoch: int) -> float:
         return self.lr0 * self.decay_factor ** (epoch // self.decay_every_epochs)
@@ -225,6 +220,9 @@ def load_dataset(directory):
             if not isinstance(name, str):
                 raise TrainingError(f"{directory}: sample {i} {key!r} map {name!r} is not a string")
             spectro = dm.load_spectro_map(directory / name)
+            if spectro.domain.value != key:
+                raise TrainingError(f"{directory}: sample {i} {key!r} map {name} "
+                                    f"holds the {spectro.domain.value!r} domain")
             shape = shape or spectro.values.shape
             if spectro.values.shape != shape:
                 raise TrainingError(f"{directory}: {name} is not {shape} like the first map")
@@ -300,7 +298,7 @@ def run_toy_training(cfg: TrainConfig, out_dir) -> dict:
     dataset_dir = save_toy_dataset(out_dir / "dataset", cfg.samples_per_class,
                                    cfg.seed, cfg.map_size)
     dataset = load_dataset(dataset_dir)
-    model_cfg = preset(cfg.model_preset, input_hw=cfg.map_size, in_channels=1)
+    model_cfg = preset("toy", input_hw=cfg.map_size, in_channels=1)
     model = MultiDomainModel(model_cfg, seed=cfg.seed)
 
     history = train(model, dataset, cfg)

@@ -453,7 +453,7 @@ def _set_stage(manifest, **values):
     manifest["config"]["stages"][0].update(values)
 
 
-BLOB = Path("params") / "fusion.linear.w.f32"
+BLOB = Path("params.f32")
 
 
 class TestMalformedCheckpoints:
@@ -500,24 +500,33 @@ class TestMalformedCheckpoints:
             ckpt, lambda m: m["params"].append({"name": "fusion.linear.v", "shape": [1]})),
         lambda ckpt: (ckpt / "manifest.json").write_text("[1, 2]"),
         lambda ckpt: _edit_manifest(ckpt, lambda m: m.update(seed=True)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m.pop("seed")),
+        lambda ckpt: (ckpt / "buffers.f32").write_bytes((ckpt / "buffers.f32").read_bytes()[:-4]),
+        lambda ckpt: (ckpt / BLOB).write_bytes((ckpt / BLOB).read_bytes() + bytes(4)),
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["params"].insert(0, m["params"][0])),
+        # The stem batch norm's gamma and beta: one shape, told apart by order.
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["params"].insert(1, m["params"].pop(2))),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
             "omitted_param", "omitted_buffer", "params_not_a_list", "zero_stride",
             "zero_kernel", "bool_repeats", "float_stage_width", "zero_lstm_hidden",
             "negative_input_hw", "no_stage_table", "unnamed_param", "buffer_without_shape",
             "string_shape", "negative_shape", "float_shape", "unknown_param",
-            "manifest_not_an_object", "bool_seed"])
+            "manifest_not_an_object", "bool_seed", "no_seed", "truncated_buffers_blob",
+            "trailing_bytes", "duplicate_param", "swapped_param_order"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")
         assert not (tmp_path / "eval").exists()
 
     # Version 1 configs also held the derived widths and fixed options;
-    # version 2 configs held the sequence rule.
+    # version 2 configs held the sequence rule; version 3 stored one blob
+    # per array.
     @pytest.mark.parametrize("version, old_fields", [
         (1, dict(cbam_reduction=16, rd_linear_out=16, fused_dim=48, dropout_p=0.2,
                  attention="cbam", include_classifier=False, name="toy")),
         (2, dict(lstm_feature_dim_rule="hxc")),
-    ], ids=["version_1", "version_2"])
+        (3, {}),
+    ], ids=["version_1", "version_2", "version_3"])
     def test_old_version_manifest(self, tmp_path, toy_run, capsys, version, old_fields):
         def downgrade(manifest):
             manifest["format_version"] = version
@@ -566,9 +575,11 @@ class TestMalformedDatasets:
         lambda data: _edit_index(data, lambda index: index["samples"][2].pop("label")),
         lambda data: _edit_index(data, lambda index: index["samples"][2].pop("dt")),
         lambda data: _edit_index(data, lambda index: index["samples"][2].update(rt=5)),
+        lambda data: _edit_index(data, lambda index: index["samples"][2].update(
+            rt=index["samples"][2]["dt"], dt=index["samples"][2]["rt"])),
     ], ids=["index_not_an_object", "string_samples", "no_samples", "list_entry",
             "mixed_map_sizes", "maps_larger_than_model", "missing_label", "missing_map",
-            "map_name_not_string"])
+            "map_name_not_string", "swapped_domains"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         data = tmp_path / "dataset"
         shutil.copytree(toy_run / "dataset", data)

@@ -295,8 +295,18 @@ def test_checkpoint_round_trip(tmp_path):
     after = again.forward(*x, train=False)
     # Weights pass through float32 storage; outputs agree to that precision.
     np.testing.assert_allclose(after, before, rtol=1e-5, atol=1e-5)
-    assert (tmp_path / "ckpt" / "manifest.json").exists()
-    assert (tmp_path / "ckpt" / "params" / "fusion.linear.w.f32").exists()
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "buffers.f32", "manifest.json", "params.f32"]
+
+
+def test_checkpoint_blobs_follow_the_manifest(tmp_path):
+    model = MultiDomainModel(TOY, seed=4)
+    model.forward(*toy_inputs(seed=9), train=True)  # running stats leave their defaults
+    save_checkpoint(tmp_path / "ckpt", model)
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    for section, arrays in (("params", model.params()), ("buffers", model.buffers())):
+        want = b"".join(arrays[e["name"]].astype("<f4").tobytes() for e in manifest[section])
+        assert (tmp_path / "ckpt" / f"{section}.f32").read_bytes() == want
 
 
 def test_checkpoint_preserves_batchnorm_running_stats(tmp_path):

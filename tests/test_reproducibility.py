@@ -54,7 +54,8 @@ def test_command_sequence_is_bit_identical_across_processes(tmp_path):
     first = run_sequence(tmp_path / "a", "1")
     second = run_sequence(tmp_path / "b", "2")
     assert {"walk.dat", "parsed/echo.datb", "walk.datb", "maps/rd.smap", "aug/dt.smap", "run/metrics.csv",
-            "run/checkpoint/manifest.json", "evaluated/metrics.csv",
+            "run/checkpoint/manifest.json", "run/checkpoint/params.f32",
+            "run/checkpoint/buffers.f32", "evaluated/metrics.csv",
             "evaluated/confusion.csv"} <= set(first)
     assert sorted(first) == sorted(second)
     differing = [name for name in first if first[name] != second[name]]
