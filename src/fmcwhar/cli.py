@@ -203,12 +203,13 @@ def _cmd_augment(args) -> int:
     spectro = dm.load_spectro_map(args.input)
     noised = augment_mod.inject(spectro, policy)
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    with _removed_on_error(out_path, dm.sidecar_path(out_path), manifest_path):
+    outputs = [out_path, dm.sidecar_path(out_path)]
+    with _removed_on_error(*outputs, manifest_path):
         out_path.parent.mkdir(parents=True, exist_ok=True)
         dm.save_spectro_map(noised, out_path)
         _write_manifest(manifest_path, "augment",
                         {"input": args.input, "policy": asdict(policy)},
-                        {"noise_seed": policy.seed}, [args.input], [out_path], started)
+                        {"noise_seed": policy.seed}, [args.input], outputs, started)
     print(f"wrote {out_path} (seed {policy.seed})")
     return EXIT_OK
 

@@ -6,7 +6,8 @@ Pipeline per domain:
   high-pass (order 4, cutoff 0.0075 of Nyquist) on each range bin's
   magnitude sequence -> log magnitude. Rows are slow time, columns range.
 - DTM: fast-time DFT -> complex MTI along slow time -> per range bin in
-  [r1, r2], a short-time transform whose Gaussian window is re-selected
+  [r1, r2], a short-time transform of ``min(ASTFT_LENGTH, n_chirps)``-chirp
+  frames every ``ASTFT_HOP`` chirps whose Gaussian window is re-selected
   at every frame by minimizing the spectral concentration factor ->
   magnitudes summed over range bins -> log magnitude. Rows are Doppler
   (zero-centered), columns time frames.
@@ -40,12 +41,13 @@ from .radar_io import EchoMatrix, RadarParams, check_field_types, read_json_obje
 MTI_ORDER = 4
 MTI_CUTOFF_NORM = 0.0075
 
-# Defaults for the adaptive short-time transform: 8 Gaussian windows from
-# wide to narrow effective width, 128-chirp frames, hop of 16 chirps, and
-# a range interval covering typical indoor activity extents.
+# The adaptive short-time transform: frames of up to 128 chirps (fewer on
+# a shorter recording) every 16 chirps. Its default bank is 8 Gaussian
+# windows from wide to narrow effective width, and its default range
+# interval covers typical indoor activity extents.
+ASTFT_LENGTH = 128
+ASTFT_HOP = 16
 DEFAULT_ASTFT_ALPHAS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-DEFAULT_ASTFT_LENGTH = 128
-DEFAULT_ASTFT_HOP = 16
 DEFAULT_RANGE_INTERVAL_M = (0.5, 5.0)
 
 
@@ -108,53 +110,38 @@ class SpectroMap:
 
 @dataclass(frozen=True)
 class AstftConfig:
-    """Window bank and frame layout for the adaptive short-time transform."""
+    """Window bank and range interval of the adaptive short-time transform.
 
-    window_bank: tuple[dsp.WindowSpec, ...]
-    hop: int
+    The bank is one Gaussian window per ``alphas`` entry, each of
+    ``min(ASTFT_LENGTH, n_chirps)`` samples, and frames are centred every
+    ``ASTFT_HOP`` chirps; both are fixed when the map is built. Range
+    bins ``range_bin_lo`` to ``range_bin_hi`` are summed.
+    """
+
+    alphas: tuple[float, ...]
     range_bin_lo: int
     range_bin_hi: int
 
     def __post_init__(self):
-        bank = tuple(self.window_bank)
-        if not bank:
+        alphas = tuple(self.alphas)
+        if not alphas:
             raise BankEmpty("window bank must hold at least one window")
-        lengths = {w.length for w in bank}
-        if len(lengths) != 1:
-            raise DomainMapError(f"bank windows must share one length, got {sorted(lengths)}")
-        if any(a.alpha >= b.alpha for a, b in zip(bank, bank[1:])):
-            raise DomainMapError("bank alpha values must be strictly increasing")
-        if self.hop < 1:
-            raise DomainMapError(f"hop must be >= 1, got {self.hop}")
+        # Strictly increasing from 0: every alpha is also > 0 (and not NaN).
+        if not all(a < b for a, b in zip((0.0,) + alphas, alphas)):
+            raise DomainMapError(
+                f"bank alpha values must be > 0 and strictly increasing, got {alphas}")
         if not 0 <= self.range_bin_lo <= self.range_bin_hi:
             raise RangeIntervalOutOfBounds(
                 f"need 0 <= r1 <= r2, got [{self.range_bin_lo}, {self.range_bin_hi}]"
             )
-        object.__setattr__(self, "window_bank", bank)
-
-    @property
-    def window_length(self) -> int:
-        return self.window_bank[0].length
+        object.__setattr__(self, "alphas", alphas)
 
     @classmethod
-    def default_for(cls, params: RadarParams, n_chirps: int) -> "AstftConfig":
-        length = min(DEFAULT_ASTFT_LENGTH, n_chirps)
-        bank = tuple(dsp.WindowSpec(length, a) for a in DEFAULT_ASTFT_ALPHAS)
+    def default_for(cls, params: RadarParams) -> "AstftConfig":
         lo_m, hi_m = DEFAULT_RANGE_INTERVAL_M
         r1 = max(0, int(np.ceil(lo_m / params.range_bin_m)))
         r2 = min(params.samples_per_chirp - 1, int(np.floor(hi_m / params.range_bin_m)))
-        r2 = max(r2, r1)
-        return cls(window_bank=bank, hop=DEFAULT_ASTFT_HOP, range_bin_lo=r1, range_bin_hi=r2)
-
-    def validate_against(self, echo: EchoMatrix) -> None:
-        if self.window_length > echo.n_chirps:
-            raise DomainMapError(
-                f"window length {self.window_length} exceeds chirp count {echo.n_chirps}"
-            )
-        if self.range_bin_hi >= echo.params.samples_per_chirp:
-            raise RangeIntervalOutOfBounds(
-                f"r2 = {self.range_bin_hi} outside the {echo.params.samples_per_chirp} range bins"
-            )
+        return cls(DEFAULT_ASTFT_ALPHAS, range_bin_lo=r1, range_bin_hi=max(r2, r1))
 
 
 def range_profiles(echo: EchoMatrix, out: np.ndarray | None = None) -> np.ndarray:
@@ -218,27 +205,26 @@ def range_time_map(echo: EchoMatrix, mti: bool = True) -> SpectroMap:
     return _range_time(echo.params, packed)
 
 
-def _frame_segments(signal: np.ndarray, length: int, hop: int) -> np.ndarray:
-    """(n_frames, length) matrix of window-length segments centered at
-    multiples of ``hop``; positions outside the signal are zero."""
-    n = signal.shape[0]
-    centers = np.arange(0, n, hop)
-    offsets = centers[:, None] + (np.arange(length) - length // 2)[None, :]
-    valid = (offsets >= 0) & (offsets < n)
-    return np.where(valid, signal[np.clip(offsets, 0, n - 1)], 0.0)
-
-
 def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
     """The DT map and its (n_bins, n_frames) window selections."""
-    length = cfg.window_length
-    windows = np.stack([w.values() for w in cfg.window_bank])  # (n_alpha, L)
+    n_chirps, n_range = profiles.shape
+    if cfg.range_bin_hi >= n_range:
+        raise RangeIntervalOutOfBounds(
+            f"r2 = {cfg.range_bin_hi} outside the {n_range} range bins")
+    length = min(ASTFT_LENGTH, n_chirps)
+    windows = dsp.gaussian_windows(length, cfg.alphas)  # (n_alpha, L)
 
-    bins = range(cfg.range_bin_lo, cfg.range_bin_hi + 1)
+    # Frame f covers chirps f*hop - L//2 .. f*hop - L//2 + L - 1, zero
+    # outside the recording: a (n_bins, n_frames, L) view of one
+    # zero-padded, bin-major copy of the interval's profiles.
+    lo, hi = cfg.range_bin_lo, cfg.range_bin_hi + 1
+    padded = np.zeros((hi - lo, n_chirps + length - 1), dtype=profiles.dtype)
+    padded[:, length // 2:length // 2 + n_chirps] = profiles[:, lo:hi].T
+    frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::ASTFT_HOP]
     accum = None
     selections = []
-    for r in bins:
-        segments = _frame_segments(profiles[:, r], length, cfg.hop)  # (n_frames, L)
-        spectra = np.fft.fft(segments[None, :, :] * windows[:, None, :], axis=2)
+    for bin_frames in frames:
+        spectra = np.fft.fft(bin_frames[None] * windows[:, None, :], axis=2)
         mags = np.abs(spectra)  # (n_alpha, n_frames, L)
         chosen = np.argmin(dsp.concentration(mags), axis=0)  # first minimum wins ties
         selected = mags[chosen, np.arange(mags.shape[1]), :]  # (n_frames, L)
@@ -255,17 +241,10 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
         domain=Domain.DOPPLER_TIME,
         values=values,
         row_axis=Axis("Doppler", "Hz", -doppler_step * (length // 2), doppler_step),
-        col_axis=Axis("time", "s", 0.0, cfg.hop * params.chirp_duration_s),
+        col_axis=Axis("time", "s", 0.0, ASTFT_HOP * params.chirp_duration_s),
         params=params,
     )
     return spectro, np.stack(selections)
-
-
-def _astft_config(echo: EchoMatrix, cfg: AstftConfig | None) -> AstftConfig:
-    if cfg is None:
-        cfg = AstftConfig.default_for(echo.params, echo.n_chirps)
-    cfg.validate_against(echo)
-    return cfg
 
 
 def doppler_time_map(
@@ -278,10 +257,12 @@ def doppler_time_map(
     At every frame and range bin the Gaussian window minimizing the
     spectral concentration factor is selected (ties break to the lowest
     bank index); the chosen magnitude spectra are summed over the range
-    interval. With ``return_selection`` the (n_bins, n_frames) matrix of
-    selected bank indices is returned alongside the map.
+    interval. ``cfg`` defaults to ``AstftConfig.default_for(echo.params)``.
+    With ``return_selection`` the (n_bins, n_frames) matrix of selected
+    bank indices is returned alongside the map.
     """
-    cfg = _astft_config(echo, cfg)
+    if cfg is None:
+        cfg = AstftConfig.default_for(echo.params)
     profiles, _ = _front_end(echo, rt=False, doppler=True)
     result, selections = _doppler_time(echo.params, profiles, cfg)
     return (result, selections) if return_selection else result
@@ -327,7 +308,6 @@ def domain_maps(echo: EchoMatrix, mti: bool = True, domains=tuple(Domain)):
     """
     domains = [Domain(d) for d in domains]
     doppler = any(d is not Domain.RANGE_TIME for d in domains)
-    cfg = _astft_config(echo, None) if Domain.DOPPLER_TIME in domains else None
     profiles, packed = _front_end(echo, rt=Domain.RANGE_TIME in domains,
                                   doppler=doppler, rt_mti=mti)
     params = echo.params
@@ -336,7 +316,7 @@ def domain_maps(echo: EchoMatrix, mti: bool = True, domains=tuple(Domain)):
         if domain is Domain.RANGE_TIME:
             yield _range_time(params, packed)
         elif domain is Domain.DOPPLER_TIME:
-            yield _doppler_time(params, profiles, cfg)[0]
+            yield _doppler_time(params, profiles, AstftConfig.default_for(params))[0]
         else:
             reread = any(d is not Domain.RANGE_TIME for d in domains[i + 1:])
             yield _range_doppler(params, profiles, out=None if reread else profiles)
@@ -414,8 +394,7 @@ def load_spectro_map(path) -> SpectroMap:
     try:
         domain = Domain(meta["domain"])
         rows, cols = meta["shape"]
-        row_axis, col_axis = (Axis(d["name"], d["unit"], d["start"], d["step"])
-                              for d in (meta["row_axis"], meta["col_axis"]))
+        row_axis, col_axis = Axis(**meta["row_axis"]), Axis(**meta["col_axis"])
         params = RadarParams(**meta["params"])
     except (TypeError, ValueError, KeyError) as exc:
         raise DomainMapError(

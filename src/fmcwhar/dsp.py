@@ -1,6 +1,6 @@
-"""Numeric kernels of the map chain: the Gaussian window and the spectral
-concentration factor of the adaptive short-time transform, the Butterworth
-high-pass and its IIR filter for MTI, and log magnitude.
+"""Numeric kernels of the map chain: the Gaussian window bank and the
+spectral concentration factor of the adaptive short-time transform, the
+Butterworth high-pass and its IIR filter for MTI, and log magnitude.
 
 Every function here keeps no state and leaves its arguments unchanged,
 except that ``iir_filter`` writes into ``out`` (which may be its input).
@@ -29,29 +29,23 @@ class InvalidCutoff(DspError):
     pass
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Gaussian analysis window of ``length`` samples and shape ``alpha``.
+def gaussian_windows(length: int, alphas) -> np.ndarray:
+    """(len(alphas), length) matrix of Gaussian analysis windows, one row
+    per shape ``alpha``.
 
     w[k] = exp(-alpha * ((k - (L-1)/2) / ((L-1)/2))**2); larger alpha
-    means a narrower effective window.
+    means a narrower effective window. A one-sample window is 1.
     """
-
-    length: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise DspError(f"window length must be >= 1, got {self.length}")
-        if not self.alpha > 0:
-            raise DspError(f"Gaussian window needs alpha > 0, got {self.alpha}")
-
-    def values(self) -> np.ndarray:
-        if self.length == 1:
-            return np.ones(1)
-        half = (self.length - 1) / 2.0
-        k = np.arange(self.length)
-        return np.exp(-self.alpha * ((k - half) / half) ** 2)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if length < 1:
+        raise DspError(f"window length must be >= 1, got {length}")
+    if not np.all(alphas > 0):
+        raise DspError(f"Gaussian windows need alpha > 0, got {alphas.tolist()}")
+    if length == 1:
+        return np.ones((alphas.size, 1))
+    half = (length - 1) / 2.0
+    k = np.arange(length)
+    return np.exp(-alphas[:, None] * ((k - half) / half) ** 2)
 
 
 @dataclass(frozen=True)
@@ -171,9 +165,6 @@ def _lfilter_df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     if x.ndim == 1:
         x, y = x[:, None], y[:, None]
     p = b.size - 1
-    if p == 0:
-        np.multiply(b[0], x, out=y)
-        return
     lanes, dtype = x.shape[1:], y.dtype
     col = (-1,) + (1,) * len(lanes)
     b_rows = np.full((p + 1, 1) + lanes, b.reshape(col)[:, None], dtype=dtype)

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..radar_io import read_json_object
 from .config import ModelConfig, StageSpec
+from .counting import count_params
 from .model import MultiDomainModel
 
 # Raised whenever the layout or the config block changes; other versions are refused.
@@ -75,16 +76,21 @@ def load_checkpoint(directory) -> MultiDomainModel:
     try:
         config = manifest["config"]
         cfg = ModelConfig(**{**config, "stages": tuple(StageSpec(**s) for s in config["stages"])})
-        model = MultiDomainModel(cfg, seed=seed)
+        counts = count_params(cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
+    # The blobs must hold the model before anything is allocated for it;
+    # the static count equals the built model's (test_static_walk_matches_instantiation).
+    for section, total in (("params", counts.total), ("buffers", counts.non_trainable)):
+        blob = directory / f"{section}.f32"
+        size = blob.stat().st_size
+        if size != 4 * total:
+            raise CheckpointError(
+                f"{blob}: holds {size} bytes, the config needs {total} float32 values")
+    model = MultiDomainModel(cfg, seed=seed)
     for section, arrays in _sections(model).items():
         _check_listing(directory, section, manifest.get(section), _listing(arrays))
-        blob = directory / f"{section}.f32"
-        values = np.fromfile(blob, dtype="<f4")
-        total = sum(value.size for value in arrays.values())
-        if values.size != total:
-            raise CheckpointError(f"{blob}: holds {values.size} values, the manifest lists {total}")
+        values = np.fromfile(directory / f"{section}.f32", dtype="<f4")
         offset = 0
         for value in arrays.values():
             value[...] = values[offset:offset + value.size].reshape(value.shape)

@@ -87,16 +87,12 @@ def expected_doppler_hz(params, v):
     return 2 * v / params.wavelength_m
 
 
-def scene_astft_config(params, n_chirps, r_min, r_max):
+def scene_astft_config(params, r_min, r_max):
     """Default window bank, range interval widened to cover the trajectory."""
-    base = dm.AstftConfig.default_for(params, n_chirps)
     lo = max(0, int(np.floor(r_min / params.range_bin_m)) - 2)
     hi = min(params.samples_per_chirp - 1,
              int(np.ceil(r_max / params.range_bin_m)) + 2)
-    return dm.AstftConfig(
-        window_bank=base.window_bank, hop=base.hop,
-        range_bin_lo=lo, range_bin_hi=max(hi, lo),
-    )
+    return dm.AstftConfig(dm.DEFAULT_ASTFT_ALPHAS, range_bin_lo=lo, range_bin_hi=max(hi, lo))
 
 
 def check_scene_bins(r0, v, seed, params=GLASGOW_PARAMS, noise_std=0.05):
@@ -127,7 +123,7 @@ def check_scene_bins(r0, v, seed, params=GLASGOW_PARAMS, noise_std=0.05):
     ) <= 1.5
 
     r_lo, r_hi = sorted((r0, r0 - v * duration))
-    cfg = scene_astft_config(params, n_c, r_lo, r_hi)
+    cfg = scene_astft_config(params, r_lo, r_hi)
     dtm = dm.doppler_time_map(echo, cfg)
     freqs = dtm.row_axis.centers(dtm.shape[0])
     frame = dtm.shape[1] // 2

@@ -229,9 +229,7 @@ def test_criterion_9_astft_selection():
 
     # Single-member bank: the adaptive transform equals the fixed-window
     # STFT bitwise (same pipeline, no selection freedom).
-    window = dsp.WindowSpec(128, 4.0)
-    single = dm.AstftConfig(window_bank=(window,), hop=16,
-                            range_bin_lo=2, range_bin_hi=13)
+    single = dm.AstftConfig(alphas=(4.0,), range_bin_lo=2, range_bin_hi=13)
     adaptive, selection = dm.doppler_time_map(echo, single, return_selection=True)
     assert np.all(selection == 0)
     fixed = dm.doppler_time_map(echo, single)
@@ -239,20 +237,21 @@ def test_criterion_9_astft_selection():
 
     # Default bank: every frame's choice attains the bank's concentration
     # minimum, verified by exhaustive evaluation over all members.
-    cfg = dm.AstftConfig.default_for(GLASGOW_PARAMS, echo.n_chirps)
+    cfg = dm.AstftConfig.default_for(GLASGOW_PARAMS)
     _, selection = dm.doppler_time_map(echo, cfg, return_selection=True)
     profiles = mti_profiles(echo)
+    length = min(dm.ASTFT_LENGTH, echo.n_chirps)
+    windows = dsp.gaussian_windows(length, cfg.alphas)
     checked = 0
     for i, r in enumerate(range(cfg.range_bin_lo, cfg.range_bin_hi + 1)):
         sig = profiles[:, r]
-        for f_idx, center in enumerate(range(0, sig.size, cfg.hop)):
-            seg = np.zeros(cfg.window_length, dtype=complex)
-            lo = center - cfg.window_length // 2
-            src = slice(max(0, lo), min(sig.size, lo + cfg.window_length))
+        for f_idx, center in enumerate(range(0, sig.size, dm.ASTFT_HOP)):
+            seg = np.zeros(length, dtype=complex)
+            lo = center - length // 2
+            src = slice(max(0, lo), min(sig.size, lo + length))
             seg[src.start - lo: src.stop - lo] = sig[src]
             concs = np.array([
-                dsp.concentration(np.abs(np.fft.fft(seg * w.values())))
-                for w in cfg.window_bank
+                dsp.concentration(np.abs(np.fft.fft(seg * w))) for w in windows
             ])
             assert concs[selection[i, f_idx]] == concs.min(), \
                 f"bin {r} frame {f_idx}: chose {selection[i, f_idx]}, " \

@@ -126,7 +126,8 @@ class TestMaps:
                          "--out", str(tmp_path / "m")]) == 2
 
     # Two samples per chirp leave the Doppler-time range interval outside
-    # the range bins; the first map rejects the recording before --out exists.
+    # the range bins; the DT map rejects the recording, and the failed
+    # command removes the --out it made for the RT map.
     def test_rejected_recording_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "two.datb"
         assert cli.main(["synth", "--kind", "walk", "--samples", "2",
@@ -228,9 +229,10 @@ class TestAugment:
         lambda meta: meta["col_axis"].update(step=float("inf")),
         lambda meta: meta["row_axis"].update(unit=None),
         lambda meta: meta["col_axis"].update(name=5),
+        lambda meta: meta["row_axis"].update(offset=0.0),
     ], ids=["unknown_domain", "unknown_param", "string_shape", "string_step",
             "string_start", "bool_step", "list_sidecar", "bool_samples", "nan_start",
-            "inf_step", "null_unit", "number_name"])
+            "inf_step", "null_unit", "number_name", "unknown_axis_key"])
     def test_malformed_sidecar(self, tmp_path, echo_file, edit, capsys):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
@@ -244,6 +246,16 @@ class TestAugment:
         assert json.loads(capsys.readouterr().err)["error"] == "DomainMapError"
         assert not out.parent.exists()
 
+    def test_manifest_lists_every_output(self, tmp_path, echo_file):
+        maps_dir = tmp_path / "maps"
+        assert cli.main(["maps", str(echo_file), "--domains", "dt",
+                         "--out", str(maps_dir)]) == 0
+        out = tmp_path / "aug"
+        assert cli.main(["augment", str(maps_dir / "dt.smap"), "--seed", "5",
+                         "--out", str(out / "n.smap")]) == 0
+        manifest = out / "n.smap.manifest.json"
+        written = sorted(str(p) for p in out.iterdir() if p != manifest)
+        assert sorted(json.loads(manifest.read_text())["outputs"]) == written
 
     @pytest.mark.parametrize("blocked", ["aug.smap", "aug.json"])
     def test_failed_map_save_leaves_nothing(self, tmp_path, echo_file, blocked):
@@ -506,13 +518,15 @@ class TestMalformedCheckpoints:
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["params"].insert(0, m["params"][0])),
         # The stem batch norm's gamma and beta: one shape, told apart by order.
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["params"].insert(1, m["params"].pop(2))),
+        # A width whose arrays would not fit in memory: refused before any allocation.
+        lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(head_channels=10**12)),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
             "omitted_param", "omitted_buffer", "params_not_a_list", "zero_stride",
             "zero_kernel", "bool_repeats", "float_stage_width", "zero_lstm_hidden",
             "negative_input_hw", "no_stage_table", "unnamed_param", "buffer_without_shape",
             "string_shape", "negative_shape", "float_shape", "unknown_param",
             "manifest_not_an_object", "bool_seed", "no_seed", "truncated_buffers_blob",
-            "trailing_bytes", "duplicate_param", "swapped_param_order"])
+            "trailing_bytes", "duplicate_param", "swapped_param_order", "absurd_width"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")

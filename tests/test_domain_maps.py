@@ -81,14 +81,12 @@ class TestDopplerTimeMap:
 
     def test_single_member_bank_equals_fixed_stft(self):
         echo = single_target(3.0, 1.2, duration=0.512)
-        window = dsp.WindowSpec(128, 4.0)
-        cfg = dm.AstftConfig(window_bank=(window,), hop=16, range_bin_lo=2,
-                             range_bin_hi=13)
+        cfg = dm.AstftConfig(alphas=(4.0,), range_bin_lo=2, range_bin_hi=13)
         adaptive = dm.doppler_time_map(echo, cfg)
 
         # Independent fixed-window STFT of the same pipeline stages.
         profiles = mti_profiles(echo)
-        w = window.values()
+        w = dsp.gaussian_windows(128, (4.0,))[0]
         accum = None
         for r in range(2, 14):
             sig = profiles[:, r]
@@ -108,22 +106,23 @@ class TestDopplerTimeMap:
 
     def test_selection_attains_bank_minimum(self):
         echo = single_target(3.0, 1.0, duration=0.512)
-        cfg = dm.AstftConfig.default_for(PARAMS, echo.n_chirps)
+        cfg = dm.AstftConfig.default_for(PARAMS)
         _, selection = dm.doppler_time_map(echo, cfg, return_selection=True)
 
         profiles = mti_profiles(echo)
+        length = min(dm.ASTFT_LENGTH, echo.n_chirps)
+        windows = dsp.gaussian_windows(length, cfg.alphas)
         n_bins = cfg.range_bin_hi - cfg.range_bin_lo + 1
         assert selection.shape[0] == n_bins
         for i, r in enumerate(range(cfg.range_bin_lo, cfg.range_bin_hi + 1)):
             sig = profiles[:, r]
-            for f_idx, c in enumerate(range(0, sig.size, cfg.hop)):
-                seg = np.zeros(cfg.window_length, dtype=complex)
-                lo = c - cfg.window_length // 2
-                src = slice(max(0, lo), min(sig.size, lo + cfg.window_length))
+            for f_idx, c in enumerate(range(0, sig.size, dm.ASTFT_HOP)):
+                seg = np.zeros(length, dtype=complex)
+                lo = c - length // 2
+                src = slice(max(0, lo), min(sig.size, lo + length))
                 seg[src.start - lo: src.stop - lo] = sig[src]
                 concs = np.array([
-                    dsp.concentration(np.abs(np.fft.fft(seg * w.values())))
-                    for w in cfg.window_bank
+                    dsp.concentration(np.abs(np.fft.fft(seg * w))) for w in windows
                 ])
                 assert concs[selection[i, f_idx]] == concs.min()
 
@@ -135,27 +134,15 @@ class TestDopplerTimeMap:
 
     def test_bank_validation(self):
         with pytest.raises(dm.BankEmpty):
-            dm.AstftConfig(window_bank=(), hop=16, range_bin_lo=0, range_bin_hi=4)
+            dm.AstftConfig(alphas=(), range_bin_lo=0, range_bin_hi=4)
         with pytest.raises(dm.RangeIntervalOutOfBounds):
-            dm.AstftConfig(
-                window_bank=(dsp.WindowSpec(64, 1.0),),
-                hop=16, range_bin_lo=5, range_bin_hi=3,
-            )
+            dm.AstftConfig(alphas=(1.0,), range_bin_lo=5, range_bin_hi=3)
         with pytest.raises(dm.DomainMapError):
-            dm.AstftConfig(
-                window_bank=(
-                    dsp.WindowSpec(64, 2.0),
-                    dsp.WindowSpec(64, 1.0),
-                ),
-                hop=16, range_bin_lo=0, range_bin_hi=4,
-            )
+            dm.AstftConfig(alphas=(2.0, 1.0), range_bin_lo=0, range_bin_hi=4)
 
     def test_range_interval_checked_against_echo(self):
         echo = single_target(3.0, 1.0, duration=0.256)
-        cfg = dm.AstftConfig(
-            window_bank=(dsp.WindowSpec(64, 1.0),),
-            hop=16, range_bin_lo=0, range_bin_hi=128,
-        )
+        cfg = dm.AstftConfig(alphas=(1.0,), range_bin_lo=0, range_bin_hi=128)
         with pytest.raises(dm.RangeIntervalOutOfBounds):
             dm.doppler_time_map(echo, cfg)
 
@@ -293,7 +280,7 @@ class TestTranslationCovariance:
 
     def test_dtm_frame_shift(self):
         echo = single_target(3.0, 1.0, duration=0.512)
-        hop = dm.DEFAULT_ASTFT_HOP
+        hop = dm.ASTFT_HOP
         shifted = EchoMatrix(
             params=PARAMS,
             data=np.vstack([np.zeros((hop, 128), dtype=complex), echo.data[:-hop]]),
