@@ -23,8 +23,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import augment as augment_mod
 from . import domain_maps as dm
@@ -101,8 +99,7 @@ def _cmd_parse(args) -> int:
     started = time.time()
     params, echo, discarded = radar_io.load_recording(args.input)
     out_dir = Path(args.out)
-    outputs = [out_dir / name for name in
-               ("header.json", "echo.datb", "raw_magnitude.smap", "raw_magnitude.json")]
+    outputs = [out_dir / "header.json", out_dir / "echo.datb"]
     header = {
         **asdict(params),
         "sample_rate_hz": params.sample_rate_hz,
@@ -117,14 +114,6 @@ def _cmd_parse(args) -> int:
         with open(out_dir / "header.json", "w") as fh:
             json.dump(header, fh, indent=2)
         radar_io.save_recording(out_dir / "echo.datb", params, echo)
-        magnitude = dm.SpectroMap(
-            domain=dm.Domain.RANGE_TIME,
-            values=dm.dsp.log_magnitude(np.abs(echo.data)),
-            row_axis=dm.Axis("slow time", "s", 0.0, params.chirp_duration_s),
-            col_axis=dm.Axis("fast time", "s", 0.0, 1.0 / params.sample_rate_hz),
-            params=params,
-        )
-        dm.save_spectro_map(magnitude, out_dir / "raw_magnitude.smap")
         _write_manifest(out_dir / "manifest.json", "parse", {"input": args.input}, {},
                         [args.input], outputs, started)
     print(f"parsed {args.input}: {echo.n_chirps} chirps x "

@@ -306,7 +306,10 @@ def domain_maps(echo: EchoMatrix, mti: bool = True, domains=tuple(Domain)):
     RD map's slow-time DFT overwrites the profiles when no later map
     reads them; the maps are the same either way.
     """
-    domains = [Domain(d) for d in domains]
+    try:
+        domains = [Domain(d) for d in domains]
+    except ValueError as exc:
+        raise DomainMapError(f"{exc}; the domains are rt, dt and rd") from exc
     doppler = any(d is not Domain.RANGE_TIME for d in domains)
     profiles, packed = _front_end(echo, rt=Domain.RANGE_TIME in domains,
                                   doppler=doppler, rt_mti=mti)

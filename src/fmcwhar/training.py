@@ -6,12 +6,19 @@ renders stylized activity scenes into the three map domains, resizes
 them to 64 x 64, min-max normalizes each map to [0, 1], and overfits
 the small network preset on them; it exists to prove the whole chain
 end to end, not to reproduce full-scale accuracy.
+
+A dataset directory holds ``index.json``, ``{"map_size": S, "seed":
+seed, "labels": [...]}`` with one label per sample in render order,
+and one blob per domain, ``rt.f32``, ``dt.f32`` and ``rd.f32``: the N
+S x S maps of that domain end to end in sample order, little-endian
+float32, row-major.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -166,24 +173,27 @@ def _render_samples(samples_per_class: int, seed: int, map_size: int):
     for label, kind in enumerate(synth.ActivityKind):
         for i in range(samples_per_class):
             scene = synth.activity_template(kind, seed=seed * 1000 + label * 100 + i)
-            yield (f"{kind.value}_{i:03d}", label,
-                   maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), map_size))
+            yield label, maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), map_size)
 
 
 def save_toy_dataset(out_dir, samples_per_class: int, seed: int, map_size: int) -> Path:
-    """Render the toy dataset to disk as .smap triplets plus an index."""
+    """Render the toy dataset to disk: one blob per domain, then the index.
+
+    Each sample's maps are appended to the blobs as they are rendered,
+    so one sample's maps are alive at a time.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    index = {"map_size": map_size, "seed": seed, "samples": []}
-    for sample_id, label, maps in _render_samples(samples_per_class, seed, map_size):
-        entry = {"id": sample_id, "label": label}
-        for key, spectro in zip(DOMAIN_KEYS, maps):
-            name = f"{sample_id}_{key}.smap"
-            dm.save_spectro_map(spectro, out_dir / name)
-            entry[key] = name
-        index["samples"].append(entry)
+    labels = []
+    with ExitStack() as stack:
+        blobs = [stack.enter_context(open(out_dir / f"{key}.f32", "wb"))
+                 for key in DOMAIN_KEYS]
+        for label, maps in _render_samples(samples_per_class, seed, map_size):
+            for fh, spectro in zip(blobs, maps):
+                spectro.values.astype("<f4").tofile(fh)
+            labels.append(label)
     with open(out_dir / "index.json", "w") as fh:
-        json.dump(index, fh, indent=2)
+        json.dump({"map_size": map_size, "seed": seed, "labels": labels}, fh, indent=2)
     return out_dir
 
 
@@ -193,42 +203,34 @@ def load_dataset(directory):
     Map tensors have shape (N, 1, map_size, map_size), each map min-max
     normalized to [0, 1]; labels index the activity kinds and must be
     integers that fit 64 bits (``evaluate`` checks their range against
-    the model). Every sample is an object with a label and a string file
-    name for each map, and every map has the first map's shape.
+    the model). Every blob must hold exactly N maps of the index's size;
+    the sizes are checked before any blob is read.
     """
     directory = Path(directory)
-    samples = read_json_object(directory / "index.json", TrainingError).get("samples")
-    if not isinstance(samples, list) or not samples:
-        raise TrainingError(f"{directory}: index.json needs a non-empty samples list")
-    stacks = {key: [] for key in DOMAIN_KEYS}
-    labels = []
-    shape = None
-    for i, entry in enumerate(samples):
-        if not isinstance(entry, dict):
-            raise TrainingError(f"{directory}: sample entry {entry!r} is not an object")
-        for key in ("label", *DOMAIN_KEYS):
-            if key not in entry:
-                raise TrainingError(f"{directory}: sample {i} has no {key!r}")
-        label = entry["label"]
+    index = read_json_object(directory / "index.json", TrainingError)
+    labels, size = index.get("labels"), index.get("map_size")
+    if not isinstance(labels, list) or not labels:
+        raise TrainingError(f"{directory}: index.json needs a non-empty labels list")
+    for label in labels:
         if isinstance(label, bool) or not isinstance(label, int):
             raise LabelOutOfRange(f"{directory}: label {label!r} is not an integer")
         if not -2**63 <= label < 2**63:
             raise LabelOutOfRange(f"{directory}: label {label} does not fit 64 bits")
-        labels.append(label)
-        for key in DOMAIN_KEYS:
-            name = entry[key]
-            if not isinstance(name, str):
-                raise TrainingError(f"{directory}: sample {i} {key!r} map {name!r} is not a string")
-            spectro = dm.load_spectro_map(directory / name)
-            if spectro.domain.value != key:
-                raise TrainingError(f"{directory}: sample {i} {key!r} map {name} "
-                                    f"holds the {spectro.domain.value!r} domain")
-            shape = shape or spectro.values.shape
-            if spectro.values.shape != shape:
-                raise TrainingError(f"{directory}: {name} is not {shape} like the first map")
-            stacks[key].append(min_max_normalize(spectro.values)[None])
-    return (np.stack(stacks["rt"]), np.stack(stacks["dt"]), np.stack(stacks["rd"]),
-            np.array(labels, dtype=np.int64))
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise TrainingError(f"{directory}: map_size {size!r} is not a positive integer")
+    n = len(labels)
+    blobs = [directory / f"{key}.f32" for key in DOMAIN_KEYS]
+    for blob in blobs:
+        nbytes = blob.stat().st_size
+        if nbytes != 4 * n * size * size:
+            raise TrainingError(f"{blob}: holds {nbytes} bytes, the index needs "
+                                f"{n} float32 maps of {size} x {size}")
+    stacks = [np.fromfile(blob, dtype="<f4").astype(np.float64).reshape(n, 1, size, size)
+              for blob in blobs]
+    for maps in stacks:
+        for sample in maps:
+            sample[0] = min_max_normalize(sample[0])
+    return (*stacks, np.array(labels, dtype=np.int64))
 
 
 def evaluate(model: MultiDomainModel, dataset, batch_size: int = 8) -> MetricsReport:

@@ -63,8 +63,8 @@ class TestParse:
         assert cli.main(["parse", str(echo_file), "--out", str(out)]) == 0
         header = json.loads((out / "header.json").read_text())
         assert header["n_chirps"] == 1920
-        assert (out / "echo.datb").exists()
-        assert (out / "manifest.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "echo.datb", "header.json", "manifest.json"]
         # The echo dump is lossless.
         _, original, _ = radar_io.load_recording(echo_file)
         _, dumped, _ = radar_io.load_recording(out / "echo.datb")
@@ -438,11 +438,13 @@ class TestTrainEval:
 
 
 @pytest.fixture(scope="module")
-def toy_run(tmp_path_factory):
-    """An untrained toy checkpoint and a one-sample-per-class dataset for it."""
+def toy_run(tmp_path_factory, echo_file):
+    """An untrained toy checkpoint, a one-sample-per-class dataset for it,
+    and the DT map of a recording."""
     root = tmp_path_factory.mktemp("toy_run")
     save_checkpoint(root / "checkpoint", MultiDomainModel(preset("toy"), seed=2))
     training.save_toy_dataset(root / "dataset", samples_per_class=1, seed=0, map_size=32)
+    assert cli.main(["maps", str(echo_file), "--domains", "dt", "--out", str(root / "maps")]) == 0
     return root
 
 
@@ -568,39 +570,50 @@ def _edit_index(data, change):
     path.write_text(json.dumps(index))
 
 
-def _resize_maps(data, pattern, size):
-    for path in sorted(data.glob(pattern)):
-        dm.save_spectro_map(dm.resize_bilinear(dm.load_spectro_map(path), size, size), path)
+def _enlarge_last_map(data, key, size):
+    blob = data / f"{key}.f32"
+    maps = np.fromfile(blob, dtype="<f4").reshape(-1, 32, 32)
+    pad = (size - 32) // 2
+    blob.write_bytes(maps[:-1].tobytes() + np.pad(maps[-1], pad, mode="edge").tobytes())
 
 
 class TestMalformedDatasets:
     """Datasets that do not describe a batch the model can run are input
     errors, raised before any forward pass."""
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda data: (data / "index.json").write_text("[]"),
-        lambda data: _edit_index(data, lambda index: index.update(samples="abc")),
-        lambda data: _edit_index(data, lambda index: index.update(samples=[])),
-        lambda data: _edit_index(data, lambda index: index["samples"].__setitem__(2, [1, 2])),
-        # The last sample's maps are 48 px, the others 32 px.
-        lambda data: _resize_maps(data, "fall_*.smap", 48),
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda data: (data / "index.json").write_text("[]"), "TrainingError"),
+        (lambda data: _edit_index(data, lambda index: index.update(labels="abc")),
+         "TrainingError"),
+        (lambda data: _edit_index(data, lambda index: index.update(labels=[])),
+         "TrainingError"),
+        (lambda data: _edit_index(data, lambda index: index["labels"].__setitem__(2, [1, 2])),
+         "LabelOutOfRange"),
+        # The last sample's RT map is 48 px, the others 32 px.
+        (lambda data: _enlarge_last_map(data, "rt", 48), "TrainingError"),
         # Every map is 48 px; the checkpoint's model takes 32 px.
-        lambda data: _resize_maps(data, "*.smap", 48),
-        lambda data: _edit_index(data, lambda index: index["samples"][2].pop("label")),
-        lambda data: _edit_index(data, lambda index: index["samples"][2].pop("dt")),
-        lambda data: _edit_index(data, lambda index: index["samples"][2].update(rt=5)),
-        lambda data: _edit_index(data, lambda index: index["samples"][2].update(
-            rt=index["samples"][2]["dt"], dt=index["samples"][2]["rt"])),
+        (lambda data: training.save_toy_dataset(data, 1, 0, 48), "TrainingError"),
+        (lambda data: _edit_index(data, lambda index: index.pop("labels")), "TrainingError"),
+        (lambda data: (data / "dt.f32").unlink(), "FileNotFoundError"),
+        (lambda data: (data / "rt.f32").write_bytes((data / "rt.f32").read_bytes()[:-4]),
+         "TrainingError"),
+        (lambda data: (data / "rd.f32").write_bytes((data / "rd.f32").read_bytes() + bytes(4)),
+         "TrainingError"),
+        # Maps that would not fit in memory: refused before any allocation.
+        (lambda data: _edit_index(data, lambda index: index.update(map_size=10**9)),
+         "TrainingError"),
+        (lambda data: _edit_index(data, lambda index: index.update(map_size="32")),
+         "TrainingError"),
     ], ids=["index_not_an_object", "string_samples", "no_samples", "list_entry",
             "mixed_map_sizes", "maps_larger_than_model", "missing_label", "missing_map",
-            "map_name_not_string", "swapped_domains"])
-    def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
+            "truncated_blob", "trailing_bytes", "absurd_map_size", "string_map_size"])
+    def test_malformed(self, tmp_path, toy_run, corrupt, error, capsys):
         data = tmp_path / "dataset"
         shutil.copytree(toy_run / "dataset", data)
         corrupt(data)
         code = cli.main(["eval", "--ckpt", str(toy_run / "checkpoint"), "--data", str(data),
                          "--out", str(tmp_path / "eval"), "--json"])
-        assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "TrainingError")
+        assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, error)
         assert not (tmp_path / "eval").exists()
 
 
@@ -609,9 +622,7 @@ class TestMalformedDatasets:
 def test_eval_rejects_bad_label(tmp_path, toy_run, label, capsys):
     data = tmp_path / "dataset"
     shutil.copytree(toy_run / "dataset", data)
-    index = json.loads((data / "index.json").read_text())
-    index["samples"][2]["label"] = label
-    (data / "index.json").write_text(json.dumps(index))
+    _edit_index(data, lambda index: index["labels"].__setitem__(2, label))
     code = cli.main(["eval", "--ckpt", str(toy_run / "checkpoint"), "--data", str(data),
                      "--out", str(tmp_path / "eval"), "--json"])
     assert (code, json.loads(capsys.readouterr().err)["error"]) == (2, "LabelOutOfRange")
@@ -620,24 +631,23 @@ def test_eval_rejects_bad_label(tmp_path, toy_run, label, capsys):
 
 # More digits than Python converts to an int: json.loads raises ValueError.
 HUGE = "1" + "0" * 5000
-MAP = "dataset/walk_000_dt.smap"
+MAP = "maps/dt.smap"
 EVAL = ["eval", "--ckpt", "checkpoint", "--data", "dataset", "--out", "eval"]
 
 
 # Each sets one value of one JSON input to HUGE; paths are relative to the
-# run directory, which holds a copy of the toy checkpoint and dataset.
+# run directory, which holds a copy of the toy checkpoint, dataset and maps.
 @pytest.mark.parametrize("target, keys, argv", [
     ("cfg.json", ["lr0"], ["train-toy", "--config", "cfg.json", "--out", "run"]),
     ("p.json", ["var_mid"], ["augment", MAP, "--policy", "p.json", "--out", "aug.smap"]),
-    ("dataset/walk_000_dt.json", ["params", "samples_per_chirp"],
-     ["augment", MAP, "--out", "aug.smap"]),
+    ("maps/dt.json", ["params", "samples_per_chirp"], ["augment", MAP, "--out", "aug.smap"]),
     ("checkpoint/manifest.json", ["seed"], EVAL),
-    ("dataset/index.json", ["samples", 0, "label"], EVAL),
+    ("dataset/index.json", ["labels", 0], EVAL),
 ], ids=["config", "policy", "sidecar", "checkpoint_seed", "dataset_label"])
 def test_json_integer_beyond_the_digit_limit(tmp_path, toy_run, monkeypatch,
                                              target, keys, argv):
     monkeypatch.chdir(tmp_path)
-    for name in ("checkpoint", "dataset"):
+    for name in ("checkpoint", "dataset", "maps"):
         shutil.copytree(toy_run / name, name)
     path = Path(target)
     doc = json.loads(path.read_text()) if path.exists() else {}

@@ -225,6 +225,11 @@ class TestSharedFrontEnd:
         assert_same_map(maps[0], dm.range_doppler_map(echo))
         assert_same_map(maps[1], dm.range_time_map(echo, mti=False))
 
+    def test_unknown_domain_raises_domain_map_error(self):
+        echo = single_target(3.0, 1.0, duration=0.256)
+        with pytest.raises(dm.DomainMapError, match="'xx' is not a valid Domain"):
+            next(dm.domain_maps(echo, domains=["rt", "xx"]))
+
     @pytest.fixture(scope="class")
     def echo_and_maps(self):
         params = RadarParams(5.8e9, 1e-3, 37, 4e8)

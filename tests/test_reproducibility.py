@@ -55,7 +55,8 @@ def test_command_sequence_is_bit_identical_across_processes(tmp_path):
     second = run_sequence(tmp_path / "b", "2")
     assert {"walk.dat", "parsed/echo.datb", "walk.datb", "maps/rd.smap", "aug/dt.smap", "run/metrics.csv",
             "run/checkpoint/manifest.json", "run/checkpoint/params.f32",
-            "run/checkpoint/buffers.f32", "evaluated/metrics.csv",
+            "run/checkpoint/buffers.f32", "run/dataset/index.json", "run/dataset/rt.f32",
+            "run/dataset/dt.f32", "run/dataset/rd.f32", "evaluated/metrics.csv",
             "evaluated/confusion.csv"} <= set(first)
     assert sorted(first) == sorted(second)
     differing = [name for name in first if first[name] != second[name]]

@@ -323,30 +323,50 @@ def test_dataset_labels_must_be_integers(tmp_path):
     index_path = tmp_path / "ds" / "index.json"
     index = json.loads(index_path.read_text())
     for bad in (1.5, True, "1"):
-        index["samples"][1]["label"] = bad
+        index["labels"][1] = bad
         index_path.write_text(json.dumps(index))
         with pytest.raises(LabelOutOfRange, match="not an integer"):
             load_dataset(tmp_path / "ds")
 
 
-def test_dataset_save_load_round_trip(tmp_path):
+def _toy_maps(seed, map_size):
+    """Each sample's rt/dt/rd maps, rendered in memory in dataset order."""
     from fmcwhar import synth
-    from fmcwhar.training import (
-        TOY_RADAR_PARAMS, load_dataset, maps_for_echo, min_max_normalize, save_toy_dataset,
-    )
+    from fmcwhar.training import TOY_RADAR_PARAMS, maps_for_echo
+
+    return [maps_for_echo(synth.generate(
+                synth.activity_template(kind, seed=seed * 1000 + label * 100),
+                TOY_RADAR_PARAMS), map_size)
+            for label, kind in enumerate(synth.ActivityKind)]
+
+
+def test_dataset_save_load_round_trip(tmp_path):
+    from fmcwhar.training import load_dataset, min_max_normalize, save_toy_dataset
 
     save_toy_dataset(tmp_path / "ds", samples_per_class=1, seed=4, map_size=32)
     x_rt, x_dt, x_rd, labels = load_dataset(tmp_path / "ds")
     assert x_rt.shape == (6, 1, 32, 32)
     np.testing.assert_array_equal(labels, np.arange(6))
     assert x_rt.min() >= 0.0 and x_rt.max() <= 1.0
-    # The float32 map files reproduce the rendered maps to storage precision.
-    for label, kind in enumerate(synth.ActivityKind):
-        scene = synth.activity_template(kind, seed=4 * 1000 + label * 100)
-        maps = maps_for_echo(synth.generate(scene, TOY_RADAR_PARAMS), 32)
+    # Each loaded map is the normalized float32 rounding of the rendered map.
+    for label, maps in enumerate(_toy_maps(4, 32)):
         for loaded, spectro in zip((x_rt, x_dt, x_rd), maps):
-            np.testing.assert_allclose(loaded[label, 0], min_max_normalize(spectro.values),
-                                       atol=1e-6)
+            stored = spectro.values.astype(np.float32).astype(np.float64)
+            assert loaded[label, 0].tobytes() == min_max_normalize(stored).tobytes()
+
+
+def test_dataset_blobs_follow_the_index(tmp_path):
+    from fmcwhar.training import DOMAIN_KEYS, save_toy_dataset
+
+    out = save_toy_dataset(tmp_path / "ds", samples_per_class=1, seed=4, map_size=16)
+    assert sorted(p.name for p in out.iterdir()) == ["dt.f32", "index.json", "rd.f32",
+                                                     "rt.f32"]
+    assert json.loads((out / "index.json").read_text()) == {
+        "map_size": 16, "seed": 4, "labels": list(range(6))}
+    samples = _toy_maps(4, 16)
+    for i, key in enumerate(DOMAIN_KEYS):
+        expected = b"".join(maps[i].values.astype("<f4").tobytes() for maps in samples)
+        assert (out / f"{key}.f32").read_bytes() == expected, key
 
 
 # Peak traced bytes of the render chain, as multiples of one toy echo's
