@@ -2,7 +2,8 @@
 three-branch network built from them.
 
 - ``layers``: the ``Layer`` contract, ``Sequential``, the row-tap conv
-  kernel, convs, batch norm, Swish, linear and dropout;
+  kernel, convs, batch norm (with the Swish fused in), linear and
+  dropout, and the standalone ``Swish``, the fused layer's reference;
 - ``attention``: the CBAM channel and spatial gates;
 - ``blocks``: MBConv blocks and the backbone;
 - ``recurrent``: the LSTM;
@@ -36,12 +37,15 @@ from .model import MultiDomainModel
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckResult, run_gradcheck
 
+# ``Swish`` stays importable but is not exported: the network runs it
+# inside ``BatchNorm2d(swish=True)``, and the layer is that fusion's
+# reference.
 __all__ = [
     "Backbone", "BatchNorm2d", "Cbam", "ChannelAttention", "Conv2d",
     "DepthwiseConv2d", "Dropout", "FusionClassifier", "GradCheckResult",
     "Layer", "Linear", "Lstm", "MBConv", "ModelConfig", "MultiDomainModel",
     "NoForwardCache", "RdHead", "Sequential", "SequenceReshape", "ShapeMismatch",
-    "SpatialAttention", "StageSpec", "Swish",
+    "SpatialAttention", "StageSpec",
     "count_flops", "count_params", "load_checkpoint", "run_gradcheck",
     "save_checkpoint",
 ]

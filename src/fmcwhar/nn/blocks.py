@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from .attention import CBAM_REDUCTION, Cbam
 from .config import block_plan
-from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Sequential, Swish
+from .layers import BatchNorm2d, Conv2d, DepthwiseConv2d, Sequential
 
 
 class MBConv(Sequential):
     """Expansion 1x1 -> depthwise k x k -> CBAM -> projection 1x1.
+
+    Every batch norm but the projection's runs the Swish that follows it
+    (``BatchNorm2d(swish=True)``).
 
     The expansion stage is registered only when the expand ratio is not
     1. A residual connection applies when the block keeps both stride
@@ -28,12 +31,10 @@ class MBConv(Sequential):
         if expand_ratio != 1:
             self.register_child("expand_conv", Conv2d(in_channels, expanded, 1, groups=groups,
                                                        rng=rng))
-            self.register_child("expand_bn", BatchNorm2d(expanded))
-            self.register_child("expand_act", Swish())
+            self.register_child("expand_bn", BatchNorm2d(expanded, swish=True))
 
         self.register_child("dw_conv", DepthwiseConv2d(expanded, kernel, stride, rng=rng))
-        self.register_child("dw_bn", BatchNorm2d(expanded))
-        self.register_child("dw_act", Swish())
+        self.register_child("dw_bn", BatchNorm2d(expanded, swish=True))
 
         self.register_child("attn", Cbam(expanded, cbam_reduction, groups, rng=rng))
         self.register_child("project_conv", Conv2d(expanded, out_channels, 1, groups=groups,
@@ -61,8 +62,7 @@ class Backbone(Sequential):
         g = groups
         self.register_child("stem_conv", Conv2d(g * cfg.in_channels, g * cfg.stem_channels, 3,
                                                 stride=2, groups=g, rng=rng))
-        self.register_child("stem_bn", BatchNorm2d(g * cfg.stem_channels))
-        self.register_child("stem_act", Swish())
+        self.register_child("stem_bn", BatchNorm2d(g * cfg.stem_channels, swish=True))
 
         plan = block_plan(cfg)
         for block in plan:
@@ -72,5 +72,4 @@ class Backbone(Sequential):
 
         self.register_child("head_conv", Conv2d(g * plan[-1].c_out, g * cfg.head_channels, 1,
                                                 groups=g, rng=rng))
-        self.register_child("head_bn", BatchNorm2d(g * cfg.head_channels))
-        self.register_child("head_act", Swish())
+        self.register_child("head_bn", BatchNorm2d(g * cfg.head_channels, swish=True))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,8 +140,8 @@ def _case_depthwise(rng):
     return layer, _channel_first(_away_from_kinks(rng, (2, 4, 6, 6)))
 
 
-def _case_batchnorm(rng):
-    layer = BatchNorm2d(5)
+def _case_batchnorm(rng, swish=False):
+    layer = BatchNorm2d(5, swish=swish)
     layer.running_mean = rng.standard_normal(5) * 0.3
     layer.running_var = rng.uniform(0.5, 1.5, 5)
     layer.gamma[...] = rng.uniform(0.5, 1.5, 5)
@@ -148,8 +149,8 @@ def _case_batchnorm(rng):
     return layer, _channel_first(_away_from_kinks(rng, (2, 5, 4, 4)))
 
 
-def _case_batchnorm_train(rng):
-    layer = BatchNorm2d(3)
+def _case_batchnorm_train(rng, swish=False):
+    layer = BatchNorm2d(3, swish=swish)
     layer.gamma[...] = rng.uniform(0.5, 1.5, 3)
     x = _channel_first(_away_from_kinks(rng, (3, 3, 4, 4)))
     return layer, x, (lambda: layer.forward(x, train=True))
@@ -257,7 +258,9 @@ GROUPS = {
              "conv_stride1": _case_conv_stride1, "conv_grouped": _case_conv_grouped,
              "conv_grouped_pointwise": _case_conv_grouped_pointwise,
              "depthwise": _case_depthwise},
-    "bn": {"batchnorm": _case_batchnorm, "batchnorm_train": _case_batchnorm_train},
+    "bn": {"batchnorm": _case_batchnorm, "batchnorm_train": _case_batchnorm_train,
+           "batchnorm_swish": partial(_case_batchnorm, swish=True),
+           "batchnorm_swish_train": partial(_case_batchnorm_train, swish=True)},
     "activations": {"swish": _case_swish},
     "cbam": {"cbam_channel": _case_cbam_channel, "cbam_spatial": _case_cbam_spatial,
              "cbam": _case_cbam, "cbam_grouped": _case_cbam_grouped},

@@ -1,5 +1,5 @@
-"""Core layers: convolutions, batch norm, activations, linear, dropout,
-and the row-tap kernel that runs every windowed conv.
+"""Core layers: convolutions, batch norm (with the Swish fused in), Swish,
+linear, dropout, and the row-tap kernel that runs every windowed conv.
 
 Layers compute in float64, so finite-difference gradient checks are
 meaningful: the model casts its input maps to float64 and ``sigmoid``
@@ -347,25 +347,39 @@ class DepthwiseConv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Batch normalization with running-average tracking.
+    """Batch normalization with running-average tracking, and with
+    ``swish`` the Swish that follows it.
 
     Training mode normalizes with batch statistics and updates the
     running averages; inference mode uses the stored averages, which
     keeps the layer a fixed deterministic function. Each channel is one
     row of B*H*W values: the statistics and the backward's two channel
     sums are row reductions, and dx is one fused expression.
+
+    With ``swish`` the layer returns y = z * sigmoid(z) for the batch
+    norm output z, formed in z's buffer. It keeps x_hat and y, not the
+    sigmoid: backward forms z again with the forward's operations, so
+    its sigmoid has the forward's bits, and runs both gradients in one
+    buffer.
     """
 
     MOMENTUM = 0.1
     EPS = 1e-5
 
-    def __init__(self, channels):
+    def __init__(self, channels, swish=False):
         super().__init__()
         self.channels = channels
+        self.swish = swish
         self.register_param("gamma", np.ones(channels))
         self.register_param("beta", np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
         self.register_buffer("running_var", np.ones(channels))
+
+    def _affine(self, x_hat):
+        """gamma * x_hat + beta, per channel row, in a new buffer."""
+        out = x_hat * self.gamma[:, None]
+        out += self.beta[:, None]
+        return out
 
     def forward(self, x, train: bool = False):
         x = check_tensor4(x, self.channels)
@@ -383,31 +397,52 @@ class BatchNorm2d(Layer):
             x_hat = x2 - self.running_mean[:, None]
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         x_hat *= inv_std[:, None]
-        self._stash((x_hat, inv_std, train))
-        out = x_hat * self.gamma[:, None]
-        out += self.beta[:, None]
+        out = self._affine(x_hat)
+        if self.swish:
+            out *= sigmoid(out)
+        self._stash((x_hat, inv_std, train, out if self.swish else None))
         return out.reshape(x.shape)
 
     def backward(self, dout):
-        x_hat, inv_std, train = self._take()
+        x_hat, inv_std, train, y = self._take()
         d2 = dout.reshape(x_hat.shape)
+        if self.swish:
+            z = self._affine(x_hat)
+            d2 = swish_grad(d2, sigmoid(z, out=z), y)
+            del z, y
         sum_d, sum_d_xhat = d2.sum(axis=1), np.vecdot(d2, x_hat)
         self.g_gamma += sum_d_xhat
         self.g_beta += sum_d
         scale = self.gamma * inv_std
-        dx = d2 * scale[:, None]
+        # d2 is this layer's own buffer after the Swish gradient.
+        dx = np.multiply(d2, scale[:, None], out=d2 if self.swish else None)
         if train:
             # Through the batch statistics as well:
             # dx = scale * (dout - sum_d / n - x_hat * sum_d_xhat / n).
+            # The cache is consumed, so x_hat takes its product in place.
             n = x_hat.shape[1]
-            dx -= x_hat * (scale * sum_d_xhat / n)[:, None]
+            x_hat *= (scale * sum_d_xhat / n)[:, None]
+            dx -= x_hat
             dx -= (scale * sum_d / n)[:, None]
         return dx.reshape(dout.shape)
 
 
+def swish_grad(dout, s, y):
+    """dout * ((1 - s) y + s), the gradient of y = x * s with s = sigmoid(x),
+    in one new buffer. Written from the output, so the input need not be
+    kept."""
+    grad = np.subtract(1.0, s)
+    grad *= y
+    grad += s
+    grad *= dout
+    return grad
+
+
 class Swish(Layer):
-    """x * sigmoid(x), the EfficientNet backbone activation. It keeps its
-    output and its sigmoid for backward, not its input."""
+    """x * sigmoid(x), standalone: the network runs it inside
+    ``BatchNorm2d(swish=True)``, and this layer is that fusion's
+    reference. It keeps its output and its sigmoid for backward, not its
+    input."""
 
     def forward(self, x, train: bool = False):
         s = sigmoid(x)
@@ -416,16 +451,14 @@ class Swish(Layer):
         return y
 
     def backward(self, dout):
-        # s + x s (1 - s) written as (1 - s) y + s with y = x s, so the
-        # input need not be kept.
         s, y = self._take()
-        return dout * ((1.0 - s) * y + s)
+        return swish_grad(dout, s, y)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """0.5 * (1 + tanh(x / 2)) in float64: overflow-free at any |x|, built
-    in one buffer."""
-    out = np.multiply(x, 0.5, dtype=np.float64)
+    in one buffer, ``out`` (which may be ``x``) when given."""
+    out = np.multiply(x, 0.5, out=out, dtype=np.float64)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5

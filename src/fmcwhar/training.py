@@ -35,6 +35,8 @@ TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per step of ``adam_step``'s loop: its two buffers are 256 KiB each.
+ADAM_CHUNK = 32_768
 
 
 class TrainingError(ValueError):
@@ -70,18 +72,43 @@ class TrainConfig:
 
 def adam_step(params, grads, moments, t: int, lr: float):
     """One Adam update, in place, of the flat vector ``params`` and its (2, n)
-    first and second ``moments``; t starts at 1. Every operation is
-    elementwise, so each element gets the bits of a step of its own."""
+    first and second ``moments``; t starts at 1.
+
+    The vectors are stepped ADAM_CHUNK elements at a time through two
+    chunk-sized buffers, so the step allocates no whole-vector temporary.
+    Every operation is elementwise and runs in the order of the
+    whole-vector expression, so each element gets the bits of a step of
+    its own."""
     if t < 1:
         raise TrainingError(f"step index must be >= 1, got {t}")
-    if grads.shape != params.shape or moments.shape != (2, *params.shape):
-        raise TrainingError(f"shape mismatch: parameters {params.shape}, "
+    if (params.ndim != 1 or grads.shape != params.shape
+            or moments.shape != (2, *params.shape)):
+        raise TrainingError(f"shape mismatch: parameters {params.shape} (a flat vector), "
                             f"gradients {grads.shape}, moments {moments.shape}")
     m, v = moments
-    m += (1.0 - ADAM_BETA1) * (grads - m)
-    v += (1.0 - ADAM_BETA2) * (grads * grads - v)
-    params -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (
-        np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
+    bias1, bias2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    buf_a, buf_b = np.empty((2, min(ADAM_CHUNK, params.size)))
+    for lo in range(0, params.size, ADAM_CHUNK):
+        chunk = slice(lo, lo + ADAM_CHUNK)
+        g, mc, vc = grads[chunk], m[chunk], v[chunk]
+        a, b = buf_a[:g.size], buf_b[:g.size]
+        # m += (1 - beta1) * (g - m)
+        np.subtract(g, mc, out=a)
+        a *= 1.0 - ADAM_BETA1
+        mc += a
+        # v += (1 - beta2) * (g * g - v)
+        np.multiply(g, g, out=a)
+        a -= vc
+        a *= 1.0 - ADAM_BETA2
+        vc += a
+        # params -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(mc, bias1, out=a)
+        a *= lr
+        np.divide(vc, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        params[chunk] -= a
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:

@@ -101,12 +101,12 @@ def test_criterion_4_shape_contract():
     ]
     bb = model.rt.backbone  # channel-major: (C, B, H, W)
     xc = x.transpose(1, 0, 2, 3)
-    out = bb.stem_act.forward(bb.stem_bn.forward(bb.stem_conv.forward(xc), False), False)
+    out = bb.stem_bn.forward(bb.stem_conv.forward(xc), False)  # runs its Swish
     seen = {"stem": out.shape}
     for block in block_plan(cfg):
         out = getattr(bb, block.name).forward(out)
         seen[f"stage{block.stage}"] = out.shape
-    out = bb.head_act.forward(bb.head_bn.forward(bb.head_conv.forward(out), False), False)
+    out = bb.head_bn.forward(bb.head_conv.forward(out), False)
     seen["head"] = out.shape
     for name, shape in expected_stages:
         assert seen[name] == shape, f"{name}: {seen[name]} != {shape}"

@@ -33,13 +33,16 @@ class TestMBConv:
     # every shape valid would still pass the gradient checks, so the
     # child sequence is pinned here.
     @pytest.mark.parametrize("expand_ratio,names", [
-        (2, ["expand_conv", "expand_bn", "expand_act", "dw_conv", "dw_bn",
-             "dw_act", "attn", "project_conv", "project_bn"]),
-        (1, ["dw_conv", "dw_bn", "dw_act", "attn", "project_conv", "project_bn"]),
+        (2, ["expand_conv", "expand_bn", "dw_conv", "dw_bn", "attn", "project_conv",
+             "project_bn"]),
+        (1, ["dw_conv", "dw_bn", "attn", "project_conv", "project_bn"]),
     ])
     def test_child_order(self, expand_ratio, names):
         block = MBConv(4, 4, 3, expand_ratio, stride=1, cbam_reduction=2)
         assert [name for name, _ in block._children] == names
+        # Every batch norm but the projection's runs its Swish.
+        assert [name for name, child in block._children if getattr(child, "swish", False)] == [
+            name for name in names if name.endswith("_bn") and name != "project_bn"]
 
     def test_no_residual_on_stride_or_channel_change(self):
         assert not MBConv(4, 8, 3, 1, stride=1).use_residual
@@ -64,7 +67,7 @@ class TestBackbone:
         cfg = preset("b0")
         bb = Backbone(cfg, rng=np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((1, 3, 224, 224)).transpose(1, 0, 2, 3)
-        out = bb.stem_act.forward(bb.stem_bn.forward(bb.stem_conv.forward(x), False), False)
+        out = bb.stem_bn.forward(bb.stem_conv.forward(x), False)
         assert out.shape == (32, 1, 112, 112)
         expected = {
             "stage1": (16, 1, 112, 112),
@@ -78,7 +81,7 @@ class TestBackbone:
         for block in block_plan(cfg):
             out = getattr(bb, block.name).forward(out)
             assert out.shape == expected[f"stage{block.stage}"], block.name
-        out = bb.head_act.forward(bb.head_bn.forward(bb.head_conv.forward(out), False), False)
+        out = bb.head_bn.forward(bb.head_conv.forward(out), False)
         assert out.shape == (1280, 1, 7, 7)
 
     def test_static_walk_matches_forward(self):
@@ -90,10 +93,11 @@ class TestBackbone:
     def test_child_order(self):
         bb = Backbone(preset("toy"))
         assert [name for name, _ in bb._children] == [
-            "stem_conv", "stem_bn", "stem_act",
+            "stem_conv", "stem_bn",
             *(f"stage{i}_block0" for i in range(1, 8)),
-            "head_conv", "head_bn", "head_act",
+            "head_conv", "head_bn",
         ]
+        assert bb.stem_bn.swish and bb.head_bn.swish
         assert mbconv_names(bb) == [f"stage{i}_block0" for i in range(1, 8)]
 
     def test_b0_block_count(self):

@@ -51,6 +51,7 @@ MAP = (3, 2, 6, 6)
 CACHE_CASES = [pytest.param(layer, MAP, id=type(layer).__name__) for layer in CHANNEL_LAYERS] + [
     pytest.param(layer, shape, id=name) for name, layer, shape in [
         ("Conv2d_k1", Conv2d(3, 4, 1), MAP),
+        ("BatchNorm2d_swish", BatchNorm2d(3, swish=True), MAP),
         ("Swish", Swish(), MAP),
         ("SpatialAttention", SpatialAttention(), MAP),
         ("Cbam", Cbam(3), MAP),
@@ -322,10 +323,43 @@ class TestBatchNormMatchesReference:
     def test_leaves_input_untouched(self):
         x = channel_first(np.random.default_rng(5).standard_normal((2, 3, 4, 4)))
         before = x.copy()
-        bn = BatchNorm2d(3)
-        bn.forward(x, train=True)
-        bn.forward(x, train=False)
+        for bn in (BatchNorm2d(3), BatchNorm2d(3, swish=True)):
+            bn.forward(x, train=True)
+            bn.forward(x, train=False)
         np.testing.assert_array_equal(x, before)
+
+
+class TestBatchNormSwishMatchesUnfused:
+    """``BatchNorm2d(swish=True)`` against ``BatchNorm2d`` then ``Swish``,
+    bit for bit. The grouped shape is three groups of 8 channels, past
+    numpy's temporary-reuse threshold, as the grouped backbone runs it."""
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(5, 4, 7, 9), (24, 8, 16, 16)], ids=["plain", "grouped"])
+    def test_matches(self, shape, train):
+        rng = np.random.default_rng([shape[0], train])
+        c = shape[0]
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        dout = rng.standard_normal(shape)
+        fused, plain, act = BatchNorm2d(c, swish=True), BatchNorm2d(c), Swish()
+        for bn in (fused, plain):
+            bn.gamma[...] = np.linspace(0.5, 2.0, c)
+            bn.beta[...] = np.linspace(-1.0, 1.0, c)
+            bn.running_mean[...] = np.linspace(-0.5, 0.5, c)
+            bn.running_var[...] = np.linspace(0.5, 2.0, c)
+        out = fused.forward(x, train)
+        want_out = act.forward(plain.forward(x, train), train)
+        dx = fused.backward(dout)
+        want_dx = plain.backward(act.backward(dout))
+        # Compared after the backward, so it may not have written into out.
+        for name, got, want in (("out", out, want_out), ("dx", dx, want_dx),
+                                ("g_gamma", fused.g_gamma, plain.g_gamma),
+                                ("g_beta", fused.g_beta, plain.g_beta),
+                                ("running_mean", fused.running_mean, plain.running_mean),
+                                ("running_var", fused.running_var, plain.running_var)):
+            assert got.shape == want.shape, name
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                          err_msg=name)
 
 
 class TestActivations:

@@ -7,6 +7,7 @@ import pytest
 from oracles import TooFewSamples, _traced_peak, adam_reference, stratified_split
 
 from fmcwhar.training import (
+    ADAM_CHUNK,
     LabelOutOfRange,
     MetricsReport,
     TrainConfig,
@@ -50,6 +51,8 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(TrainingError):
             adam_step(np.zeros(2), np.zeros(3), _moments(2), 1, 1e-3)
+        with pytest.raises(TrainingError, match="flat vector"):
+            adam_step(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2, 2)), 1, 1e-3)
 
     def test_step_index_positive(self):
         with pytest.raises(TrainingError):
@@ -74,6 +77,28 @@ class TestAdam:
             np.testing.assert_array_equal(params, p)
             np.testing.assert_array_equal(moments[0], m)
             np.testing.assert_array_equal(moments[1], v)
+
+    # One element, a chunk less one, one chunk, and a ragged tail after three.
+    @pytest.mark.parametrize("n", [1, ADAM_CHUNK - 1, ADAM_CHUNK, 3 * ADAM_CHUNK + 7])
+    def test_chunked_step_is_bit_identical_to_the_whole_vector_step(self, n):
+        rng = np.random.default_rng(n)
+        params = rng.standard_normal(n)
+        moments = _moments(n)
+        p, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 6):
+            grads = rng.standard_normal(n) * 10.0 ** -t
+            adam_step(params, grads, moments, t, lr=3e-3)
+            p, m, v = adam_reference(p, grads, m, v, t, lr=3e-3)
+        for got, want in ((params, p), (moments[0], m), (moments[1], v)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_step_allocates_two_chunks(self):
+        # The whole-vector expression allocates three vectors' worth of
+        # temporaries (24 MB here); the chunked step two chunk buffers.
+        n = 10**6
+        moments = _moments(n)
+        _, peak = _traced_peak(adam_step, np.zeros(n), np.ones(n), moments, 1, 1e-3)
+        assert peak <= 2 * ADAM_CHUNK * 8 + 16 * 1024, peak
 
 
 class TestCrossEntropy:
