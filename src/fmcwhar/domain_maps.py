@@ -10,7 +10,9 @@ Pipeline per domain:
   frames every ``ASTFT_HOP`` chirps whose Gaussian window is re-selected
   at every frame by minimizing the spectral concentration factor ->
   magnitudes summed over range bins -> log magnitude. Rows are Doppler
-  (zero-centered), columns time frames.
+  (zero-centered), columns time frames. The frames split into contiguous
+  spans, one per worker thread (see ``_workers``); each span sums the
+  bins in order, so the map does not depend on the split.
 - RDM: fast-time DFT -> complex MTI -> slow-time DFT per range bin ->
   FFT-shift -> log magnitude. Rows are range bins, columns Doppler.
 
@@ -35,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import dsp
+from . import _workers, dsp
 from .radar_io import EchoMatrix, RadarParams, check_field_types, read_json_object
 
 MTI_ORDER = 4
@@ -212,7 +214,9 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
         raise RangeIntervalOutOfBounds(
             f"r2 = {cfg.range_bin_hi} outside the {n_range} range bins")
     length = min(ASTFT_LENGTH, n_chirps)
-    windows = dsp.gaussian_windows(length, cfg.alphas)  # (n_alpha, L)
+    # (n_alpha, L), complex so that the workers' multiplies cast nothing:
+    # a cast would fill ufunc buffers from each worker's own malloc arena.
+    windows = dsp.gaussian_windows(length, cfg.alphas).astype(np.complex128)
 
     # Frame f covers chirps f*hop - L//2 .. f*hop - L//2 + L - 1, zero
     # outside the recording: a (n_bins, n_frames, L) view of one
@@ -221,16 +225,41 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
     padded = np.zeros((hi - lo, n_chirps + length - 1), dtype=profiles.dtype)
     padded[:, length // 2:length // 2 + n_chirps] = profiles[:, lo:hi].T
     frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::ASTFT_HOP]
-    accum = None
-    selections = []
-    for bin_frames in frames:
-        spectra = np.fft.fft(bin_frames[None] * windows[:, None, :], axis=2)
-        mags = np.abs(spectra)  # (n_alpha, n_frames, L)
-        chosen = np.argmin(dsp.concentration(mags), axis=0)  # first minimum wins ties
-        selected = mags[chosen, np.arange(mags.shape[1]), :]  # (n_frames, L)
-        del spectra, mags  # free before the next bin's FFT
-        accum = selected if accum is None else accum + selected
-        selections.append(chosen)
+    n_bins, n_frames = frames.shape[:2]
+    accum = np.empty((n_frames, length))
+    selections = np.empty((n_bins, n_frames), dtype=np.intp)
+    # One bin's buffers, frame-major so that each span's rows are contiguous.
+    spectra = np.empty((n_frames, len(windows), length), dtype=np.complex128)
+    mags = np.empty(spectra.shape)
+    selected = np.empty((n_frames, length))
+
+    def astft_span(span, spectra, mags, selected):
+        """Frames ``span`` of every bin into ``accum`` and ``selections``.
+
+        The bins are walked in order, so each frame sums them in the same
+        order whatever the spans are.
+        """
+        # |X|^2 reuses the spectra's memory: they are dead once ``mags`` holds them.
+        squares = spectra.view(np.float64).reshape(-1)[:mags.size].reshape(mags.shape)
+        frame_rows = np.arange(len(mags)) * len(windows)
+        total = accum[span]
+        for i, bin_frames in enumerate(frames[:, span]):
+            np.multiply(bin_frames[:, None, :], windows, out=spectra)
+            np.fft.fft(spectra, axis=2, out=spectra)
+            np.abs(spectra, out=mags)  # (n, n_alpha, L)
+            # The first minimum wins ties.
+            chosen = np.argmin(dsp.concentration(mags, squares=squares), axis=1)
+            selections[i, span] = chosen
+            # mags[frame, chosen] per frame; "clip" keeps take from buffering ``out``.
+            np.take(mags.reshape(-1, length), frame_rows + chosen, axis=0,
+                    out=selected, mode="clip")
+            if i:
+                total += selected
+            else:
+                total[...] = selected
+
+    _workers.run(astft_span, [(span, spectra[span], mags[span], selected[span])
+                              for span in _workers.split(n_frames)])
 
     doppler_by_frame = np.fft.fftshift(accum, axes=1)  # center zero Doppler
     values = dsp.log_magnitude(doppler_by_frame.T)
@@ -244,7 +273,7 @@ def _doppler_time(params: RadarParams, profiles: np.ndarray, cfg: AstftConfig):
         col_axis=Axis("time", "s", 0.0, ASTFT_HOP * params.chirp_duration_s),
         params=params,
     )
-    return spectro, np.stack(selections)
+    return spectro, selections
 
 
 def doppler_time_map(

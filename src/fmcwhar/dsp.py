@@ -203,16 +203,17 @@ def log_magnitude(x) -> np.ndarray:
     return mag
 
 
-def concentration(mag: np.ndarray, axis: int = -1) -> np.ndarray:
+def concentration(mag: np.ndarray, axis: int = -1, squares=None) -> np.ndarray:
     """Spectral concentration factor (sum|X|)^2 / (sum|X|^2 + CONCENTRATION_EPS)
     of the magnitude spectra along ``axis``.
 
     Small values mean energy packed into few bins; a single occupied bin
     gives ~1, N equal bins give ~N. Minimizing this over a window bank
-    picks the window with the most concentrated spectrum.
+    picks the window with the most concentrated spectrum. ``squares``, an
+    array of ``mag``'s shape, receives |X|^2 in place of a temporary.
     """
     if np.any(mag < 0):
         raise DspError("spectrum magnitudes must be non-negative")
     s1 = mag.sum(axis=axis)
-    s2 = np.square(mag).sum(axis=axis)
+    s2 = np.square(mag, out=squares).sum(axis=axis)
     return s1 * s1 / (s2 + CONCENTRATION_EPS)

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _workers
 from .radar_io import EchoMatrix, RadarParams, SPEED_OF_LIGHT
 
 RNG_ALGORITHM = "philox4x64"
@@ -146,9 +147,11 @@ def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
 
     Scatterers render in blocks of whole chirps of about
     ``_RENDER_BLOCK_SAMPLES`` samples, so the phase and exponential
-    temporaries stay block-sized. Noise draws every real part, then
-    every imaginary part, one block at a time into one reused buffer.
-    The echo equals that of a one-piece render byte for byte.
+    buffers stay block-sized; the blocks split into contiguous spans,
+    one per worker thread (see ``_workers``). Noise then draws every
+    real part, then every imaginary part, one block at a time into one
+    reused buffer, in the calling thread. The echo equals that of a
+    one-piece, one-thread render byte for byte.
     """
     n_c = scene.n_chirps(params)
     n_s = params.samples_per_chirp
@@ -160,6 +163,8 @@ def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
     data = np.zeros((n_c, n_s), dtype=np.complex128)
     k_slope = params.chirp_slope_hz_per_s
     lam = params.wavelength_m
+    # Per scatterer: amplitude, phase slope over fast time, and phase offset.
+    terms = []
     for sc in scene.scatterers:
         r = sc.range_at(t_chirp)
         if np.any(r <= 0):
@@ -167,10 +172,25 @@ def generate(scene: Scene, params: RadarParams) -> EchoMatrix:
                 f"scatterer starting at {sc.r0_m} m reached R <= 0 during the scene"
             )
         f_beat = 2.0 * k_slope * r / SPEED_OF_LIGHT
-        for block in blocks:
-            phase = (2.0 * math.pi) * f_beat[block, None] * t_fast[None, :] \
-                - (4.0 * math.pi / lam) * r[block, None]
-            data[block] += sc.amplitude * np.exp(1j * phase)
+        terms.append((sc.amplitude, (2.0 * math.pi) * f_beat, (4.0 * math.pi / lam) * r))
+
+    def render_span(span, phase, wave):
+        """The scatterers, in order, into the blocks ``span``."""
+        for block in blocks[span]:
+            target = data[block]
+            ph, wv = phase[: len(target)], wave[: len(target)]
+            for amplitude, slope, offset in terms:
+                np.multiply(slope[block, None], t_fast[None, :], out=ph)
+                ph -= offset[block, None]
+                np.multiply(1j, ph, out=wv)
+                np.exp(wv, out=wv)
+                np.multiply(amplitude, wv, out=wv)
+                target += wv
+
+    spans = _workers.split(len(blocks))
+    _workers.run(render_span, list(zip(
+        spans, np.empty((len(spans), rows, n_s)),
+        np.empty((len(spans), rows, n_s), dtype=np.complex128))))
 
     if scene.noise_std > 0:
         rng = seeded_rng(scene.seed)

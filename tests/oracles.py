@@ -46,6 +46,11 @@ render: each scatterer's phase, exponential and product are full-size
 (n_chirps, samples_per_chirp) arrays, and the noise is drawn as two
 full-size normal arrays, the real parts first.
 
+The ASTFT reference is ``domain_maps._doppler_time`` as it ran before
+the frame split: one thread walks the range bins, and each bin's FFT,
+magnitudes and concentration factors over all frames and windows are
+fresh arrays.
+
 ``_traced_peak`` is the one ``tracemalloc`` probe behind the memory
 guards: it reports the peak bytes a call allocated while it ran.
 """
@@ -484,6 +489,45 @@ def generate_reference(scene, params):
         )
 
     return EchoMatrix(params=params, data=data)
+
+
+def doppler_time_reference(params, profiles, cfg):
+    """The DT map and its (n_bins, n_frames) window selections, one bin at a time."""
+    n_chirps, n_range = profiles.shape
+    if cfg.range_bin_hi >= n_range:
+        raise dm.RangeIntervalOutOfBounds(
+            f"r2 = {cfg.range_bin_hi} outside the {n_range} range bins")
+    length = min(dm.ASTFT_LENGTH, n_chirps)
+    windows = dsp.gaussian_windows(length, cfg.alphas)  # (n_alpha, L)
+
+    lo, hi = cfg.range_bin_lo, cfg.range_bin_hi + 1
+    padded = np.zeros((hi - lo, n_chirps + length - 1), dtype=profiles.dtype)
+    padded[:, length // 2:length // 2 + n_chirps] = profiles[:, lo:hi].T
+    frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::dm.ASTFT_HOP]
+    accum = None
+    selections = []
+    for bin_frames in frames:
+        spectra = np.fft.fft(bin_frames[None] * windows[:, None, :], axis=2)
+        mags = np.abs(spectra)  # (n_alpha, n_frames, L)
+        chosen = np.argmin(dsp.concentration(mags), axis=0)  # first minimum wins ties
+        selected = mags[chosen, np.arange(mags.shape[1]), :]  # (n_frames, L)
+        del spectra, mags  # free before the next bin's FFT
+        accum = selected if accum is None else accum + selected
+        selections.append(chosen)
+
+    doppler_by_frame = np.fft.fftshift(accum, axes=1)  # center zero Doppler
+    values = dsp.log_magnitude(doppler_by_frame.T)
+
+    prf = params.chirp_rate_hz
+    doppler_step = prf / length
+    spectro = dm.SpectroMap(
+        domain=dm.Domain.DOPPLER_TIME,
+        values=values,
+        row_axis=dm.Axis("Doppler", "Hz", -doppler_step * (length // 2), doppler_step),
+        col_axis=dm.Axis("time", "s", 0.0, dm.ASTFT_HOP * params.chirp_duration_s),
+        params=params,
+    )
+    return spectro, np.stack(selections)
 
 
 def _traced_peak(fn, *args):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fmcwhar import domain_maps as dm
-from fmcwhar import dsp, synth, training
+from fmcwhar import _workers, dsp, synth, training
 from fmcwhar.radar_io import EchoMatrix, RadarParams, SPEED_OF_LIGHT
 
-from oracles import check_scene_bins, df2t_rows, mti_profiles
+from oracles import check_scene_bins, df2t_rows, doppler_time_reference, mti_profiles
 
 PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 
@@ -269,6 +269,40 @@ class TestSharedFrontEnd:
         echo = single_target(3.0, 1.0, duration=0.256)
         training.maps_for_echo(echo, 16)
         assert calls == {"iir_filter": 1, "range_profiles": 1}
+
+
+class TestAstftMatchesPerBinLoop:
+    """The ASTFT splits each bin's frames over up to two threads; its map
+    and window selections must equal the one-thread per-bin loop byte
+    for byte, on one worker and on two."""
+
+    @staticmethod
+    def assert_matches_reference(echo):
+        cfg = dm.AstftConfig.default_for(echo.params)
+        got, selection = dm.doppler_time_map(echo, cfg, return_selection=True)
+        want, want_selection = doppler_time_reference(echo.params, mti_profiles(echo), cfg)
+        assert_same_map(got, want)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert selection.dtype == want_selection.dtype
+        assert selection.tobytes() == want_selection.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", [k.value for k in synth.ActivityKind])
+    def test_templates(self, kind, workers, monkeypatch):
+        monkeypatch.setattr(_workers, "WORKERS", workers)
+        for seed in (1, 2):
+            self.assert_matches_reference(
+                synth.generate(synth.activity_template(kind, seed), PARAMS))
+
+    # 1 and 7 chirps give one frame, 20 give two, 100 and 300 give 7 and 19.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_chirps", [1, 7, 20, 100, 300])
+    def test_frame_counts(self, n_chirps, workers, monkeypatch):
+        monkeypatch.setattr(_workers, "WORKERS", workers)
+        scene = synth.Scene(
+            scatterers=(synth.Scatterer(2.0, 1.0), synth.Scatterer(3.5, -0.6, 0.5)),
+            duration_s=n_chirps * PARAMS.chirp_duration_s, noise_std=0.02, seed=n_chirps)
+        self.assert_matches_reference(synth.generate(scene, PARAMS))
 
 
 class TestTranslationCovariance:

@@ -87,7 +87,8 @@ class TestBlockRender:
 
 # Peak traced bytes of one toy render, as a multiple of the echo's own
 # bytes. Measured: 3.55 with full-size phase, exponential and noise
-# arrays; 1.18 rendering in blocks.
+# arrays; 1.18 rendering in blocks; 1.29 with a phase and an exponential
+# buffer for each of two render threads.
 GENERATE_PEAK_RATIO = 2.0
 
 
