@@ -38,7 +38,8 @@ from enum import Enum
 import numpy as np
 
 from . import _workers, dsp
-from .radar_io import EchoMatrix, RadarParams, check_field_types, read_json_object
+from .radar_io import (EchoMatrix, RadarParams, check_field_types, read_f32,
+                       read_json_object, write_f32)
 
 MTI_ORDER = 4
 MTI_CUTOFF_NORM = 0.0075
@@ -398,8 +399,8 @@ def _resize_bilinear_array(values: np.ndarray, out_h: int, out_w: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# File formats: .smap (f32 little-endian, row-major) + JSON sidecar, and an
-# 8-bit min-max normalized PGM for eyeballing.
+# File formats: .smap (a float32 blob, see ``radar_io.write_f32``) + JSON
+# sidecar, and an 8-bit min-max normalized PGM for eyeballing.
 
 def sidecar_path(path) -> str:
     """The JSON sidecar beside the .smap payload at ``path``."""
@@ -416,7 +417,8 @@ def save_spectro_map(spectro: SpectroMap, path) -> None:
         "col_axis": asdict(spectro.col_axis),
         "params": asdict(spectro.params),
     }
-    spectro.values.astype("<f4").tofile(path)
+    with open(path, "wb") as fh:
+        write_f32(fh, spectro.values, DomainMapError)
     with open(sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
 
@@ -434,11 +436,7 @@ def load_spectro_map(path) -> SpectroMap:
     if not all(type(n) is int and n > 0 for n in (rows, cols)):
         raise DomainMapError(
             f"{path}: sidecar shape {meta['shape']!r} is not two positive integers")
-    values = np.fromfile(path, dtype="<f4")
-    if values.size != rows * cols:
-        raise DomainMapError(
-            f"{path}: payload holds {values.size} values, sidecar says {(rows, cols)}"
-        )
+    values = read_f32(path, rows * cols, DomainMapError)
     return SpectroMap(
         domain=domain,
         values=values.astype(np.float64).reshape(rows, cols),

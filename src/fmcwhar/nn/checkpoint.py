@@ -4,7 +4,7 @@ Layout of a checkpoint directory:
 
     manifest.json   config, seed, and the name and shape of every
                     parameter and buffer, in the model's order
-    params.f32      every parameter, little-endian float32, row-major,
+    params.f32      every parameter as a float32 blob (``radar_io.write_f32``),
                     end to end in manifest order
     buffers.f32     the non-trainable state (batch-norm running
                     statistics), laid out the same way
@@ -20,9 +20,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from ..radar_io import read_json_object
+from ..radar_io import read_f32, read_json_object, write_f32
 from .config import ModelConfig, StageSpec
 from .counting import count_params
 from .model import MultiDomainModel
@@ -58,7 +56,7 @@ def save_checkpoint(directory, model: MultiDomainModel, extra: dict | None = Non
     for section, arrays in sections.items():
         with open(directory / f"{section}.f32", "wb") as fh:
             for value in arrays.values():
-                value.astype("<f4").tofile(fh)
+                write_f32(fh, value, CheckpointError)
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
@@ -81,16 +79,12 @@ def load_checkpoint(directory) -> MultiDomainModel:
         raise CheckpointError(f"{directory}: cannot build the model: {exc}") from exc
     # The blobs must hold the model before anything is allocated for it;
     # the static count equals the built model's (test_static_walk_matches_instantiation).
-    for section, total in (("params", counts.total), ("buffers", counts.non_trainable)):
-        blob = directory / f"{section}.f32"
-        size = blob.stat().st_size
-        if size != 4 * total:
-            raise CheckpointError(
-                f"{blob}: holds {size} bytes, the config needs {total} float32 values")
+    blobs = {section: read_f32(directory / f"{section}.f32", total, CheckpointError)
+             for section, total in (("params", counts.total), ("buffers", counts.non_trainable))}
     model = MultiDomainModel(cfg, seed=seed)
     for section, arrays in _sections(model).items():
         _check_listing(directory, section, manifest.get(section), _listing(arrays))
-        values = np.fromfile(directory / f"{section}.f32", dtype="<f4")
+        values = blobs[section]
         offset = 0
         for value in arrays.values():
             value[...] = values[offset:offset + value.size].reshape(value.shape)

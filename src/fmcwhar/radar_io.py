@@ -125,6 +125,30 @@ def read_json_object(path, error) -> dict:
     return value
 
 
+def write_f32(fh, values, error) -> None:
+    """Append ``values`` to the binary file ``fh`` as little-endian float32,
+    row-major. Raises ``error`` before writing if any value is not finite
+    as float32: NaN, an infinity, or a finite number whose cast overflows."""
+    with np.errstate(over="ignore"):
+        blob = values.astype("<f4")
+    if not np.isfinite(blob).all():
+        raise error(f"{fh.name}: a value is not finite as float32")
+    blob.tofile(fh)
+
+
+def read_f32(path, count, error) -> np.ndarray:
+    """The ``count`` little-endian float32 values in the file at ``path``.
+    Raises ``error`` if the file is not ``4·count`` bytes long, checked
+    before reading, or if a value is not finite; a missing file as ``open``."""
+    size = os.stat(path).st_size
+    if size != 4 * count:
+        raise error(f"{path}: holds {size} bytes, expected {count} float32 values")
+    values = np.fromfile(path, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise error(f"{path}: a value is not finite")
+    return values
+
+
 @dataclass(frozen=True)
 class RadarParams:
     """FMCW system parameters; every downstream resolution derives from these."""

@@ -29,7 +29,7 @@ from . import synth
 from .nn import MultiDomainModel
 from .nn.model import BRANCHES
 from .nn.config import preset
-from .radar_io import RadarParams, check_field_types, read_json_object
+from .radar_io import RadarParams, check_field_types, read_f32, read_json_object, write_f32
 
 TOY_RADAR_PARAMS = RadarParams(5.8e9, 1e-3, 128, 4e8)
 ADAM_BETA1 = 0.9
@@ -217,7 +217,7 @@ def save_toy_dataset(out_dir, samples_per_class: int, seed: int, map_size: int) 
                  for key in DOMAIN_KEYS]
         for label, maps in _render_samples(samples_per_class, seed, map_size):
             for fh, spectro in zip(blobs, maps):
-                spectro.values.astype("<f4").tofile(fh)
+                write_f32(fh, spectro.values, TrainingError)
             labels.append(label)
     with open(out_dir / "index.json", "w") as fh:
         json.dump({"map_size": map_size, "seed": seed, "labels": labels}, fh, indent=2)
@@ -230,8 +230,8 @@ def load_dataset(directory):
     Map tensors have shape (N, 1, map_size, map_size), each map min-max
     normalized to [0, 1]; labels index the activity kinds and must be
     integers that fit 64 bits (``evaluate`` checks their range against
-    the model). Every blob must hold exactly N maps of the index's size;
-    the sizes are checked before any blob is read.
+    the model). Every blob must hold exactly N finite maps of the index's
+    size; each blob's size is checked before that blob is read.
     """
     directory = Path(directory)
     index = read_json_object(directory / "index.json", TrainingError)
@@ -246,14 +246,8 @@ def load_dataset(directory):
     if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise TrainingError(f"{directory}: map_size {size!r} is not a positive integer")
     n = len(labels)
-    blobs = [directory / f"{key}.f32" for key in DOMAIN_KEYS]
-    for blob in blobs:
-        nbytes = blob.stat().st_size
-        if nbytes != 4 * n * size * size:
-            raise TrainingError(f"{blob}: holds {nbytes} bytes, the index needs "
-                                f"{n} float32 maps of {size} x {size}")
-    stacks = [np.fromfile(blob, dtype="<f4").astype(np.float64).reshape(n, 1, size, size)
-              for blob in blobs]
+    stacks = [read_f32(directory / f"{key}.f32", n * size * size, TrainingError)
+              .astype(np.float64).reshape(n, 1, size, size) for key in DOMAIN_KEYS]
     for maps in stacks:
         for sample in maps:
             sample[0] = min_max_normalize(sample[0])

@@ -184,8 +184,9 @@ class TestAugment:
         assert out.exists()
 
     @pytest.mark.parametrize("edit", [lambda raw: raw[:-4], lambda raw: raw[:-2],
-                                      lambda raw: raw + b"\0\0\0\0"],
-                             ids=["truncated", "truncated_mid_value", "over_long"])
+                                      lambda raw: raw + b"\0\0\0\0",
+                                      lambda raw: raw[:-4] + np.array(np.nan, "<f4").tobytes()],
+                             ids=["truncated", "truncated_mid_value", "over_long", "nan_value"])
     def test_payload_disagreeing_with_sidecar(self, tmp_path, echo_file, edit):
         maps_dir = tmp_path / "maps"
         assert cli.main(["maps", str(echo_file), "--domains", "dt",
@@ -194,6 +195,7 @@ class TestAugment:
         smap.write_bytes(edit(smap.read_bytes()))
         assert cli.main(["augment", str(smap), "--seed", "5",
                          "--out", str(tmp_path / "aug.smap")]) == 2
+        assert not (tmp_path / "aug.smap").exists()
 
     @pytest.mark.parametrize("policy", ['{"seed": 1, "var_high": 2.0}',
                                         '{"low_threshold": "0.3"}',
@@ -436,6 +438,18 @@ class TestTrainEval:
         assert cli.main(["train-toy", "--config", str(path), "--out", str(run_dir)]) == 2
         assert not run_dir.exists()
 
+    def test_diverged_run_writes_nothing(self, tmp_path, capsys):
+        # The loss stays finite (about 4e91 in the last epoch), but the
+        # batch-norm statistics overflow float32, which the checkpoint refuses.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"epochs": 3, "samples_per_class": 1, "map_size": 32, "lr0": 1e30}))
+        run_dir = tmp_path / "run"
+        assert cli.main(["train-toy", "--config", str(path), "--out", str(run_dir),
+                         "--json"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "CheckpointError"
+        assert not run_dir.exists()
+
 
 @pytest.fixture(scope="module")
 def toy_run(tmp_path_factory, echo_file):
@@ -465,6 +479,14 @@ def _omit(manifest, section, name):
 
 def _set_stage(manifest, **values):
     manifest["config"]["stages"][0].update(values)
+
+
+def _set_middle_value(blob, value):
+    """Overwrite the float32 value in the middle of ``blob`` with ``value``."""
+    raw = bytearray(blob.read_bytes())
+    at = len(raw) // 8 * 4
+    raw[at:at + 4] = np.array(value, dtype="<f4").tobytes()
+    blob.write_bytes(raw)
 
 
 BLOB = Path("params.f32")
@@ -522,13 +544,16 @@ class TestMalformedCheckpoints:
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["params"].insert(1, m["params"].pop(2))),
         # A width whose arrays would not fit in memory: refused before any allocation.
         lambda ckpt: _edit_manifest(ckpt, lambda m: m["config"].update(head_channels=10**12)),
+        lambda ckpt: _set_middle_value(ckpt / BLOB, np.nan),
+        lambda ckpt: _set_middle_value(ckpt / "buffers.f32", np.inf),
     ], ids=["truncated_blob", "swapped_shape", "unknown_version", "se_config",
             "omitted_param", "omitted_buffer", "params_not_a_list", "zero_stride",
             "zero_kernel", "bool_repeats", "float_stage_width", "zero_lstm_hidden",
             "negative_input_hw", "no_stage_table", "unnamed_param", "buffer_without_shape",
             "string_shape", "negative_shape", "float_shape", "unknown_param",
             "manifest_not_an_object", "bool_seed", "no_seed", "truncated_buffers_blob",
-            "trailing_bytes", "duplicate_param", "swapped_param_order", "absurd_width"])
+            "trailing_bytes", "duplicate_param", "swapped_param_order", "absurd_width",
+            "nan_param", "inf_buffer"])
     def test_malformed(self, tmp_path, toy_run, corrupt, capsys):
         assert self.eval_exit_code(tmp_path, toy_run, corrupt, capsys) == (
             2, "CheckpointError")
@@ -604,9 +629,13 @@ class TestMalformedDatasets:
          "TrainingError"),
         (lambda data: _edit_index(data, lambda index: index.update(map_size="32")),
          "TrainingError"),
+        (lambda data: _set_middle_value(data / "dt.f32", np.nan), "TrainingError"),
+        (lambda data: _set_middle_value(data / "rt.f32", np.inf), "TrainingError"),
+        (lambda data: _set_middle_value(data / "rd.f32", np.nan), "TrainingError"),
     ], ids=["index_not_an_object", "string_samples", "no_samples", "list_entry",
             "mixed_map_sizes", "maps_larger_than_model", "missing_label", "missing_map",
-            "truncated_blob", "trailing_bytes", "absurd_map_size", "string_map_size"])
+            "truncated_blob", "trailing_bytes", "absurd_map_size", "string_map_size",
+            "nan_dt_map", "inf_rt_map", "nan_rd_map"])
     def test_malformed(self, tmp_path, toy_run, corrupt, error, capsys):
         data = tmp_path / "dataset"
         shutil.copytree(toy_run / "dataset", data)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -466,6 +467,55 @@ def test_write_rejects_mismatched_params():
     echo = EchoMatrix(params=GLASGOW, data=np.zeros((1, 128), dtype=complex))
     with pytest.raises(ShapeMismatch):
         write_dat(other, echo)
+
+
+class BlobError(ValueError):
+    """A caller's own error type, which the float32 blob helpers raise."""
+
+
+def test_f32_blob_round_trip(tmp_path):
+    path = tmp_path / "blob.f32"
+    # A transposed view: the blob is row-major whatever the memory layout.
+    values = np.array([[0.0, -1.5, 3e38], [1e-3, 2.0, -0.0]]).T
+    with open(path, "wb") as fh:
+        radar_io.write_f32(fh, values, BlobError)
+        radar_io.write_f32(fh, values[0], BlobError)
+    assert path.read_bytes() == values.astype("<f4").tobytes() + values[0].astype("<f4").tobytes()
+    read = radar_io.read_f32(path, 8, BlobError)
+    assert read.dtype == np.dtype("<f4")
+    np.testing.assert_array_equal(read, np.concatenate([values.ravel(), values[0]]).astype("<f4"))
+
+
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf],
+                         ids=["overflow", "negative_overflow", "nan", "inf"])
+def test_write_f32_refuses_a_value_not_finite_as_float32(tmp_path, bad):
+    path = tmp_path / "blob.f32"
+    with warnings.catch_warnings(), open(path, "wb") as fh:
+        warnings.simplefilter("error")
+        with pytest.raises(BlobError, match="not finite as float32"):
+            radar_io.write_f32(fh, np.array([1.0, bad, 2.0]), BlobError)
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("nbytes", [0, 8, 10, 16])
+def test_read_f32_checks_the_size_before_reading(tmp_path, monkeypatch, nbytes):
+    path = tmp_path / "blob.f32"
+    path.write_bytes(bytes(nbytes))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the blob was read before its size was checked")
+
+    monkeypatch.setattr(np, "fromfile", unread)
+    with pytest.raises(BlobError, match=f"holds {nbytes} bytes, expected 3 float32 values"):
+        radar_io.read_f32(path, 3, BlobError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "negative_inf"])
+def test_read_f32_refuses_a_value_not_finite(tmp_path, bad):
+    path = tmp_path / "blob.f32"
+    path.write_bytes(np.array([1.0, bad, 2.0], dtype="<f4").tobytes())
+    with pytest.raises(BlobError, match="not finite"):
+        radar_io.read_f32(path, 3, BlobError)
 
 
 @given(st.binary(max_size=512))
